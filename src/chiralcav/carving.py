@@ -5,9 +5,9 @@ cavity (|1>) or invisible to it (|0>).  A reflected-photon detection at
 probe detuning delta multiplies every basis component by the complex
 reflection amplitude of the subsystem formed by its coupled atoms at
 their original sites; renormalizing yields the carved state and the
-pre-normalization norm squared is the heralding probability.  Components
-sharing the same coupled-atom geometry (same site offsets) share the
-same amplitude, which is cached per measurement.
+pre-normalization norm squared is the heralding probability.  All 2^M
+components are solved as one masked batch: an uncoupled atom keeps its
+site but loses every coupling, which makes it exactly the removed atom.
 
 The planners prepare the equal-weight single-coupled-manifold target
 (|10...0> + |01...0> + ... + |00...1>)/sqrt(M): an on-resonance
@@ -25,10 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import r_no_atoms
 from .errors import ProtocolExtinguishedError, ValidationError
 from .params import DriveParams, SystemParams, require_valid
-from .solver import reflection_amplitude, reflectivity
+from .solver import _reflection, _reflectivity, reflection_amplitude
 from .spectrum import dip_detunings
 
 #: dense 2^M state vectors only; the protocol targets small registers
@@ -96,7 +95,7 @@ class MeasurementOutcome:
 
     post_state: QubitRegister
     herald_probability: float
-    per_component_r: dict[tuple[int, ...], complex]  # keyed by site offsets
+    per_component_r: np.ndarray  # amplitude applied to each basis index, shape (2**m,)
 
 
 @dataclass(frozen=True)
@@ -149,22 +148,6 @@ def global_rotation(state: QubitRegister, theta: float, phi: float = 0.0) -> Qub
     return QubitRegister(m=state.m, amplitudes=psi.reshape(-1))
 
 
-def _coupled_sites(index: int, m: int) -> tuple[int, ...]:
-    return tuple(site for site in range(m) if index & (1 << (m - 1 - site)))
-
-
-def _geometry_key(sites: tuple[int, ...]) -> tuple[int, ...]:
-    """Site offsets relative to the first coupled atom.
-
-    Translating a coupled subset along the lattice only shifts a global
-    phase that cancels in the reflection amplitude, so the offsets tuple
-    identifies the subsystem.
-    """
-    if not sites:
-        return ()
-    return tuple(site - sites[0] for site in sites)
-
-
 def component_reflection(
     bits: str | tuple[int, ...], params_template: SystemParams, delta: float
 ) -> complex:
@@ -172,23 +155,15 @@ def component_reflection(
 
     Uncoupled atoms are removed entirely; the coupled ones keep their
     lattice positions.  A component with no coupled atom reflects like
-    the bare cavity.
+    the bare cavity.  This removal route is independent of the masked
+    batch that :func:`carving_measurement` solves.
     """
-    require_valid(params_template)
     if isinstance(bits, str):
         sites = tuple(i for i, b in enumerate(bits) if b == "1")
     else:
         sites = tuple(bits)
-    return _subset_reflection(sites, params_template, delta)
-
-
-def _subset_reflection(
-    sites: tuple[int, ...], params: SystemParams, delta: float
-) -> complex:
-    if not sites:
-        return r_no_atoms(delta, params.kappa_wg, params.kappa_sc)
     return reflection_amplitude(
-        params, DriveParams(delta=delta), positions=np.asarray(_geometry_key(sites))
+        params_template, DriveParams(delta=delta), positions=np.array(sites, dtype=float)
     )
 
 
@@ -202,15 +177,12 @@ def carving_measurement(
     physical); the heralding probability is the survived norm squared.
     """
     require_valid(params_template)
-    cache: dict[tuple[int, ...], complex] = {}
-    amps = state.amplitudes.copy()
-    for index in range(amps.size):
-        if amps[index] == 0:
-            continue
-        key = _geometry_key(_coupled_sites(index, state.m))
-        if key not in cache:
-            cache[key] = _subset_reflection(key, params_template, delta)
-        amps[index] *= cache[key]
+    drive = DriveParams(delta=delta)
+    m = state.m
+    shifts = np.arange(m - 1, -1, -1)
+    coupled = ((np.arange(2**m)[:, None] >> shifts) & 1).astype(bool)
+    r = _reflection(params_template, drive.delta, positions=np.arange(m), coupled=coupled)
+    amps = state.amplitudes * r
     herald = float(np.sum(np.abs(amps) ** 2))
     if herald < EXTINCTION_THRESHOLD:
         raise ProtocolExtinguishedError(
@@ -219,7 +191,7 @@ def carving_measurement(
         )
     post = QubitRegister(m=state.m, amplitudes=amps / math.sqrt(herald))
     return MeasurementOutcome(
-        post_state=post, herald_probability=herald, per_component_r=cache
+        post_state=post, herald_probability=herald, per_component_r=r
     )
 
 
@@ -245,13 +217,15 @@ def plan_protocol(
         raise ValidationError("protocol requires at least 2 atoms")
     if m > MAX_QUBITS:
         raise ValidationError(f"register size must be <= {MAX_QUBITS}")
+    if dip_sign not in (1, -1):
+        raise ValidationError("dip_sign must be +1 or -1")
     require_valid(params_template)
     steps = [0.0]
     for n in range(3, m + 1, 2):
         sub = replace(params_template, n_atoms=n)
         all_dips = dip_detunings(params_template, n)
         candidates = [d for d in all_dips if d * dip_sign > 0] or all_dips
-        values = [reflectivity(sub, DriveParams(delta=d)) for d in candidates]
+        values = [_reflectivity(sub, d) for d in candidates]
         steps.append(candidates[int(np.argmin(values))])
     expected = m // 2 if m % 2 == 0 else (m + 1) // 2
     assert len(steps) == expected
@@ -271,10 +245,10 @@ def run_protocol(
     fidelity against the W_M target is recorded after every individual
     measurement and heralding probabilities multiply across them.
     """
-    if plan is None:
-        plan = plan_protocol(m, params_template, dip_sign=dip_sign)
     if repetitions_per_step < 1:
         raise ValidationError("repetitions_per_step must be >= 1")
+    if plan is None:
+        plan = plan_protocol(m, params_template, dip_sign=dip_sign)
     target = QubitRegister.w_state(m)
     state = global_rotation(QubitRegister.ground(m), math.pi / 2.0)
     cumulative = 1.0

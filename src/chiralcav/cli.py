@@ -26,7 +26,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .params import SystemParams, validate
+from .params import SystemParams, require_valid
 from .tables import DataTable
 
 OUTDIR_ENV = "CHIRALCAV_OUTDIR"
@@ -127,21 +127,20 @@ def _merge_options(args: argparse.Namespace, command: str) -> dict:
     return merged
 
 
-def _system_params(opt: dict) -> SystemParams:
-    params = SystemParams(
-        n_atoms=opt.get("n_atoms", 0),
-        gamma_L=opt["gamma_l"],
-        gamma_R=opt["gamma_r"],
-        g=opt["g"],
-        kappa_wg=opt["kappa_wg"],
-        kappa_sc=opt["kappa_sc"],
-        xi=opt["xi"],
-        gamma_mhz=opt["gamma_mhz"],
+def _system_params(opt: dict, n_atoms: int) -> SystemParams:
+    """Validated SystemParams from merged options."""
+    return require_valid(
+        SystemParams(
+            n_atoms=n_atoms,
+            gamma_L=opt["gamma_l"],
+            gamma_R=opt["gamma_r"],
+            g=opt["g"],
+            kappa_wg=opt["kappa_wg"],
+            kappa_sc=opt["kappa_sc"],
+            xi=opt["xi"],
+            gamma_mhz=opt["gamma_mhz"],
+        )
     )
-    report = validate(params)
-    if not report.ok:
-        raise ValidationError("; ".join(report.violations))
-    return params
 
 
 def _emit(table: DataTable, opt: dict) -> None:
@@ -158,28 +157,20 @@ def _emit(table: DataTable, opt: dict) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     opt = _merge_options(args, "validate")
-    params = SystemParams(
-        n_atoms=opt["n_atoms"],
-        gamma_L=opt["gamma_l"],
-        gamma_R=opt["gamma_r"],
-        g=opt["g"],
-        kappa_wg=opt["kappa_wg"],
-        kappa_sc=opt["kappa_sc"],
-        xi=opt["xi"],
-        gamma_mhz=opt["gamma_mhz"],
-    )
-    report = validate(params)
-    if report.ok:
-        print("ok")
-        return 0
-    for violation in report.violations:
-        print(f"violation: {violation}")
-    return 2
+    try:
+        _system_params(opt, opt["n_atoms"])
+    except ValidationError as exc:
+        # require_valid joins the violations with "; "
+        for violation in str(exc).split("; "):
+            print(f"violation: {violation}")
+        return 2
+    print("ok")
+    return 0
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     opt = _merge_options(args, "spectrum")
-    params = _system_params(opt)
+    params = _system_params(opt, opt["n_atoms"])
     spec = spectrum.sweep_delta(params, opt["delta_min"], opt["delta_max"], opt["points"])
     features = spectrum.find_features(spec, opt["prominence"])
     rows = np.column_stack([spec.deltas, spec.values])
@@ -196,9 +187,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     opt = _merge_options(args, "map")
-    params = _system_params(opt)
-    if opt["gamma_l_min"] < 0 or opt["gamma_l_max"] > 1:
-        raise ValidationError("gamma_L grid must lie inside [0, 1]")
+    params = _system_params(opt, opt["n_atoms"])
     xi_grid = np.linspace(opt["xi_min"], opt["xi_max"], opt["xi_points"])
     gl_grid = np.linspace(opt["gamma_l_min"], opt["gamma_l_max"], opt["gamma_l_points"])
     map2d = spectrum.sweep_2d(params, xi_grid, gl_grid)
@@ -221,16 +210,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 def _cmd_carve(args: argparse.Namespace) -> int:
     opt = _merge_options(args, "carve")
-    template = SystemParams(
-        n_atoms=opt["m"],
-        gamma_L=opt["gamma_l"],
-        gamma_R=opt["gamma_r"],
-        g=opt["g"],
-        kappa_wg=opt["kappa_wg"],
-        kappa_sc=opt["kappa_sc"],
-        xi=opt["xi"],
-        gamma_mhz=opt["gamma_mhz"],
-    )
+    template = _system_params(opt, opt["m"])
     result = carving.run_protocol(
         opt["m"], template, repetitions_per_step=opt["reps"], dip_sign=opt["dip_sign"]
     )

@@ -9,6 +9,7 @@ the dimensionless phase ``xi`` accumulated per lattice spacing.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -72,6 +73,9 @@ class DriveParams:
             )
         if self.a_in == 0:
             raise ValidationError("a_in must be nonzero")
+        for name in ("delta", "delta_c", "a_in"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
-from .params import DriveParams, SystemParams
+from .errors import SolverError, ValidationError
+from .params import DriveParams, SystemParams, require_valid
 
 #: condition-number estimate above which a system counts as degenerate
 COND_MAX = 1e12
@@ -55,31 +55,43 @@ class SteadyState:
 
 
 def _assemble(
-    positions: np.ndarray,
-    gamma_L,
-    gamma_R,
-    g: float,
-    kappa_wg: float,
-    kappa_sc: float,
-    xi,
+    params: SystemParams,
     delta,
-    delta_c,
+    delta_c=None,
     a_in: complex = 1.0,
+    positions=None,
+    gamma_L=None,
+    xi=None,
     independent_atoms: bool = False,
+    coupled=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build (matrix, rhs) with arbitrary broadcastable leading axes.
 
-    ``gamma_L``, ``gamma_R``, ``xi``, ``delta`` and ``delta_c`` may be
-    scalars or arrays of a common broadcast shape; the result then has
-    shape ``broadcast + (n+1, n+1)``.
+    ``delta``, ``delta_c`` (default: locked to ``delta``), ``gamma_L``
+    and ``xi`` (default: taken from ``params``) may be scalars or arrays
+    of a common broadcast shape; an explicit ``gamma_L`` comes with
+    gamma_R = 1 - gamma_L.  ``coupled`` is a boolean mask with leading
+    axes ``(..., n)``: an atom whose entry is False gets no cavity and no
+    atom-atom coupling, so it drops out exactly as if it were removed.
+    The result has shape ``broadcast + (n+1, n+1)``.
     """
+    if positions is None:
+        positions = np.arange(params.n_atoms)
     pos = np.asarray(positions, dtype=float)
     n = pos.size
+    if gamma_L is None:
+        gamma_L, gamma_R = params.gamma_L, params.gamma_R
+    else:
+        gamma_R = 1.0 - np.asarray(gamma_L)
+    xi = params.xi if xi is None else xi
+    delta_c = delta if delta_c is None else delta_c
     gamma_L, gamma_R, xi, delta, delta_c = np.broadcast_arrays(
         gamma_L, gamma_R, xi, delta, delta_c
     )
     lead = delta.shape
-    kappa = kappa_wg + kappa_sc
+    if coupled is not None:
+        lead = np.broadcast_shapes(lead, coupled.shape[:-1])
+    kappa = params.kappa_wg + params.kappa_sc
 
     matrix = np.zeros(lead + (n + 1, n + 1), dtype=complex)
     matrix[..., 0, 0] = 1j * delta_c - kappa / 2.0
@@ -96,11 +108,17 @@ def _assemble(
         idx = np.arange(1, n + 1)
         matrix[..., idx, idx] = (1j * delta - 0.5)[..., None]
         cav_phase = np.exp(1j * np.multiply.outer(xi, pos))
-        matrix[..., 0, 1:] = -1j * g * np.conj(cav_phase)
-        matrix[..., 1:, 0] = -1j * g * cav_phase
+        matrix[..., 0, 1:] = -1j * params.g * np.conj(cav_phase)
+        matrix[..., 1:, 0] = -1j * params.g * cav_phase
+    if coupled is not None:
+        # an uncoupled atom keeps only its diagonal entry
+        atoms = np.broadcast_to(coupled, lead + (n,))
+        on = np.concatenate([np.ones(lead + (1,), dtype=bool), atoms], axis=-1)
+        keep = (on[..., :, None] & on[..., None, :]) | np.eye(n + 1, dtype=bool)
+        matrix = np.where(keep, matrix, 0.0)
 
     rhs = np.zeros(lead + (n + 1,), dtype=complex)
-    rhs[..., 0] = -np.sqrt(kappa_wg) * a_in
+    rhs[..., 0] = -np.sqrt(params.kappa_wg) * a_in
     return matrix, rhs
 
 
@@ -117,25 +135,19 @@ def build_linear_system(
     atom-atom block, keeping each atom's full decay rate: the reference
     configuration of cavity-coupled but mutually uncoupled atoms.
     """
-    if positions is None:
-        positions = np.arange(params.n_atoms)
+    require_valid(params)
     matrix, rhs = _assemble(
-        positions,
-        params.gamma_L,
-        params.gamma_R,
-        params.g,
-        params.kappa_wg,
-        params.kappa_sc,
-        params.xi,
+        params,
         drive.delta,
         drive.delta_c,
         drive.a_in,
+        positions=positions,
         independent_atoms=independent_atoms,
     )
     return LinearSystem(matrix=matrix, rhs=rhs)
 
 
-def _solve_degenerate(matrix: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
+def _solve_degenerate(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Resolve a singular system if its null modes are genuinely dark.
 
     A mode may be exactly degenerate (e.g. the undamped subradiant pair
@@ -149,9 +161,7 @@ def _solve_degenerate(matrix: np.ndarray, rhs: np.ndarray, context: str) -> np.n
     scale = sv[0] if sv.size else 0.0
     residual = np.linalg.norm(matrix @ solution - rhs)
     if residual > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-        raise SolverError(
-            f"steady-state system is inconsistent (residual {residual:.3e}) for {context}"
-        )
+        raise SolverError(f"steady-state system is inconsistent (residual {residual:.3e})")
     _, s, vh = np.linalg.svd(matrix)
     null_vectors = vh[rank:].conj()
     for vec in null_vectors:
@@ -159,23 +169,58 @@ def _solve_degenerate(matrix: np.ndarray, rhs: np.ndarray, context: str) -> np.n
             np.linalg.norm(vec.conj() @ matrix) > 1e-10 * scale
             or abs(vec.conj() @ rhs) > 1e-10 * np.linalg.norm(rhs)
         ):
-            raise SolverError(
-                f"steady-state system is singular with a driven null mode for {context}"
-            )
+            raise SolverError("steady-state system is singular with a driven null mode")
     return solution
+
+
+def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a flat stack of systems, shapes (k, d, d) and (k, d).
+
+    Every point gets one condition-number estimate.  Well-conditioned
+    points share one batched dense solve; flagged points go through the
+    dark-mode rule of ``_solve_degenerate``, whose errors name the flat
+    index of the point.  Without flagged points the stack is solved as
+    given, so a batch of one costs no more than a single solve.
+    """
+    cond = np.linalg.cond(matrix)
+    flagged = np.flatnonzero(~(cond <= COND_MAX))  # NaN counts as flagged
+    fast = slice(None)
+    if flagged.size:
+        fast = np.ones(len(matrix), dtype=bool)
+        fast[flagged] = False
+    solution = np.empty_like(rhs)
+    solution[fast] = np.linalg.solve(matrix[fast], rhs[fast][..., None])[..., 0]
+    for i in flagged:
+        try:
+            solution[i] = _solve_degenerate(matrix[i], rhs[i])
+        except SolverError as exc:
+            raise SolverError(f"{exc} (flat index {i})") from exc
+    return solution
+
+
+def _reflection(params: SystemParams, delta, delta_c=None, a_in=1.0, **system) -> np.ndarray:
+    """Reflection amplitudes r over the leading axes of ``_assemble``.
+
+    No validation: callers check their inputs once before calling.
+    """
+    matrix, rhs = _assemble(params, delta, delta_c, a_in, **system)
+    dim = rhs.shape[-1]
+    solution = _solve(matrix.reshape(-1, dim, dim), rhs.reshape(-1, dim))
+    r = np.sqrt(params.kappa_wg) * solution[:, 0] / a_in - 1.0
+    return r.reshape(rhs.shape[:-1])
+
+
+def _reflectivity(params: SystemParams, delta: float) -> float:
+    """Unvalidated single-point R with delta_c locked, for refinement loops."""
+    return abs(complex(_reflection(params, delta))) ** 2
 
 
 def solve_steady_state(
     system: LinearSystem, params: SystemParams, drive: DriveParams
 ) -> SteadyState:
     """Solve the linear system exactly and package the reflection amplitude."""
-    matrix, rhs = system.matrix, system.rhs
-    cond = np.linalg.cond(matrix)
-    context = f"params={params}, drive={drive}"
-    if not np.isfinite(cond) or cond > COND_MAX:
-        solution = _solve_degenerate(matrix, rhs, context)
-    else:
-        solution = np.linalg.solve(matrix, rhs)
+    require_valid(params)
+    solution = _solve(system.matrix[None], system.rhs[None])[0]
     return _steady_state_from(solution, params, drive)
 
 
@@ -193,11 +238,8 @@ def reflectivity(
     positions=None,
     independent_atoms: bool = False,
 ) -> float:
-    """Reflectivity R = |r|^2 (build + solve convenience)."""
-    system = build_linear_system(
-        params, drive, positions=positions, independent_atoms=independent_atoms
-    )
-    return solve_steady_state(system, params, drive).R
+    """Reflectivity R = |r|^2 for a single drive point."""
+    return abs(reflection_amplitude(params, drive, positions, independent_atoms)) ** 2
 
 
 def reflection_amplitude(
@@ -207,10 +249,16 @@ def reflection_amplitude(
     independent_atoms: bool = False,
 ) -> complex:
     """Complex reflection amplitude r for a single drive point."""
-    system = build_linear_system(
-        params, drive, positions=positions, independent_atoms=independent_atoms
+    require_valid(params)
+    r = _reflection(
+        params,
+        drive.delta,
+        drive.delta_c,
+        drive.a_in,
+        positions=positions,
+        independent_atoms=independent_atoms,
     )
-    return solve_steady_state(system, params, drive).r
+    return complex(r)
 
 
 def reflectivity_batch(
@@ -223,44 +271,26 @@ def reflectivity_batch(
 ) -> np.ndarray:
     """R over broadcastable arrays of (delta, gamma_L, xi), delta_c locked.
 
-    Sweep points are independent; they are solved as one batched dense
-    solve with results in grid order.  Points whose matrix is degenerate
-    fall back to the dark-mode-aware single-point path; errors from that
-    path are annotated with the flat grid index.
+    Sweep points are independent and are solved as one batch with
+    results in grid order; gamma_R = 1 - gamma_L at every point.  Errors
+    from a degenerate point name its flat grid index.
     """
-    if positions is None:
-        positions = np.arange(params.n_atoms)
-    gamma_L = params.gamma_L if gamma_L is None else gamma_L
-    xi = params.xi if xi is None else xi
-    gamma_L, xi, delta = np.broadcast_arrays(gamma_L, xi, delta)
-    gamma_R = 1.0 - gamma_L
-    matrix, rhs = _assemble(
-        positions,
-        gamma_L,
-        gamma_R,
-        params.g,
-        params.kappa_wg,
-        params.kappa_sc,
-        xi,
+    require_valid(params)
+    gamma_L = params.gamma_L if gamma_L is None else np.asarray(gamma_L, dtype=float)
+    if not np.all((gamma_L >= 0.0) & (gamma_L <= 1.0)):
+        raise ValidationError("gamma_L must lie in [0, 1]")
+    for name, value in (("xi", xi), ("delta", delta)):
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValidationError(f"{name} must be finite")
+    r = _reflection(
+        params,
         delta,
-        delta,
+        gamma_L=gamma_L,
+        xi=xi,
+        positions=positions,
         independent_atoms=independent_atoms,
     )
-    lead = delta.shape
-    flat_m = matrix.reshape((-1,) + matrix.shape[-2:])
-    flat_b = rhs.reshape((-1,) + rhs.shape[-1:])
-    cond = np.linalg.cond(flat_m)
-    bad = ~np.isfinite(cond) | (cond > COND_MAX)
-    solutions = np.empty_like(flat_b)
-    if np.any(~bad):
-        solutions[~bad] = np.linalg.solve(flat_m[~bad], flat_b[~bad][..., None])[..., 0]
-    for i in np.nonzero(bad)[0]:
-        try:
-            solutions[i] = _solve_degenerate(flat_m[i], flat_b[i], f"grid index {i}")
-        except SolverError as exc:
-            raise SolverError(f"{exc} (flat grid index {i})") from exc
-    r = np.sqrt(params.kappa_wg) * solutions[..., 0] - 1.0
-    return (np.abs(r) ** 2).reshape(lead)
+    return np.abs(r) ** 2
 
 
 def _gershgorin_bound(matrix: np.ndarray) -> float:
@@ -292,19 +322,12 @@ def relax_time_domain(
     the integration horizon drops below ``tol`` while decaying; failure
     to converge within ``t_max`` raises SolverError with the residual.
     """
-    if positions is None:
-        positions = np.arange(params.n_atoms)
     matrix, rhs = _assemble(
-        positions,
-        params.gamma_L,
-        params.gamma_R,
-        params.g,
-        params.kappa_wg,
-        params.kappa_sc,
-        params.xi,
+        params,
         drive.delta,
         drive.delta_c,
         drive.a_in,
+        positions=positions,
         independent_atoms=independent_atoms,
     )
     dim = matrix.shape[0]

@@ -16,8 +16,10 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from .errors import DipNotFoundError
-from .params import DriveParams, SystemParams, cooperativity
-from .solver import reflectivity, reflectivity_batch
+from .params import SystemParams, cooperativity
+# ``reflectivity`` stays a module attribute: bench/spans.py traces the scalar
+# solver as spectrum.reflectivity and bench/selftest.py removes and restores it
+from .solver import _reflectivity, reflectivity, reflectivity_batch  # noqa: F401
 from .tables import DataTable, fmt
 
 #: default detuning grid for dip work: dips at high C are narrow, so the
@@ -128,22 +130,33 @@ def _bisect_crossing(f, level: float, inside: float, outside: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _refine_feature(spec: Spectrum, index: int, prominence: float, kind: str) -> Feature:
+def _candidates(spec: Spectrum, sign: float, prominence_min: float) -> list[tuple[int, float]]:
+    """Interior grid indices and prominences of the dips (sign +1) or
+    peaks (sign -1) of the sampled curve."""
+    found, props = find_peaks(-sign * spec.values, prominence=prominence_min)
+    keep = (found > 0) & (found < len(spec.deltas) - 1)
+    return list(zip(found[keep].tolist(), props["prominences"][keep].tolist()))
+
+
+def _locate(spec: Spectrum, index: int, sign: float) -> tuple[float, float]:
+    """Refined (delta, R) of the extremum bracketed around grid ``index``."""
+    delta0 = golden_section_minimize(
+        lambda d: sign * _reflectivity(spec.params, d),
+        spec.deltas[index - 1],
+        spec.deltas[index + 1],
+    )
+    return delta0, _reflectivity(spec.params, delta0)
+
+
+def _width(spec: Spectrum, index: int, level: float, sign: float) -> float:
+    """Full width between the crossings of ``level`` around grid ``index``."""
     deltas, values = spec.deltas, spec.values
-    params = spec.params
-    sign = 1.0 if kind == "dip" else -1.0
 
     def f(delta: float) -> float:
-        return reflectivity(params, DriveParams(delta=delta))
-
-    delta0 = golden_section_minimize(
-        lambda d: sign * f(d), deltas[index - 1], deltas[index + 1]
-    )
-    value0 = f(delta0)
-    level = value0 + sign * prominence / 2.0
+        return _reflectivity(spec.params, delta)
 
     # walk the sampled grid outward until the curve crosses the
-    # half-prominence level, then bisect the continuous curve
+    # level, then bisect the continuous curve
     def edge(direction: int) -> float:
         j = index
         while 0 <= j + direction < len(deltas):
@@ -152,8 +165,7 @@ def _refine_feature(spec: Spectrum, index: int, prominence: float, kind: str) ->
                 return _bisect_crossing(f, level, deltas[j - direction], deltas[j])
         return deltas[j]  # level never reached before the grid edge
 
-    width = edge(+1) - edge(-1)
-    return Feature(kind=kind, delta=delta0, value=value0, width=width, prominence=prominence)
+    return edge(+1) - edge(-1)
 
 
 def find_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> tuple[Feature, ...]:
@@ -161,18 +173,18 @@ def find_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> tup
 
     Grid candidates come from topographic prominence on the sampled
     curve; each is then refined by golden-section search on the
-    continuous R(delta).  Assumes the grid is dense enough that adjacent
-    features are separated by at least three grid points.
+    continuous R(delta) and given its full width at half prominence.
+    Assumes the grid is dense enough that adjacent features are
+    separated by at least three grid points.
     """
     if spec.deltas.size == 0:
         raise ValueError("empty spectrum")
     features: list[Feature] = []
-    for kind, signal in (("dip", -spec.values), ("peak", spec.values)):
-        candidates, props = find_peaks(signal, prominence=prominence_min)
-        for pos, prom in zip(candidates, props["prominences"]):
-            if pos == 0 or pos == len(spec.deltas) - 1:
-                continue
-            features.append(_refine_feature(spec, int(pos), float(prom), kind))
+    for kind, sign in (("dip", 1.0), ("peak", -1.0)):
+        for index, prominence in _candidates(spec, sign, prominence_min):
+            delta0, value0 = _locate(spec, index, sign)
+            width = _width(spec, index, value0 + sign * prominence / 2.0, sign)
+            features.append(Feature(kind, delta0, value0, width, prominence))
     return tuple(sorted(features, key=lambda feat: feat.delta))
 
 
@@ -198,12 +210,12 @@ def dip_detunings(
         raise ValueError("n_coupled must be >= 2")
     sub = replace(params, n_atoms=int(n_coupled))
     spec = sweep_delta(sub, -span, span, n_points)
-    dips = [feat for feat in find_features(spec, prominence_min) if feat.kind == "dip"]
-    if not dips:
+    candidates = _candidates(spec, 1.0, prominence_min)
+    if not candidates:
         raise DipNotFoundError(
             f"no dip above prominence {prominence_min} for n_coupled={n_coupled}"
         )
-    return [feat.delta for feat in dips]
+    return sorted(_locate(spec, index, 1.0)[0] for index, _ in candidates)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chiralcav import (
+    DriveParams,
     ProtocolExtinguishedError,
     QubitRegister,
     ValidationError,
@@ -13,7 +14,10 @@ from chiralcav import (
     global_rotation,
     plan_protocol,
     r_no_atoms,
+    reflection_amplitude,
+    relax_time_domain,
     run_protocol,
+    solver,
 )
 from helpers import brute_force_carve, make_system, single_atom_r
 
@@ -152,12 +156,66 @@ class TestCarvingMeasurement:
         assert outcome.herald_probability == pytest.approx(0.81, abs=1e-12)
         assert fidelity(outcome.post_state, state) == pytest.approx(1.0, abs=1e-12)
 
-    def test_reflection_cache_keyed_by_geometry(self):
+    def test_per_component_r_shared_by_translated_subsets(self):
         state = global_rotation(QubitRegister.ground(3), math.pi / 2)
-        outcome = carving_measurement(state, template(3), 0.0)
-        # counts 0..3 with adjacent/spaced pairs sharing geometry at xi=0:
-        # (), (0,), (0,1), (0,2), (0,1,2)
-        assert set(outcome.per_component_r) == {(), (0,), (0, 1), (0, 2), (0, 1, 2)}
+        outcome = carving_measurement(state, template(3, xi=0.8), 0.2)
+        r = outcome.per_component_r
+        assert r.shape == (8,)
+        # translated subsets share one amplitude; the spaced pair does not
+        for group in (("100", "010", "001"), ("110", "011")):
+            for bits in group[1:]:
+                assert r[int(bits, 2)] == pytest.approx(r[int(group[0], 2)], abs=1e-13)
+        assert abs(r[0b101] - r[0b110]) > 1e-3
+
+    def test_masked_batch_matches_removal_route(self, rng):
+        for m in range(1, 7):
+            for _ in range(3):
+                params = template(
+                    m,
+                    gamma_L=rng.uniform(0, 1),
+                    g=rng.uniform(0, 50),
+                    kappa_wg=rng.uniform(10, 300),
+                    kappa_sc=rng.uniform(0, 400),
+                    xi=rng.uniform(0, 2 * math.pi),
+                )
+                delta = rng.uniform(-3, 3)
+                amps = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
+                state = QubitRegister(m=m, amplitudes=amps / np.linalg.norm(amps))
+                outcome = carving_measurement(state, params, delta)
+                expected = np.array(
+                    [component_reflection(format(i, f"0{m}b"), params, delta) for i in range(2**m)]
+                )
+                assert np.max(np.abs(outcome.per_component_r - expected)) <= 1e-13
+                carved = state.amplitudes * expected
+                assert np.allclose(
+                    outcome.post_state.amplitudes, carved / np.linalg.norm(carved), atol=1e-13
+                )
+
+    def test_dark_component_takes_degenerate_path(self, monkeypatch):
+        # gamma_L = 1/2, xi = 0, delta = 0: an adjacent coupled pair carries
+        # an undriven, undamped subradiant mode and its matrix is singular
+        calls = []
+        degenerate = solver._solve_degenerate
+
+        def counting(matrix, rhs):
+            calls.append(matrix.shape)
+            return degenerate(matrix, rhs)
+
+        monkeypatch.setattr(solver, "_solve_degenerate", counting)
+        params = template(3, gamma_L=0.5, xi=0.0)
+        state = global_rotation(QubitRegister.ground(3), math.pi / 2)
+        r = carving_measurement(state, params, 0.0).per_component_r
+        assert (4, 4) in calls
+        ode = relax_time_domain(params, DriveParams(), positions=[0, 1]).r
+        for bits in ("110", "011"):
+            assert r[int(bits, 2)] == pytest.approx(ode, abs=1e-8)
+
+    def test_batch_of_one_bit_identical_inside_batch(self):
+        # with every atom coupled the masked matrix is the full system itself
+        params = template(4, gamma_L=0.8, xi=0.9)
+        state = global_rotation(QubitRegister.ground(4), math.pi / 2)
+        r = carving_measurement(state, params, 0.37).per_component_r
+        assert r[0b1111] == reflection_amplitude(params, DriveParams(delta=0.37))
 
     def test_extinguished_when_every_component_absorbed(self):
         # kappa_wg = kappa_sc and g = 0 puts every component exactly at

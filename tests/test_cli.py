@@ -141,6 +141,27 @@ class TestCarveCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("sign", ["0", "7"])
+    def test_dip_sign_must_be_plus_or_minus_one(self, sign, capsys, monkeypatch):
+        from chiralcav import carving
+
+        def no_spectrum(*_args, **_kw):
+            raise AssertionError("dip search started")
+
+        monkeypatch.setattr(carving, "dip_detunings", no_spectrum)
+        code, _ = run_cli(["carve", "--m", "3", "--dip-sign", sign, *BASE], capsys)
+        assert code == 2
+
+    def test_repetitions_checked_before_planning(self, capsys, monkeypatch):
+        from chiralcav import carving
+
+        def no_plan(*_args, **_kw):
+            raise AssertionError("planning started")
+
+        monkeypatch.setattr(carving, "plan_protocol", no_plan)
+        code, _ = run_cli(["carve", "--m", "3", "--reps", "0", *BASE], capsys)
+        assert code == 2
+
     def test_missing_dip_exit_code(self, capsys):
         # reciprocal coupling removes the three-atom dips the planner needs
         code, _ = run_cli(["carve", "--m", "3", "--gamma-l", "0.5"], capsys)

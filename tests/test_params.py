@@ -79,6 +79,21 @@ class TestDriveParams:
         with pytest.raises(ValidationError):
             DriveParams(delta=0.0, a_in=0.0)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(delta=math.nan),
+            dict(delta=math.inf),
+            dict(delta=0.0, delta_c=math.nan, unlock_delta_c=True),
+            dict(delta=0.0, delta_c=-math.inf, unlock_delta_c=True),
+            dict(delta=0.0, a_in=complex(math.nan, 0.0)),
+            dict(delta=0.0, a_in=complex(1.0, math.inf)),
+        ],
+    )
+    def test_non_finite_drive_rejected(self, kw):
+        with pytest.raises(ValidationError, match="must be finite"):
+            DriveParams(**kw)
+
 
 class TestCooperativity:
     def test_fig2_value(self, base_params):

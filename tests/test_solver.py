@@ -7,10 +7,13 @@ from chiralcav import (
     DriveParams,
     LinearSystem,
     SolverError,
+    ValidationError,
     build_linear_system,
     r_no_atoms,
     r_two_atoms,
+    reflection_amplitude,
     reflectivity,
+    reflectivity_batch,
     relax_time_domain,
     solve_steady_state,
 )
@@ -164,6 +167,47 @@ class TestSolveSteadyState:
         )
         with pytest.raises(SolverError, match="null mode"):
             solve_steady_state(system, params, DriveParams())
+
+
+class TestValidation:
+    # gamma_L = 1.5 derives gamma_R = -0.5: a gain medium, not a passive atom
+    GAIN = dict(gamma_L=1.5)
+
+    @pytest.mark.parametrize("kw", [GAIN, dict(kappa_wg=-1.0), dict(g=math.inf)])
+    def test_scalar_entry_points_reject_invalid_params(self, kw):
+        params = make_system(**kw)
+        for call in (
+            lambda: reflectivity(params, DriveParams()),
+            lambda: reflection_amplitude(params, DriveParams()),
+            lambda: build_linear_system(params, DriveParams()),
+            lambda: reflectivity_batch(params, np.linspace(-1, 1, 5)),
+        ):
+            with pytest.raises(ValidationError):
+                call()
+
+    def test_solve_steady_state_rejects_invalid_params(self, base_params):
+        system = build_linear_system(base_params, DriveParams())
+        with pytest.raises(ValidationError):
+            solve_steady_state(system, make_system(**self.GAIN), DriveParams())
+
+    @pytest.mark.parametrize("gamma_L", [math.nan, 1.5, -0.1])
+    def test_batch_gamma_L_outside_unit_interval(self, base_params, gamma_L):
+        with pytest.raises(ValidationError, match="gamma_L"):
+            reflectivity_batch(base_params, 0.0, gamma_L=np.array([0.2, gamma_L]))
+
+    @pytest.mark.parametrize("name", ["xi", "delta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_batch_non_finite_axis(self, base_params, name, bad):
+        kw = {"delta": np.zeros(3), name: np.array([0.0, bad, 1.0])}
+        with pytest.raises(ValidationError, match=name):
+            reflectivity_batch(base_params, **kw)
+
+    def test_batch_of_one_matches_point_inside_batch(self, rng):
+        params = make_system(n=4, gamma_L=0.7, xi=1.3)
+        deltas = rng.uniform(-3, 3, 17)
+        grid = reflectivity_batch(params, deltas)
+        for k, delta in enumerate(deltas):
+            assert reflectivity_batch(params, delta) == grid[k]
 
 
 class TestSymmetries:
