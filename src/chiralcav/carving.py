@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ProtocolExtinguishedError, ValidationError
 from .params import DriveParams, SystemParams, require_valid
-from .solver import _reflection, _reflectivity, reflection_amplitude
+from .solver import _reflection, reflection_amplitude, reflectivity_batch
 from .spectrum import dip_detunings
 
 #: dense 2^M state vectors only; the protocol targets small registers
@@ -225,7 +225,7 @@ def plan_protocol(
         sub = replace(params_template, n_atoms=n)
         all_dips = dip_detunings(params_template, n)
         candidates = [d for d in all_dips if d * dip_sign > 0] or all_dips
-        values = [_reflectivity(sub, d) for d in candidates]
+        values = reflectivity_batch(sub, np.array(candidates))
         steps.append(candidates[int(np.argmin(values))])
     expected = m // 2 if m % 2 == 0 else (m + 1) // 2
     assert len(steps) == expected

@@ -191,17 +191,10 @@ def _cmd_map(args: argparse.Namespace) -> int:
     xi_grid = np.linspace(opt["xi_min"], opt["xi_max"], opt["xi_points"])
     gl_grid = np.linspace(opt["gamma_l_min"], opt["gamma_l_max"], opt["gamma_l_points"])
     map2d = spectrum.sweep_2d(params, xi_grid, gl_grid)
-    rows = np.column_stack(
-        [
-            np.repeat(map2d.xi_grid, map2d.gamma_L_grid.size),
-            np.tile(map2d.gamma_L_grid, map2d.xi_grid.size),
-            map2d.values.ravel(),
-        ]
-    )
     table = DataTable(
         name="map",
         columns=("xi", "gamma_L", "R"),
-        rows=rows,
+        rows=map2d.rows(),
         meta=spectrum.table_meta(params, "map", "map", delta="0"),
     )
     _emit(table, opt)

@@ -210,11 +210,6 @@ def _reflection(params: SystemParams, delta, delta_c=None, a_in=1.0, **system) -
     return r.reshape(rhs.shape[:-1])
 
 
-def _reflectivity(params: SystemParams, delta: float) -> float:
-    """Unvalidated single-point R with delta_c locked, for refinement loops."""
-    return abs(complex(_reflection(params, delta))) ** 2
-
-
 def solve_steady_state(
     system: LinearSystem, params: SystemParams, drive: DriveParams
 ) -> SteadyState:
@@ -238,8 +233,10 @@ def reflectivity(
     positions=None,
     independent_atoms: bool = False,
 ) -> float:
-    """Reflectivity R = |r|^2 for a single drive point."""
-    return abs(reflection_amplitude(params, drive, positions, independent_atoms)) ** 2
+    """Reflectivity R = |r|^2 for a single drive point, bit for bit the
+    value :func:`reflectivity_batch` gives there."""
+    r = reflection_amplitude(params, drive, positions, independent_atoms)
+    return float(np.square(np.abs(r)))
 
 
 def reflection_amplitude(
@@ -271,14 +268,17 @@ def reflectivity_batch(
 ) -> np.ndarray:
     """R over broadcastable arrays of (delta, gamma_L, xi), delta_c locked.
 
-    Sweep points are independent and are solved as one batch with
-    results in grid order; gamma_R = 1 - gamma_L at every point.  Errors
-    from a degenerate point name its flat grid index.
+    Sweep points are solved as one batch with results in grid order.  An
+    explicit ``gamma_L`` grid comes with gamma_R = 1 - gamma_L; otherwise
+    both rates come from ``params``.  Errors from a degenerate point name
+    its flat grid index.  R = np.square(np.abs(r)) has the same bits in a
+    batch of any size (``**`` on a numpy scalar rounds through ``pow``).
     """
     require_valid(params)
-    gamma_L = params.gamma_L if gamma_L is None else np.asarray(gamma_L, dtype=float)
-    if not np.all((gamma_L >= 0.0) & (gamma_L <= 1.0)):
-        raise ValidationError("gamma_L must lie in [0, 1]")
+    if gamma_L is not None:
+        gamma_L = np.asarray(gamma_L, dtype=float)
+        if not np.all((gamma_L >= 0.0) & (gamma_L <= 1.0)):
+            raise ValidationError("gamma_L must lie in [0, 1]")
     for name, value in (("xi", xi), ("delta", delta)):
         if value is not None and not np.all(np.isfinite(value)):
             raise ValidationError(f"{name} must be finite")
@@ -290,7 +290,7 @@ def reflectivity_batch(
         positions=positions,
         independent_atoms=independent_atoms,
     )
-    return np.abs(r) ** 2
+    return np.square(np.abs(r))
 
 
 def _gershgorin_bound(matrix: np.ndarray) -> float:

@@ -4,7 +4,8 @@ Sweep engines evaluate R = |r|^2 on detuning grids or on the
 on-resonance (xi, gamma_L) plane through the general-N solver.  Grid
 extrema are refined on the continuous curve by golden-section search and
 characterized by their full width at half prominence, which stays well
-defined for dips sitting on a curved background.
+defined for dips sitting on a curved background.  All extrema of a
+spectrum are refined together, one batch solve per search step.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.signal import find_peaks
 
-from .errors import DipNotFoundError
+from .errors import DipNotFoundError, ValidationError
 from .params import SystemParams, cooperativity
-# ``reflectivity`` stays a module attribute: bench/spans.py traces the scalar
-# solver as spectrum.reflectivity and bench/selftest.py removes and restores it
-from .solver import _reflectivity, reflectivity, reflectivity_batch  # noqa: F401
+# ``reflectivity`` is unused here but stays a module attribute: the benchmark
+# tracer wraps spectrum.reflectivity, and its self-test removes and restores it
+from .solver import reflectivity, reflectivity_batch  # noqa: F401
 from .tables import DataTable, fmt
 
 #: default detuning grid for dip work: dips at high C are narrow, so the
@@ -68,23 +69,37 @@ class Map2D:
     gamma_L_grid: np.ndarray
     values: np.ndarray  # shape (len(xi_grid), len(gamma_L_grid))
 
+    def rows(self) -> np.ndarray:
+        """Table rows (xi, gamma_L, R), xi-major."""
+        xi, gamma_L = np.meshgrid(self.xi_grid, self.gamma_L_grid, indexing="ij")
+        return np.column_stack([xi.ravel(), gamma_L.ravel(), self.values.ravel()])
 
-def golden_section_minimize(f, lo: float, hi: float, tol: float = REFINE_TOL) -> float:
-    """Locate the minimum of a unimodal function on [lo, hi] to within tol."""
+
+def golden_section_minimize(f, lo, hi, tol: float = REFINE_TOL):
+    """Locate the minima of unimodal functions on brackets [lo, hi] to within tol.
+
+    ``lo`` and ``hi`` are floats or broadcastable arrays of brackets.
+    Every step makes one call ``f(points)`` with one trial point per
+    bracket, shaped like the brackets, and a bracket stops shrinking
+    once it is narrower than ``tol``.  Scalar brackets return a float.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
+    shrink = hi - lo > tol
+    while np.any(shrink):
+        left = fc < fd  # the minimum lies in [lo, d]
+        lo = np.where(shrink & ~left, c, lo)
+        hi = np.where(shrink & left, d, hi)
+        # the kept interior point is reused, the other one is new
+        c, d = np.where(left, hi - invphi * (hi - lo), d), np.where(left, c, lo + invphi * (hi - lo))
+        new = f(np.where(left, c, d))
+        fc, fd = np.where(left, new, fd), np.where(left, fc, new)
+        shrink = hi - lo > tol
+    mid = 0.5 * (lo + hi)
+    return float(mid) if mid.ndim == 0 else mid
 
 
 def sweep_delta(
@@ -92,9 +107,9 @@ def sweep_delta(
 ) -> Spectrum:
     """Reflectivity on a uniform detuning grid (delta_c locked to delta)."""
     if n_points < 2:
-        raise ValueError("n_points must be >= 2")
+        raise ValidationError("n_points must be >= 2")
     if not delta_max > delta_min:
-        raise ValueError("delta_max must exceed delta_min")
+        raise ValidationError("delta_max must exceed delta_min")
     deltas = np.linspace(delta_min, delta_max, n_points)
     values = reflectivity_batch(params, deltas)
     return Spectrum(params=params, deltas=deltas, values=values)
@@ -105,7 +120,7 @@ def sweep_2d(params_template: SystemParams, xi_grid, gamma_L_grid) -> Map2D:
     xi_grid = np.asarray(xi_grid, dtype=float)
     gamma_L_grid = np.asarray(gamma_L_grid, dtype=float)
     if xi_grid.size == 0 or gamma_L_grid.size == 0:
-        raise ValueError("grids must be nonempty")
+        raise ValidationError("grids must be nonempty")
     values = reflectivity_batch(
         params_template,
         delta=0.0,
@@ -115,76 +130,68 @@ def sweep_2d(params_template: SystemParams, xi_grid, gamma_L_grid) -> Map2D:
     return Map2D(xi_grid=xi_grid, gamma_L_grid=gamma_L_grid, values=values)
 
 
-def _bisect_crossing(f, level: float, inside: float, outside: float) -> float:
-    """Abscissa where f crosses ``level`` between inside (f<level side
-    for dips) and outside; bisection on the continuous curve."""
-    f_in = f(inside)
-    below = f_in < level
-    lo, hi = inside, outside
-    for _ in range(60):
+def _extrema(spec: Spectrum, signs, prominence_min: float):
+    """Dips (sign +1) and peaks (sign -1) of the sampled curve, in the
+    order of ``signs``, with their extrema refined together on the
+    continuous curve: (index, sign, prominence, delta) arrays."""
+    found = [(s, *find_peaks(-s * spec.values, prominence=prominence_min)) for s in signs]
+    index = np.concatenate([peaks for _, peaks, _ in found])
+    sign = np.concatenate([np.full(peaks.size, s) for s, peaks, _ in found])
+    prominence = np.concatenate([props["prominences"] for _, _, props in found])
+    lo, hi = spec.deltas[index - 1], spec.deltas[index + 1]
+    delta = golden_section_minimize(lambda d: sign * reflectivity_batch(spec.params, d), lo, hi)
+    return index, sign, prominence, delta
+
+
+def _widths(spec: Spectrum, index, level, sign) -> np.ndarray:
+    """Full widths between the crossings of ``level`` around each grid ``index``.
+
+    The sampled curve is walked outward to the first point past the
+    level, or to the grid edge.  All crossings are then bisected
+    together on the continuous curve, one batch per step, until each
+    bracket reaches float resolution.
+    """
+    n = spec.deltas.size
+    right, left = np.empty_like(index), np.empty_like(index)
+    for k, (i, lvl, s) in enumerate(zip(index, level, sign)):
+        past = np.r_[-1, np.flatnonzero(s * (spec.values - lvl) >= 0), n]
+        right[k] = past[np.searchsorted(past, i, side="right")]
+        left[k] = past[np.searchsorted(past, i) - 1]
+    inside = np.concatenate([right - 1, left + 1])
+    level = np.tile(level, 2)
+    below = spec.values[inside] < level
+    lo = spec.deltas[inside]
+    hi = spec.deltas[np.concatenate([np.minimum(right, n - 1), np.maximum(left, 0)])]
+    mid = 0.5 * (lo + hi)
+    done = (mid == lo) | (mid == hi)  # also a bracket that ends at the grid edge
+    while not np.all(done):
+        inner = (reflectivity_batch(spec.params, mid) < level) == below
+        lo = np.where(inner & ~done, mid, lo)
+        hi = np.where(~inner & ~done, mid, hi)
         mid = 0.5 * (lo + hi)
-        if (f(mid) < level) == below:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _candidates(spec: Spectrum, sign: float, prominence_min: float) -> list[tuple[int, float]]:
-    """Interior grid indices and prominences of the dips (sign +1) or
-    peaks (sign -1) of the sampled curve."""
-    found, props = find_peaks(-sign * spec.values, prominence=prominence_min)
-    keep = (found > 0) & (found < len(spec.deltas) - 1)
-    return list(zip(found[keep].tolist(), props["prominences"][keep].tolist()))
-
-
-def _locate(spec: Spectrum, index: int, sign: float) -> tuple[float, float]:
-    """Refined (delta, R) of the extremum bracketed around grid ``index``."""
-    delta0 = golden_section_minimize(
-        lambda d: sign * _reflectivity(spec.params, d),
-        spec.deltas[index - 1],
-        spec.deltas[index + 1],
-    )
-    return delta0, _reflectivity(spec.params, delta0)
-
-
-def _width(spec: Spectrum, index: int, level: float, sign: float) -> float:
-    """Full width between the crossings of ``level`` around grid ``index``."""
-    deltas, values = spec.deltas, spec.values
-
-    def f(delta: float) -> float:
-        return _reflectivity(spec.params, delta)
-
-    # walk the sampled grid outward until the curve crosses the
-    # level, then bisect the continuous curve
-    def edge(direction: int) -> float:
-        j = index
-        while 0 <= j + direction < len(deltas):
-            j += direction
-            if sign * (values[j] - level) >= 0:
-                return _bisect_crossing(f, level, deltas[j - direction], deltas[j])
-        return deltas[j]  # level never reached before the grid edge
-
-    return edge(+1) - edge(-1)
+        done = (mid == lo) | (mid == hi)
+    upper, lower = np.split(mid, 2)
+    return upper - lower
 
 
 def find_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> tuple[Feature, ...]:
     """Locate and refine all dips and peaks above ``prominence_min``.
 
     Grid candidates come from topographic prominence on the sampled
-    curve; each is then refined by golden-section search on the
-    continuous R(delta) and given its full width at half prominence.
-    Assumes the grid is dense enough that adjacent features are
-    separated by at least three grid points.
+    curve; all of them are then refined together by golden-section
+    search on the continuous R(delta) and given their full widths at
+    half prominence.  Assumes the grid is dense enough that adjacent
+    features are separated by at least three grid points.
     """
     if spec.deltas.size == 0:
-        raise ValueError("empty spectrum")
-    features: list[Feature] = []
-    for kind, sign in (("dip", 1.0), ("peak", -1.0)):
-        for index, prominence in _candidates(spec, sign, prominence_min):
-            delta0, value0 = _locate(spec, index, sign)
-            width = _width(spec, index, value0 + sign * prominence / 2.0, sign)
-            features.append(Feature(kind, delta0, value0, width, prominence))
+        raise ValidationError("empty spectrum")
+    index, sign, prominence, delta = _extrema(spec, (1.0, -1.0), prominence_min)
+    value = reflectivity_batch(spec.params, delta)
+    width = _widths(spec, index, value + sign * prominence / 2.0, sign)
+    features = [
+        Feature("dip" if s > 0 else "peak", *row)
+        for s, *row in zip(sign, delta.tolist(), value.tolist(), width.tolist(), prominence.tolist())
+    ]
     return tuple(sorted(features, key=lambda feat: feat.delta))
 
 
@@ -207,15 +214,15 @@ def dip_detunings(
     dip at delta = 0.
     """
     if n_coupled < 2:
-        raise ValueError("n_coupled must be >= 2")
+        raise ValidationError("n_coupled must be >= 2")
     sub = replace(params, n_atoms=int(n_coupled))
     spec = sweep_delta(sub, -span, span, n_points)
-    candidates = _candidates(spec, 1.0, prominence_min)
-    if not candidates:
+    _, _, _, delta = _extrema(spec, (1.0,), prominence_min)
+    if not delta.size:
         raise DipNotFoundError(
             f"no dip above prominence {prominence_min} for n_coupled={n_coupled}"
         )
-    return sorted(_locate(spec, index, 1.0)[0] for index, _ in candidates)
+    return sorted(delta.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +287,10 @@ _FIG3_2_XIS = (
 
 def _fig2_tables() -> list[DataTable]:
     map2d = sweep_2d(FIG2_PARAMS, FIG2_XI_GRID, FIG2_GAMMA_L_GRID)
-    xi_col = np.repeat(map2d.xi_grid, map2d.gamma_L_grid.size)
-    gl_col = np.tile(map2d.gamma_L_grid, map2d.xi_grid.size)
-    rows = np.column_stack([xi_col, gl_col, map2d.values.ravel()])
     table = DataTable(
         name="fig2_map",
         columns=("xi", "gamma_L", "R"),
-        rows=rows,
+        rows=map2d.rows(),
         meta=table_meta(FIG2_PARAMS, "fig2", "fig2_map", delta="0", sweep="xi,gamma_L"),
     )
     return [table]

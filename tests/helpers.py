@@ -5,6 +5,8 @@ feature-detection and measurement code paths so tests compare two
 independent routes to the same number.
 """
 
+import math
+
 import numpy as np
 
 from chiralcav import DriveParams, SystemParams, reflectivity, reflectivity_batch
@@ -61,6 +63,49 @@ def half_level_width(params, span, n_points=6001, baseline=None):
         return 0.5 * (lo + hi)
 
     return edge(i_hi, i_hi + 1) - edge(i_lo, i_lo - 1)
+
+
+def golden_section_scalar(f, lo, hi, tol):
+    """One bracket at a time: the scalar golden-section loop."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)
+
+
+def width_scalar(params, deltas, values, index, level, sign):
+    """Full width at ``level`` around grid ``index``, one point at a time.
+
+    Walks the samples outward to the first one past the level (or the
+    grid edge) and bisects the scalar R until the bracket reaches float
+    resolution.
+    """
+
+    def edge(step):
+        j = index
+        while 0 <= j + step < len(deltas):
+            j += step
+            if sign * (values[j] - level) >= 0:
+                lo, hi, below = deltas[j - step], deltas[j], values[j - step] < level
+                while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                    if (r_at(params, mid) < level) == below:
+                        lo = mid
+                    else:
+                        hi = mid
+                return mid
+        return deltas[j]
+
+    return edge(+1) - edge(-1)
 
 
 def brute_force_carve(amplitudes, r_by_count):

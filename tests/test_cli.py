@@ -80,6 +80,20 @@ class TestSpectrumCommand:
         assert len(payload["rows"]) == 51
 
 
+class TestGridErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["spectrum", "--points", "1"],
+            ["spectrum", "--delta-min", "3", "--delta-max", "-3"],
+            ["map", "--xi-points", "0"],
+        ],
+    )
+    def test_bad_grid_exits_2(self, args, capsys):
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestMapCommand:
     def test_fig2_maximum(self, capsys):
         code, out = run_cli(

@@ -209,6 +209,14 @@ class TestValidation:
         for k, delta in enumerate(deltas):
             assert reflectivity_batch(params, delta) == grid[k]
 
+    def test_scalar_reflectivity_is_the_batch_value(self, rng):
+        for _ in range(40):
+            params = make_system(
+                n=int(rng.integers(0, 7)), gamma_L=rng.uniform(0, 1), xi=rng.uniform(0, 2 * math.pi)
+            )
+            delta = rng.uniform(-3, 3)
+            assert reflectivity(params, DriveParams(delta=delta)) == reflectivity_batch(params, delta)
+
 
 class TestSymmetries:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -2,26 +2,49 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
 from chiralcav import (
     DipNotFoundError,
     DriveParams,
+    ValidationError,
     dip_detunings,
     figure_data,
     find_features,
+    golden_section_minimize,
     r_no_atoms,
     reference_values,
     reflectivity,
+    reflectivity_batch,
+    solver,
+    spectrum,
     sweep_2d,
     sweep_delta,
     with_features,
 )
 from chiralcav.tables import render_csv
-from helpers import half_level_width, make_system
+from helpers import golden_section_scalar, half_level_width, make_system, width_scalar
 
 
 def dips_of(spec, prominence=1e-3):
     return [f for f in find_features(spec, prominence) if f.kind == "dip"]
+
+
+class TestGridErrors:
+    """Bad grids raise ValidationError, which the CLI maps to exit code 2."""
+
+    def test_sweeps_and_refinement(self, base_params):
+        spec = sweep_delta(base_params, -1, 1, 5)
+        object.__setattr__(spec, "deltas", np.array([]))
+        for call in (
+            lambda: sweep_delta(base_params, -1.0, 1.0, 1),
+            lambda: sweep_delta(base_params, 3.0, -3.0, 11),
+            lambda: sweep_2d(base_params, [], [0.5]),
+            lambda: find_features(spec),
+            lambda: dip_detunings(base_params, 1),
+        ):
+            with pytest.raises(ValidationError):
+                call()
 
 
 class TestSweepDelta:
@@ -51,6 +74,13 @@ class TestSweepDelta:
         spec = sweep_delta(make_system(g=0.0), -3, 3, 101)
         empty = [abs(r_no_atoms(d, 100.0, 300.0)) ** 2 for d in spec.deltas]
         assert np.allclose(spec.values, empty, atol=1e-13)
+
+    def test_explicit_gamma_R_matches_scalar_solver_exactly(self):
+        # gamma_L + gamma_R is 1 only to within the validation tolerance
+        params = make_system(n=3, gamma_L=0.3, gamma_R=0.7000000009, xi=0.6)
+        spec = sweep_delta(params, -2.0, 2.0, 41)
+        for delta, value in zip(spec.deltas[::5], spec.values[::5]):
+            assert value == reflectivity(params, DriveParams(delta=delta))
 
     def test_matches_single_point_solver(self, base_params):
         spec = sweep_delta(base_params, -2.0, 2.0, 41)
@@ -99,6 +129,68 @@ class TestFindFeatures:
         locations = [f.delta for f in spec.features]
         assert locations == sorted(locations)
         assert any(f.kind == "dip" for f in spec.features)
+
+
+class TestBatchedRefinement:
+    """All extrema of a spectrum are refined together, one batch per step."""
+
+    def test_array_brackets_match_scalar_brackets(self):
+        params = make_system(n=3, gamma_L=0.9, xi=0.4)
+
+        def f(d):
+            return reflectivity_batch(params, d)
+
+        lo = np.array([-0.45, 0.2, -0.1, 0.26, -2.5])
+        hi = np.array([-0.2, 0.4, 0.1, 0.3, -0.5])
+        batched = golden_section_minimize(f, lo, hi)
+        assert batched.shape == lo.shape
+        for k in range(lo.size):
+            reference = golden_section_scalar(f, lo[k], hi[k], 1e-6)
+            assert batched[k] == golden_section_minimize(f, lo[k], hi[k]) == reference
+
+    def test_scalar_bracket_returns_float(self):
+        found = golden_section_minimize(lambda x: (x - 0.3) ** 2, 0.0, 1.0)
+        assert type(found) is float
+        assert found == pytest.approx(0.3, abs=1e-6)
+
+    @pytest.mark.parametrize("n, gamma_L, xi", [(2, 1.0, 0.0), (3, 1.0, 0.0), (6, 1.0, 0.0), (4, 0.8, 0.7)])
+    def test_feature_values_are_batch_values(self, n, gamma_L, xi):
+        params = make_system(n=n, gamma_L=gamma_L, xi=xi)
+        features = find_features(sweep_delta(params, -3, 3, 4001))
+        assert features
+        for feat in features:
+            assert feat.value == reflectivity_batch(params, feat.delta)
+
+    @pytest.mark.parametrize("n, gamma_L, xi", [(3, 1.0, 0.0), (6, 1.0, 0.0), (4, 0.8, 0.7)])
+    def test_widths_match_scalar_walk_and_bisection(self, n, gamma_L, xi):
+        params = make_system(n=n, gamma_L=gamma_L, xi=xi)
+        spec = sweep_delta(params, -3, 3, 4001)
+        features = find_features(spec)
+        for kind, sign in (("dip", 1.0), ("peak", -1.0)):
+            index, _ = find_peaks(-sign * spec.values, prominence=1e-3)
+            same_kind = [feat for feat in features if feat.kind == kind]
+            assert len(same_kind) == len(index)
+            for i, feat in zip(index, same_kind):
+                level = feat.value + sign * feat.prominence / 2.0
+                assert feat.width == width_scalar(params, spec.deltas, spec.values, i, level, sign)
+
+    @pytest.mark.parametrize("n, n_features", [(2, 3), (6, 11)])
+    def test_one_batch_call_per_search_step(self, n, n_features, monkeypatch):
+        spec = sweep_delta(make_system(n=n), -3, 3, 4001)
+        calls = {"batch": 0, "solve": 0}
+
+        def counted(key, func):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(spectrum, "reflectivity_batch", counted("batch", spectrum.reflectivity_batch))
+        monkeypatch.setattr(solver, "_reflection", counted("solve", solver._reflection))
+        assert len(find_features(spec)) == n_features
+        assert 0 < calls["batch"] <= 150
+        assert calls["solve"] == calls["batch"]  # no solve outside a batch
 
 
 class TestDipWidths:
@@ -209,6 +301,13 @@ class TestSweep2D:
     def test_empty_grid_rejected(self, base_params):
         with pytest.raises(ValueError):
             sweep_2d(base_params, [], [0.5])
+
+    def test_rows_are_xi_major(self):
+        map2d = sweep_2d(make_system(), [0.0, 0.5, 1.0], [0.25, 0.75])
+        rows = map2d.rows()
+        assert rows.shape == (6, 3)
+        for k, (i, j) in enumerate(np.ndindex(3, 2)):
+            assert tuple(rows[k]) == (map2d.xi_grid[i], map2d.gamma_L_grid[j], map2d.values[i, j])
 
 
 class TestDipDetunings:
