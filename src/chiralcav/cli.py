@@ -188,6 +188,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_map(args: argparse.Namespace) -> int:
     opt = _merge_options(args, "map")
     params = _system_params(opt, opt["n_atoms"])
+    for key in ("xi_points", "gamma_l_points"):
+        if opt[key] < 1:
+            raise ValidationError(f"{key} must be >= 1")
     xi_grid = np.linspace(opt["xi_min"], opt["xi_max"], opt["xi_points"])
     gl_grid = np.linspace(opt["gamma_l_min"], opt["gamma_l_max"], opt["gamma_l_points"])
     map2d = spectrum.sweep_2d(params, xi_grid, gl_grid)

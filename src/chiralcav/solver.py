@@ -22,7 +22,7 @@ a_out + a_in = sqrt(kappa_wg) a, i.e. r = sqrt(kappa_wg) a / a_in - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -176,13 +176,15 @@ def _solve_degenerate(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a flat stack of systems, shapes (k, d, d) and (k, d).
 
-    Every point gets one condition-number estimate.  Well-conditioned
+    Every point gets one 1-norm condition number (an LU inverse, not
+    the SVD of the 2-norm; the two differ by at most a factor d, far
+    inside the gap between flagged and healthy points).  Well-conditioned
     points share one batched dense solve; flagged points go through the
     dark-mode rule of ``_solve_degenerate``, whose errors name the flat
     index of the point.  Without flagged points the stack is solved as
     given, so a batch of one costs no more than a single solve.
     """
-    cond = np.linalg.cond(matrix)
+    cond = np.linalg.cond(matrix, 1)
     flagged = np.flatnonzero(~(cond <= COND_MAX))  # NaN counts as flagged
     fast = slice(None)
     if flagged.size:
@@ -321,7 +323,10 @@ def relax_time_domain(
     Convergence is declared when the state change across a doubling of
     the integration horizon drops below ``tol`` while decaying; failure
     to converge within ``t_max`` raises SolverError with the residual.
+    Parameters must pass :func:`require_valid`, except that the oracle
+    also takes the closed cavity kappa_wg = 0 (nothing drives it, r = -1).
     """
+    require_valid(replace(params, kappa_wg=1.0) if params.kappa_wg == 0 else params)
     matrix, rhs = _assemble(
         params,
         drive.delta,

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import DipNotFoundError, ValidationError
 from .params import SystemParams, cooperativity
@@ -130,14 +129,40 @@ def sweep_2d(params_template: SystemParams, xi_grid, gamma_L_grid) -> Map2D:
     return Map2D(xi_grid=xi_grid, gamma_L_grid=gamma_L_grid, values=values)
 
 
+def _peaks(x, prominence_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """Local maxima of ``x`` with topographic prominence >= ``prominence_min``:
+    (indices, prominences), as ``scipy.signal.find_peaks(x, prominence=...)``.
+
+    A maximum is a strict rise into a run of equal samples and a strict
+    fall out of it, reported at the run's middle sample (rounded down);
+    the first and last samples never qualify.  Each side of a maximum
+    reaches to the first strictly higher sample or the array end, and
+    the prominence is its height above the higher of the two side minima.
+    """
+    x = np.asarray(x, dtype=float)
+    step = np.flatnonzero(x[1:] != x[:-1])  # x[step] != x[step + 1]
+    first, last = step[:-1] + 1, step[1:]  # every run but the first and the last
+    top = (x[first - 1] < x[first]) & (x[last + 1] < x[last])
+    peaks = (first[top] + last[top]) // 2
+    prominence = np.empty(peaks.size)
+    for k, i in enumerate(peaks):
+        higher = np.flatnonzero(x > x[i])
+        j = np.searchsorted(higher, i)
+        lo = higher[j - 1] + 1 if j else 0
+        hi = higher[j] if j < higher.size else x.size
+        prominence[k] = x[i] - max(x[lo : i + 1].min(), x[i:hi].min())
+    keep = prominence >= prominence_min
+    return peaks[keep], prominence[keep]
+
+
 def _extrema(spec: Spectrum, signs, prominence_min: float):
     """Dips (sign +1) and peaks (sign -1) of the sampled curve, in the
     order of ``signs``, with their extrema refined together on the
     continuous curve: (index, sign, prominence, delta) arrays."""
-    found = [(s, *find_peaks(-s * spec.values, prominence=prominence_min)) for s in signs]
+    found = [(s, *_peaks(-s * spec.values, prominence_min)) for s in signs]
     index = np.concatenate([peaks for _, peaks, _ in found])
     sign = np.concatenate([np.full(peaks.size, s) for s, peaks, _ in found])
-    prominence = np.concatenate([props["prominences"] for _, _, props in found])
+    prominence = np.concatenate([prom for _, _, prom in found])
     lo, hi = spec.deltas[index - 1], spec.deltas[index + 1]
     delta = golden_section_minimize(lambda d: sign * reflectivity_batch(spec.params, d), lo, hi)
     return index, sign, prominence, delta

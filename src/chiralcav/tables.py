@@ -36,8 +36,10 @@ def fmt(value: float, digits: int = DEFAULT_DIGITS) -> str:
 def render_csv(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
     lines = [f"# {key} = {val}" for key, val in table.meta.items()]
     lines.append(",".join(table.columns))
-    for row in np.atleast_2d(table.rows):
-        lines.append(",".join(fmt(v, digits) for v in row))
+    rows = np.atleast_2d(np.asarray(table.rows, dtype=float))
+    # %-formatting and fmt share the float "g" formatting, bit for bit
+    line = ",".join([f"%.{digits}g"] * rows.shape[1])
+    lines.extend(line % tuple(row) for row in rows.tolist())
     for kind, delta, value, width in table.features:
         lines.append(
             f"# feature,{kind},{fmt(delta, digits)},{fmt(value, digits)},{fmt(width, digits)}"

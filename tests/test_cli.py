@@ -87,6 +87,8 @@ class TestGridErrors:
             ["spectrum", "--points", "1"],
             ["spectrum", "--delta-min", "3", "--delta-max", "-3"],
             ["map", "--xi-points", "0"],
+            ["map", "--xi-points", "-1"],
+            ["map", "--gamma-l-points", "-1"],
         ],
     )
     def test_bad_grid_exits_2(self, args, capsys):

@@ -16,6 +16,7 @@ from chiralcav import (
     reflectivity_batch,
     relax_time_domain,
     solve_steady_state,
+    solver,
 )
 from helpers import make_system, single_atom_r
 
@@ -181,9 +182,15 @@ class TestValidation:
             lambda: reflection_amplitude(params, DriveParams()),
             lambda: build_linear_system(params, DriveParams()),
             lambda: reflectivity_batch(params, np.linspace(-1, 1, 5)),
+            lambda: relax_time_domain(params, DriveParams()),
         ):
             with pytest.raises(ValidationError):
                 call()
+
+    def test_relaxation_of_closed_cavity_still_validates(self):
+        # kappa_wg = 0 is the one limit the oracle admits beyond require_valid
+        with pytest.raises(ValidationError, match="gamma_L and gamma_R"):
+            relax_time_domain(make_system(kappa_wg=0.0, kappa_sc=0.0, **self.GAIN), DriveParams())
 
     def test_solve_steady_state_rejects_invalid_params(self, base_params):
         system = build_linear_system(base_params, DriveParams())
@@ -310,3 +317,19 @@ class TestRelaxation:
             linear = reflectivity(params, drive)
             ode = relax_time_domain(params, drive).R
             assert abs(linear - ode) < 1e-6
+
+
+class TestDegeneracyTest:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_one_norm_flags_the_same_points_as_two_norm(self, n):
+        """The kernel's 1-norm condition number flags exactly the three dark
+        points (gamma_L = 1/2, xi = 0, pi, 2 pi) of the 161 x 41 map grid, as
+        the 2-norm does: the norms differ by at most the matrix size, and the
+        flagged and healthy points lie many orders of magnitude apart."""
+        xi_grid, gamma_L_grid = np.linspace(0, 2 * math.pi, 161), np.linspace(0, 1, 41)
+        matrix, _ = solver._assemble(
+            make_system(n=n), 0.0, gamma_L=gamma_L_grid[None, :], xi=xi_grid[:, None]
+        )
+        flagged = [np.linalg.cond(matrix, p) > solver.COND_MAX for p in (1, None)]
+        assert np.array_equal(flagged[0], flagged[1])
+        assert sorted(zip(*np.nonzero(flagged[0]))) == [(0, 20), (80, 20), (160, 20)]

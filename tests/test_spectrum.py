@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,8 @@ from chiralcav import (
 )
 from chiralcav.tables import render_csv
 from helpers import golden_section_scalar, half_level_width, make_system, width_scalar
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def dips_of(spec, prominence=1e-3):
@@ -191,6 +197,72 @@ class TestBatchedRefinement:
         assert len(find_features(spec)) == n_features
         assert 0 < calls["batch"] <= 150
         assert calls["solve"] == calls["batch"]  # no solve outside a batch
+
+
+class TestPeaks:
+    """The numpy prominence routine returns what scipy's find_peaks returns."""
+
+    @staticmethod
+    def assert_matches_scipy(x, prominence_min):
+        expected, props = find_peaks(x, prominence=prominence_min)
+        index, prominence = spectrum._peaks(x, prominence_min)
+        assert index.dtype == expected.dtype
+        assert np.array_equal(index, expected)
+        assert np.array_equal(prominence, props["prominences"])
+
+    @pytest.mark.parametrize("prominence_min", [0.0, 1e-3, 0.05])
+    def test_random_spectra(self, rng, prominence_min):
+        for _ in range(25):
+            params = make_system(
+                n=int(rng.integers(0, 9)),
+                gamma_L=float(rng.uniform(0.5, 1.0)),
+                g=float(rng.uniform(1.0, 60.0)),
+                xi=float(rng.uniform(0.0, math.pi)),
+            )
+            values = sweep_delta(params, -3, 3, 4001).values
+            for sign in (1.0, -1.0):
+                self.assert_matches_scipy(-sign * values, prominence_min)
+
+    def test_seeded_noise_and_quantised_plateaus(self, rng):
+        for _ in range(100):
+            size = int(rng.integers(0, 60))
+            self.assert_matches_scipy(rng.normal(size=size), float(rng.choice([0.0, 0.5, 1.0])))
+            self.assert_matches_scipy(np.round(2 * rng.normal(size=size)) / 2, 0.0)
+            self.assert_matches_scipy(rng.integers(0, 3, size=size % 12).astype(float), 0.0)
+
+    @pytest.mark.parametrize(
+        "x, index",
+        [
+            ([0, 1, 1, 1, 1, 0], [2]),  # flat top: middle sample, rounded down
+            ([0, 1, 1, 1, 0], [2]),
+            ([0, 2, 2, 1, 3, 3], [1]),  # the plateau that touches the end is no peak
+            ([3, 3, 1, 2, 0], [3]),  # nor one at the start
+            ([0, 1, 1, 2, 0], [3]),  # a shoulder is no peak
+            ([1, 0, 2, 0, 1, 0, 3, 0.5, 0], [2, 4, 6]),
+        ],
+    )
+    def test_plateaus_and_edges(self, x, index):
+        x = np.asarray(x, dtype=float)
+        self.assert_matches_scipy(x, 0.0)
+        assert spectrum._peaks(x, 0.0)[0].tolist() == index
+
+    @pytest.mark.parametrize("x", [[], [1.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    def test_short_arrays(self, x):
+        self.assert_matches_scipy(np.asarray(x, dtype=float), 0.0)
+
+    def test_prominence_reaches_to_the_higher_side_minimum(self):
+        x = np.array([0.0, 3.0, 1.0, 2.0, 0.5, 4.0, -1.0])
+        index, prominence = spectrum._peaks(x, 0.0)
+        assert index.tolist() == [1, 3, 5]
+        # 3 is bounded on the right by 4 (minimum 0.5) and reaches 0 on the left
+        assert prominence.tolist() == [2.5, 1.0, 4.0]
+        assert spectrum._peaks(x, 2.5)[0].tolist() == [1, 5]
+
+    def test_import_loads_no_scipy(self):
+        code = "import sys, chiralcav; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestDipWidths:
