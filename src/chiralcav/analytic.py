@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .errors import PoleError
+from .errors import PoleError, ValidationError
 from .params import SystemParams
 
 
@@ -68,7 +68,7 @@ class ReferenceReflectivities:
 def reference_values(C: float, kappa_wg: float, kappa: float) -> ReferenceReflectivities:
     """The three on-resonance reference amplitudes at cooperativity C >= 0."""
     if C < 0:
-        raise ValueError("cooperativity must be >= 0")
+        raise ValidationError("cooperativity must be >= 0")
     base = 2.0 * kappa_wg / kappa
     return ReferenceReflectivities(
         r_ind=base / (1.0 + 2.0 * C) - 1.0,

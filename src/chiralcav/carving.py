@@ -249,6 +249,8 @@ def run_protocol(
         raise ValidationError("repetitions_per_step must be >= 1")
     if plan is None:
         plan = plan_protocol(m, params_template, dip_sign=dip_sign)
+    elif plan.m != m:
+        raise ValidationError(f"plan was made for {plan.m} atoms, not {m}")
     target = QubitRegister.w_state(m)
     state = global_rotation(QubitRegister.ground(m), math.pi / 2.0)
     cumulative = 1.0

@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``validate``, ``spectrum``, ``map``, ``carve``, ``repro``.
-Exit codes: 0 ok, 2 usage/validation error, 3 protocol extinguished,
-4 solver failure.  Options may also be supplied through a flat
-``key = value`` config file (``--config``); explicit command-line flags
-override file values, and unknown config keys are rejected.  The output
-directory for ``repro`` defaults to the ``CHIRALCAV_OUTDIR`` environment
-variable when set.
+Exit codes: 0 ok, 2 usage/validation error or an unreadable/unwritable
+path, 3 protocol extinguished, 4 solver failure.  Options may also be
+supplied through a flat ``key = value`` config file (``--config``);
+explicit command-line flags override file values, and unknown config
+keys are rejected.  All options are checked before any work starts.
+The output directory for ``repro`` defaults to the ``CHIRALCAV_OUTDIR``
+environment variable when set.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .params import SystemParams, require_valid
+from .params import SystemParams, require_valid, validate
 from .tables import DataTable
 
 OUTDIR_ENV = "CHIRALCAV_OUTDIR"
@@ -113,56 +114,57 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _merge_options(args: argparse.Namespace, command: str) -> dict:
-    """defaults < config file < explicit flags, rejecting unknown keys."""
+    """defaults < config file < explicit flags, checked before any work."""
     options = _COMMAND_OPTIONS[command]
     merged = {dest: default for dest, (_f, _t, default, _h) in options.items()}
     if getattr(args, "config", None):
         for key, text in _load_config(args.config).items():
             if key not in options:
                 raise ValidationError(f"unknown config key: {key!r}")
-            merged[key] = options[key][1](text)
+            typ = options[key][1]
+            try:
+                merged[key] = typ(text)
+            except ValueError:
+                msg = f"config value {key} = {text!r} does not parse as {typ.__name__}"
+                raise ValidationError(msg) from None
     for dest in options:
         if hasattr(args, dest):
             merged[dest] = getattr(args, dest)
+    if "format" in merged and merged["format"] not in tables.RENDERERS:
+        raise ValidationError(f"unknown output format: {merged['format']!r}")
+    for key in ("precision", "xi_points", "gamma_l_points"):
+        if key in merged and merged[key] < 1:
+            raise ValidationError(f"{key} must be >= 1")
     return merged
 
 
 def _system_params(opt: dict, n_atoms: int) -> SystemParams:
-    """Validated SystemParams from merged options."""
-    return require_valid(
-        SystemParams(
-            n_atoms=n_atoms,
-            gamma_L=opt["gamma_l"],
-            gamma_R=opt["gamma_r"],
-            g=opt["g"],
-            kappa_wg=opt["kappa_wg"],
-            kappa_sc=opt["kappa_sc"],
-            xi=opt["xi"],
-            gamma_mhz=opt["gamma_mhz"],
-        )
+    """SystemParams from merged options, not yet validated."""
+    return SystemParams(
+        n_atoms=n_atoms,
+        gamma_L=opt["gamma_l"],
+        gamma_R=opt["gamma_r"],
+        g=opt["g"],
+        kappa_wg=opt["kappa_wg"],
+        kappa_sc=opt["kappa_sc"],
+        xi=opt["xi"],
+        gamma_mhz=opt["gamma_mhz"],
     )
 
 
 def _emit(table: DataTable, opt: dict) -> None:
-    fmt_name = opt["format"]
-    if fmt_name not in ("csv", "json"):
-        raise ValidationError(f"unknown output format: {fmt_name!r}")
-    digits = opt["precision"]
-    if opt.get("output"):
-        tables.write_table(table, opt["output"], fmt_name, digits)
+    if opt["output"]:
+        tables.write_table(table, opt["output"], opt["format"], opt["precision"])
     else:
-        render = tables.render_csv if fmt_name == "csv" else tables.render_json
-        sys.stdout.write(render(table, digits))
+        sys.stdout.write(tables.RENDERERS[opt["format"]](table, opt["precision"]))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     opt = _merge_options(args, "validate")
-    try:
-        _system_params(opt, opt["n_atoms"])
-    except ValidationError as exc:
-        # require_valid joins the violations with "; "
-        for violation in str(exc).split("; "):
-            print(f"violation: {violation}")
+    violations = validate(_system_params(opt, opt["n_atoms"])).violations
+    for violation in violations:
+        print(f"violation: {violation}")
+    if violations:
         return 2
     print("ok")
     return 0
@@ -170,43 +172,26 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     opt = _merge_options(args, "spectrum")
-    params = _system_params(opt, opt["n_atoms"])
+    params = require_valid(_system_params(opt, opt["n_atoms"]))
     spec = spectrum.sweep_delta(params, opt["delta_min"], opt["delta_max"], opt["points"])
     features = spectrum.find_features(spec, opt["prominence"])
-    rows = np.column_stack([spec.deltas, spec.values])
-    table = DataTable(
-        name="spectrum",
-        columns=("delta_over_gamma", "R"),
-        rows=rows,
-        meta=spectrum.table_meta(params, "spectrum", "spectrum", delta_c="locked"),
-        features=tuple((f.kind, f.delta, f.value, f.width) for f in features),
-    )
-    _emit(table, opt)
+    _emit(spectrum.spectrum_table(spec, "spectrum", "spectrum", features), opt)
     return 0
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
     opt = _merge_options(args, "map")
-    params = _system_params(opt, opt["n_atoms"])
-    for key in ("xi_points", "gamma_l_points"):
-        if opt[key] < 1:
-            raise ValidationError(f"{key} must be >= 1")
+    params = require_valid(_system_params(opt, opt["n_atoms"]))
     xi_grid = np.linspace(opt["xi_min"], opt["xi_max"], opt["xi_points"])
     gl_grid = np.linspace(opt["gamma_l_min"], opt["gamma_l_max"], opt["gamma_l_points"])
     map2d = spectrum.sweep_2d(params, xi_grid, gl_grid)
-    table = DataTable(
-        name="map",
-        columns=("xi", "gamma_L", "R"),
-        rows=map2d.rows(),
-        meta=spectrum.table_meta(params, "map", "map", delta="0"),
-    )
-    _emit(table, opt)
+    _emit(spectrum.map_table(map2d, params, "map", "map"), opt)
     return 0
 
 
 def _cmd_carve(args: argparse.Namespace) -> int:
     opt = _merge_options(args, "carve")
-    template = _system_params(opt, opt["m"])
+    template = require_valid(_system_params(opt, opt["m"]))
     result = carving.run_protocol(
         opt["m"], template, repetitions_per_step=opt["reps"], dip_sign=opt["dip_sign"]
     )
@@ -239,18 +224,13 @@ def _cmd_carve(args: argparse.Namespace) -> int:
 
 def _cmd_repro(args: argparse.Namespace) -> int:
     opt = _merge_options(args, "repro")
-    try:
-        data = spectrum.figure_data(args.figure)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    data = spectrum.figure_data(args.figure)
     outdir = Path(opt["outdir"] or os.environ.get(OUTDIR_ENV) or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    suffix = "csv" if opt["format"] == "csv" else "json"
     for table in data:
-        tables.write_table(
-            table, outdir / f"{table.name}.{suffix}", opt["format"], opt["precision"]
-        )
-        print(outdir / f"{table.name}.{suffix}")
+        path = outdir / f"{table.name}.{opt['format']}"
+        tables.write_table(table, path, opt["format"], opt["precision"])
+        print(path)
     return 0
 
 
@@ -268,7 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ProtocolExtinguishedError as exc:

@@ -122,5 +122,5 @@ def cooperativity(params: SystemParams) -> float:
     """Single-atom cooperativity C = 4 g^2 / (kappa * gamma), gamma = 1."""
     kappa = params.kappa
     if kappa <= 0:
-        raise ValueError("cooperativity requires kappa = kappa_wg + kappa_sc > 0")
+        raise ValidationError("cooperativity requires kappa = kappa_wg + kappa_sc > 0")
     return 4.0 * params.g**2 / kappa

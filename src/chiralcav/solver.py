@@ -226,7 +226,8 @@ def _steady_state_from(
 ) -> SteadyState:
     a = complex(solution[0])
     r = np.sqrt(params.kappa_wg) * a / drive.a_in - 1.0
-    return SteadyState(a=a, sigma=solution[1:].copy(), r=complex(r), R=abs(r) ** 2)
+    R = float(np.square(np.abs(r)))  # the formula of reflectivity, bit for bit
+    return SteadyState(a=a, sigma=solution[1:].copy(), r=complex(r), R=R)
 
 
 def reflectivity(

@@ -57,7 +57,7 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.deltas) <= 0):
-            raise ValueError("delta grid must be strictly increasing")
+            raise ValidationError("delta grid must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -273,14 +273,24 @@ def table_meta(params: SystemParams, dataset: str, curve: str, **extra) -> dict[
     return meta
 
 
-def _spectrum_table(name: str, dataset: str, params: SystemParams, **extra) -> DataTable:
-    spec = sweep_delta(params, -DIP_SPAN, DIP_SPAN, DIP_POINTS)
-    rows = np.column_stack([spec.deltas, spec.values])
+def spectrum_table(spec: Spectrum, name: str, dataset: str, features=(), **extra) -> DataTable:
+    """Table of one sampled spectrum: (delta, R) rows plus feature rows."""
     return DataTable(
         name=name,
         columns=("delta_over_gamma", "R"),
-        rows=rows,
-        meta=table_meta(params, dataset, name, delta_c="locked", **extra),
+        rows=np.column_stack([spec.deltas, spec.values]),
+        meta=table_meta(spec.params, dataset, name, delta_c="locked", **extra),
+        features=tuple((f.kind, f.delta, f.value, f.width) for f in features),
+    )
+
+
+def map_table(map2d: Map2D, params: SystemParams, name: str, dataset: str, **extra) -> DataTable:
+    """Table of one on-resonance map: (xi, gamma_L, R) rows, xi-major."""
+    return DataTable(
+        name=name,
+        columns=("xi", "gamma_L", "R"),
+        rows=map2d.rows(),
+        meta=table_meta(params, dataset, name, delta="0", **extra),
     )
 
 
@@ -291,83 +301,38 @@ FIG2_PARAMS = SystemParams(
 FIG2_XI_GRID = np.linspace(0.0, 2.0 * math.pi, 161)
 FIG2_GAMMA_L_GRID = np.linspace(0.0, 1.0, 41)
 
-_FIG3_CURVES = (
-    ("fig3_N2_C25", dict(n_atoms=2, g=50.0, gamma_L=1.0)),
-    ("fig3_N2_C4", dict(n_atoms=2, g=20.0, gamma_L=1.0)),
-    ("fig3_N2_C1", dict(n_atoms=2, g=10.0, gamma_L=1.0)),
-    ("fig3_N1_C4", dict(n_atoms=1, g=20.0, gamma_L=1.0)),
-    ("fig3_N0", dict(n_atoms=0, g=0.0, gamma_L=1.0)),
-    ("fig3_N2_C4_gL08", dict(n_atoms=2, g=20.0, gamma_L=0.8)),
-)
+_REPRESENTATIVE = {"xi_selection": "representative"}
 
-_FIG3_2_XIS = (
-    ("pi8", math.pi / 8),
-    ("pi4", math.pi / 4),
-    ("3pi8", 3 * math.pi / 8),
-    ("5pi8", 5 * math.pi / 8),
-    ("3pi4", 3 * math.pi / 4),
-    ("7pi8", 7 * math.pi / 8),
-)
-
-
-def _fig2_tables() -> list[DataTable]:
-    map2d = sweep_2d(FIG2_PARAMS, FIG2_XI_GRID, FIG2_GAMMA_L_GRID)
-    table = DataTable(
-        name="fig2_map",
-        columns=("xi", "gamma_L", "R"),
-        rows=map2d.rows(),
-        meta=table_meta(FIG2_PARAMS, "fig2", "fig2_map", delta="0", sweep="xi,gamma_L"),
-    )
-    return [table]
-
-
-def _fig3_tables() -> list[DataTable]:
-    tables = []
-    for name, overrides in _FIG3_CURVES:
-        params = SystemParams(
-            kappa_wg=100.0, kappa_sc=300.0, xi=0.0, **overrides
-        )
-        tables.append(_spectrum_table(name, "fig3", params))
-    return tables
-
-
-def _fig3_2_tables() -> list[DataTable]:
-    tables = []
-    for label, xi in _FIG3_2_XIS:
-        params = replace(FIG2_PARAMS, gamma_L=1.0, gamma_R=None, xi=xi)
-        tables.append(
-            _spectrum_table(
-                f"fig3_2_xi_{label}",
-                "fig3_2",
-                params,
-                xi_selection="representative",
-            )
-        )
-    return tables
-
-
-def _fig4_tables() -> list[DataTable]:
-    tables = []
-    for n in (3, 4, 5, 6):
-        params = replace(FIG2_PARAMS, n_atoms=n)
-        tables.append(_spectrum_table(f"fig4_N{n}", "fig4", params))
-    return tables
-
-
+#: dataset id -> (curve name, system, extra meta) per table; fig2 is the
+#: one (xi, gamma_L) map, every other curve is a detuning spectrum
 _FIGURES = {
-    "fig2": _fig2_tables,
-    "fig3": _fig3_tables,
-    "fig3_2": _fig3_2_tables,
-    "fig4": _fig4_tables,
+    "fig2": [("fig2_map", FIG2_PARAMS, {"sweep": "xi,gamma_L"})],
+    "fig3": [
+        ("fig3_N2_C25", replace(FIG2_PARAMS, g=50.0), {}),
+        ("fig3_N2_C4", FIG2_PARAMS, {}),
+        ("fig3_N2_C1", replace(FIG2_PARAMS, g=10.0), {}),
+        ("fig3_N1_C4", replace(FIG2_PARAMS, n_atoms=1), {}),
+        ("fig3_N0", replace(FIG2_PARAMS, n_atoms=0, g=0.0), {}),
+        ("fig3_N2_C4_gL08", replace(FIG2_PARAMS, gamma_L=0.8, gamma_R=None), {}),
+    ],
+    "fig3_2": [
+        (f"fig3_2_xi_{label}", replace(FIG2_PARAMS, xi=k * math.pi / 8), _REPRESENTATIVE)
+        for k, label in ((1, "pi8"), (2, "pi4"), (3, "3pi8"), (5, "5pi8"), (6, "3pi4"), (7, "7pi8"))
+    ],
+    "fig4": [(f"fig4_N{n}", replace(FIG2_PARAMS, n_atoms=n), {}) for n in (3, 4, 5, 6)],
 }
 
 
 def figure_data(which: str) -> list[DataTable]:
     """CSV-ready tables for one of the named reference datasets."""
-    try:
-        builder = _FIGURES[which]
-    except KeyError:
-        raise ValueError(
-            f"unknown figure id {which!r}; expected one of {sorted(_FIGURES)}"
-        ) from None
-    return builder()
+    if which not in _FIGURES:
+        raise ValidationError(f"unknown figure id {which!r}; expected one of {sorted(_FIGURES)}")
+    tables = []
+    for name, params, extra in _FIGURES[which]:
+        if which == "fig2":
+            map2d = sweep_2d(params, FIG2_XI_GRID, FIG2_GAMMA_L_GRID)
+            tables.append(map_table(map2d, params, name, which, **extra))
+        else:
+            spec = sweep_delta(params, -DIP_SPAN, DIP_SPAN, DIP_POINTS)
+            tables.append(spectrum_table(spec, name, which, **extra))
+    return tables

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ValidationError
+
 DEFAULT_DIGITS = 12
 
 
@@ -66,13 +68,14 @@ def render_json(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
     return json.dumps(payload, indent=None, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+#: output format name -> renderer; the name is also the file suffix
+RENDERERS = {"csv": render_csv, "json": render_json}
+
+
 def write_table(table: DataTable, path, fmt_name: str = "csv", digits: int = DEFAULT_DIGITS) -> None:
-    if fmt_name == "csv":
-        text = render_csv(table, digits)
-    elif fmt_name == "json":
-        text = render_json(table, digits)
-    else:
-        raise ValueError(f"unknown output format: {fmt_name!r}")
+    if fmt_name not in RENDERERS:
+        raise ValidationError(f"unknown output format: {fmt_name!r}")
+    text = RENDERERS[fmt_name](table, digits)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
 
@@ -101,7 +104,7 @@ def parse_csv(text: str, name: str = "") -> DataTable:
         else:
             rows.append([float(tok) for tok in line.split(",")])
     if columns is None:
-        raise ValueError("CSV text contains no header row")
+        raise ValidationError("CSV text contains no header row")
     return DataTable(
         name=name,
         columns=columns,

@@ -326,6 +326,16 @@ class TestRunProtocol:
         with pytest.raises(ValidationError):
             run_protocol(2, base_params, repetitions_per_step=0)
 
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_plan_for_another_register_size_rejected(self, m):
+        plan = plan_protocol(3, template(3))
+        with pytest.raises(ValidationError, match="plan was made for 3 atoms"):
+            run_protocol(m, template(m), plan=plan)
+
+    def test_plan_for_the_same_register_size_accepted(self):
+        plan = plan_protocol(3, template(3))
+        assert run_protocol(3, template(3), plan=plan).plan is plan
+
     def test_either_dip_branch_works_equally(self, capsys):
         """Exploratory: the W protocol may probe the positive or the
         negative three-atom dip; compare both choices."""

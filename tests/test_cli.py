@@ -251,3 +251,108 @@ class TestValidateCommand:
         code, out = run_cli(["validate", "--gamma-l", "0.7", "--gamma-r", "0.5"], capsys)
         assert code == 2
         assert "gamma_L+gamma_R" in out
+
+
+def assert_single_error_line(args, capsys):
+    """Exit 2 with exactly one ``error:`` line on stderr (no traceback)."""
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+class TestOptionsCheckedBeforeWork:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        from chiralcav import carving, spectrum
+
+        def no_work(*_args, **_kw):
+            raise AssertionError("work started")
+
+        for name in ("figure_data", "sweep_delta", "sweep_2d"):
+            monkeypatch.setattr(spectrum, name, no_work)
+        monkeypatch.setattr(carving, "run_protocol", no_work)
+
+    def test_unknown_format_creates_nothing(self, tmp_path, capsys, no_work):
+        outdir = tmp_path / "fresh"
+        assert_single_error_line(
+            ["repro", "fig3", "--format", "xml", "--outdir", str(outdir)], capsys
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_format_in_config_creates_nothing(self, tmp_path, capsys, no_work):
+        config = tmp_path / "run.cfg"
+        config.write_text("format = xml\n")
+        outdir = tmp_path / "fresh"
+        assert_single_error_line(
+            ["repro", "fig3", "--config", str(config), "--outdir", str(outdir)], capsys
+        )
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("command", ["spectrum", "map", "carve"])
+    def test_unknown_format_in_config(self, command, tmp_path, capsys, no_work):
+        config = tmp_path / "run.cfg"
+        config.write_text("format = xml\n")
+        assert_single_error_line([command, "--config", str(config)], capsys)
+
+    @pytest.mark.parametrize("precision", ["0", "-1"])
+    def test_precision_below_one(self, precision, capsys, no_work):
+        assert_single_error_line(["spectrum", "--precision", precision], capsys)
+
+    @pytest.mark.parametrize("line", ["n_atoms = abc", "points = 1.5", "g = twenty"])
+    def test_config_value_that_does_not_parse(self, line, tmp_path, capsys, no_work):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        assert_single_error_line(["spectrum", "--config", str(config)], capsys)
+
+
+class TestPathErrors:
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert_single_error_line(["spectrum", "--config", str(tmp_path)], capsys)
+
+    def test_missing_config(self, tmp_path, capsys):
+        assert_single_error_line(["validate", "--config", str(tmp_path / "none.cfg")], capsys)
+
+    def test_output_in_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        assert_single_error_line(["spectrum", "--points", "101", "--output", str(path)], capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_outdir_is_a_file(self, tmp_path, capsys):
+        outdir = tmp_path / "taken"
+        outdir.write_text("")
+        assert_single_error_line(["repro", "fig4", "--outdir", str(outdir)], capsys)
+        assert outdir.read_text() == ""
+
+
+class TestOutputIsTheLibraryTable:
+    def test_spectrum_stdout(self, capsys):
+        from chiralcav.spectrum import find_features, spectrum_table, sweep_delta
+        from chiralcav.tables import render_csv
+        from helpers import make_system
+
+        code, out = run_cli(["spectrum", "--n", "3", *BASE, "--points", "801"], capsys)
+        assert code == 0
+        spec = sweep_delta(make_system(n=3), -3.0, 3.0, 801)
+        assert out == render_csv(spectrum_table(spec, "spectrum", "spectrum", find_features(spec)))
+
+    def test_map_stdout(self, capsys):
+        from chiralcav.spectrum import map_table, sweep_2d
+        from chiralcav.tables import render_csv
+        from helpers import make_system
+
+        code, out = run_cli(
+            ["map", "--n", "2", *BASE, "--xi-points", "21", "--gamma-l-points", "11"], capsys
+        )
+        assert code == 0
+        params = make_system()
+        map2d = sweep_2d(params, np.linspace(0.0, 2 * np.pi, 21), np.linspace(0.0, 1.0, 11))
+        assert out == render_csv(map_table(map2d, params, "map", "map"))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repro_suffix_is_the_format_name(self, fmt, tmp_path, capsys):
+        code, out = run_cli(["repro", "fig4", "--format", fmt, "--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        paths = sorted(tmp_path.iterdir())
+        assert [p.name for p in paths] == [f"fig4_N{n}.{fmt}" for n in (3, 4, 5, 6)]
+        assert out.split() == [str(p) for p in paths]

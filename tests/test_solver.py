@@ -224,6 +224,18 @@ class TestValidation:
             delta = rng.uniform(-3, 3)
             assert reflectivity(params, DriveParams(delta=delta)) == reflectivity_batch(params, delta)
 
+    def test_steady_state_R_is_the_reflectivity(self, rng):
+        # one R formula on every route: bit for bit, not to a tolerance
+        for _ in range(200):
+            params = make_system(
+                n=int(rng.integers(0, 7)),
+                gamma_L=rng.uniform(0, 1),
+                g=rng.uniform(0, 50),
+                xi=rng.uniform(0, 2 * math.pi),
+            )
+            delta = rng.uniform(-3, 3)
+            assert steady(params, delta).R == reflectivity(params, DriveParams(delta=delta))
+
 
 class TestSymmetries:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
