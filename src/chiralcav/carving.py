@@ -52,8 +52,12 @@ class QubitRegister:
     def __post_init__(self) -> None:
         if not 1 <= self.m <= MAX_QUBITS:
             raise ValidationError(f"register size must be in [1, {MAX_QUBITS}]")
-        if self.amplitudes.shape != (2**self.m,):
+        amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        if amplitudes.shape != (2**self.m,):
             raise ValidationError("amplitude vector must have length 2**m")
+        if not np.all(np.isfinite(amplitudes)):
+            raise ValidationError("amplitudes must be finite")
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     @classmethod
     def ground(cls, m: int) -> "QubitRegister":
@@ -86,7 +90,10 @@ class QubitRegister:
         return float(np.linalg.norm(self.amplitudes))
 
     def normalized(self) -> "QubitRegister":
-        return QubitRegister(m=self.m, amplitudes=self.amplitudes / self.norm)
+        norm = self.norm
+        if norm == 0.0:
+            raise ValidationError("cannot normalize a zero register")
+        return QubitRegister(m=self.m, amplitudes=self.amplitudes / norm)
 
 
 @dataclass(frozen=True)
@@ -133,6 +140,8 @@ def global_rotation(state: QubitRegister, theta: float, phi: float = 0.0) -> Qub
     Convention: theta = pi/2, phi = 0 maps |0> to (|0> - |1>)/sqrt(2);
     the inverse rotation is (theta -> -theta) at the same phi.
     """
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValidationError("rotation angles must be finite")
     cos, sin = math.cos(theta / 2.0), math.sin(theta / 2.0)
     gate = np.array(
         [
@@ -182,6 +191,11 @@ def carving_measurement(
     shifts = np.arange(m - 1, -1, -1)
     coupled = ((np.arange(2**m)[:, None] >> shifts) & 1).astype(bool)
     r = _reflection(params_template, drive.delta, positions=np.arange(m), coupled=coupled)
+    return _herald(state, r, delta)
+
+
+def _herald(state: QubitRegister, r: np.ndarray, delta: float) -> MeasurementOutcome:
+    """Apply the component amplitudes ``r`` and renormalize on a herald."""
     amps = state.amplitudes * r
     herald = float(np.sum(np.abs(amps) ** 2))
     if herald < EXTINCTION_THRESHOLD:
@@ -243,10 +257,13 @@ def run_protocol(
 
     Every planned detuning is probed ``repetitions_per_step`` times;
     fidelity against the W_M target is recorded after every individual
-    measurement and heralding probabilities multiply across them.
+    measurement and heralding probabilities multiply across them.  The
+    component amplitudes depend only on (template, delta, M), so each
+    planned detuning is solved once and reused for its repetitions.
     """
     if repetitions_per_step < 1:
         raise ValidationError("repetitions_per_step must be >= 1")
+    require_valid(params_template)
     if plan is None:
         plan = plan_protocol(m, params_template, dip_sign=dip_sign)
     elif plan.m != m:
@@ -254,30 +271,27 @@ def run_protocol(
     target = QubitRegister.w_state(m)
     state = global_rotation(QubitRegister.ground(m), math.pi / 2.0)
     cumulative = 1.0
-    fidelities: list[float] = []
     trace: list[StepRecord] = []
-    measurement = 0
     for delta in plan.steps:
-        for _ in range(repetitions_per_step):
-            measurement += 1
-            outcome = carving_measurement(state, params_template, delta)
+        outcome = carving_measurement(state, params_template, delta)
+        for rep in range(repetitions_per_step):
+            if rep:
+                outcome = _herald(state, outcome.per_component_r, delta)
             state = outcome.post_state
             cumulative *= outcome.herald_probability
-            fid = fidelity(state, target)
-            fidelities.append(fid)
             trace.append(
                 StepRecord(
-                    step=measurement,
+                    step=len(trace) + 1,
                     delta=delta,
                     herald_probability=outcome.herald_probability,
                     cumulative_probability=cumulative,
-                    fidelity=fid,
+                    fidelity=fidelity(state, target),
                 )
             )
     return ProtocolResult(
         plan=plan,
         final_state=state,
         cumulative_herald_probability=cumulative,
-        fidelity_vs_step=tuple(fidelities),
+        fidelity_vs_step=tuple(rec.fidelity for rec in trace),
         trace=tuple(trace),
     )

@@ -135,6 +135,17 @@ def _merge_options(args: argparse.Namespace, command: str) -> dict:
     for key in ("precision", "xi_points", "gamma_l_points"):
         if key in merged and merged[key] < 1:
             raise ValidationError(f"{key} must be >= 1")
+    # paths: the output file's directory must exist; repro creates its
+    # outdir, so the nearest existing ancestor must be a directory
+    if merged.get("output"):
+        parent = Path(merged["output"]).parent
+        if not parent.is_dir():
+            raise ValidationError(f"not a directory: {str(parent)!r}")
+    if "outdir" in merged:
+        outdir = merged["outdir"] = Path(merged["outdir"] or os.environ.get(OUTDIR_ENV) or ".")
+        existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+        if not existing.is_dir():
+            raise ValidationError(f"not a directory: {str(existing)!r}")
     return merged
 
 
@@ -225,10 +236,9 @@ def _cmd_carve(args: argparse.Namespace) -> int:
 def _cmd_repro(args: argparse.Namespace) -> int:
     opt = _merge_options(args, "repro")
     data = spectrum.figure_data(args.figure)
-    outdir = Path(opt["outdir"] or os.environ.get(OUTDIR_ENV) or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
+    opt["outdir"].mkdir(parents=True, exist_ok=True)
     for table in data:
-        path = outdir / f"{table.name}.{opt['format']}"
+        path = opt["outdir"] / f"{table.name}.{opt['format']}"
         tables.write_table(table, path, opt["format"], opt["precision"])
         print(path)
     return 0

@@ -73,50 +73,49 @@ def _assemble(
     gamma_R = 1 - gamma_L.  ``coupled`` is a boolean mask with leading
     axes ``(..., n)``: an atom whose entry is False gets no cavity and no
     atom-atom coupling, so it drops out exactly as if it were removed.
-    The result has shape ``broadcast + (n+1, n+1)``.
+    The result has shape ``broadcast + (n+1, n+1)``.  Only the diagonal
+    depends on the detunings, M = M0 + i diag(delta_c, delta, ..., delta):
+    M0 is built over the shape of (gamma_L, xi, coupled) alone.
     """
     if positions is None:
         positions = np.arange(params.n_atoms)
     pos = np.asarray(positions, dtype=float)
     n = pos.size
     if gamma_L is None:
-        gamma_L, gamma_R = params.gamma_L, params.gamma_R
+        gamma_L, gamma_R = np.asarray(params.gamma_L), np.asarray(params.gamma_R)
     else:
-        gamma_R = 1.0 - np.asarray(gamma_L)
-    xi = params.xi if xi is None else xi
-    delta_c = delta if delta_c is None else delta_c
-    gamma_L, gamma_R, xi, delta, delta_c = np.broadcast_arrays(
-        gamma_L, gamma_R, xi, delta, delta_c
-    )
-    lead = delta.shape
+        gamma_L = np.asarray(gamma_L)
+        gamma_R = 1.0 - gamma_L
+    xi = np.asarray(params.xi if xi is None else xi)
+    delta, delta_c = np.asarray(delta), np.asarray(delta if delta_c is None else delta_c)
+    base = np.broadcast_shapes(gamma_L.shape, xi.shape)
     if coupled is not None:
-        lead = np.broadcast_shapes(lead, coupled.shape[:-1])
-    kappa = params.kappa_wg + params.kappa_sc
+        base = np.broadcast_shapes(base, coupled.shape[:-1])
+    lead = np.broadcast_shapes(base, delta.shape, delta_c.shape)
 
-    matrix = np.zeros(lead + (n + 1, n + 1), dtype=complex)
-    matrix[..., 0, 0] = 1j * delta_c - kappa / 2.0
+    m0 = np.zeros(base + (n + 1, n + 1), dtype=complex)
     if n:
         sep = pos[None, :] - pos[:, None]  # sep[mu, nu] = p_nu - p_mu
         if not independent_atoms:
             phase = np.exp(1j * np.multiply.outer(xi, np.abs(sep)))
-            gl = gamma_L[..., None, None]
-            gr = gamma_R[..., None, None]
-            block = np.where(sep > 0, -gl * phase, 0.0) + np.where(
+            gl, gr = gamma_L[..., None, None], gamma_R[..., None, None]
+            m0[..., 1:, 1:] = np.where(sep > 0, -gl * phase, 0.0) + np.where(
                 sep < 0, -gr * phase, 0.0
             )
-            matrix[..., 1:, 1:] = block
-        idx = np.arange(1, n + 1)
-        matrix[..., idx, idx] = (1j * delta - 0.5)[..., None]
         cav_phase = np.exp(1j * np.multiply.outer(xi, pos))
-        matrix[..., 0, 1:] = -1j * params.g * np.conj(cav_phase)
-        matrix[..., 1:, 0] = -1j * params.g * cav_phase
+        m0[..., 0, 1:] = -1j * params.g * np.conj(cav_phase)
+        m0[..., 1:, 0] = -1j * params.g * cav_phase
     if coupled is not None:
-        # an uncoupled atom keeps only its diagonal entry
-        atoms = np.broadcast_to(coupled, lead + (n,))
-        on = np.concatenate([np.ones(lead + (1,), dtype=bool), atoms], axis=-1)
-        keep = (on[..., :, None] & on[..., None, :]) | np.eye(n + 1, dtype=bool)
-        matrix = np.where(keep, matrix, 0.0)
+        # an uncoupled atom loses every off-diagonal entry
+        atoms = np.broadcast_to(coupled, base + (n,))
+        on = np.concatenate([np.ones(base + (1,), dtype=bool), atoms], axis=-1)
+        m0 = np.where(on[..., :, None] & on[..., None, :], m0, 0.0)
 
+    kappa = params.kappa_wg + params.kappa_sc
+    matrix = m0 if base == lead else np.broadcast_to(m0, lead + m0.shape[-2:]).copy()
+    matrix[..., 0, 0] = 1j * delta_c - kappa / 2.0
+    idx = np.arange(1, n + 1)
+    matrix[..., idx, idx] = (1j * delta - 0.5)[..., None]
     rhs = np.zeros(lead + (n + 1,), dtype=complex)
     rhs[..., 0] = -np.sqrt(params.kappa_wg) * a_in
     return matrix, rhs
@@ -157,18 +156,16 @@ def _solve_degenerate(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     physical steady state is the minimum-norm solution.  Anything else
     is a true degeneracy and raises SolverError.
     """
-    solution, _, rank, sv = np.linalg.lstsq(matrix, rhs, rcond=_NULL_CUTOFF)
-    scale = sv[0] if sv.size else 0.0
+    u, s, vh = np.linalg.svd(matrix)
+    scale = s[0]
+    rank = int(np.count_nonzero(s > _NULL_CUTOFF * scale))  # lstsq's rcond rule
+    solution = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ rhs) / s[:rank])
     residual = np.linalg.norm(matrix @ solution - rhs)
     if residual > 1e-8 * max(1.0, np.linalg.norm(rhs)):
         raise SolverError(f"steady-state system is inconsistent (residual {residual:.3e})")
-    _, s, vh = np.linalg.svd(matrix)
-    null_vectors = vh[rank:].conj()
-    for vec in null_vectors:
-        if (
-            np.linalg.norm(vec.conj() @ matrix) > 1e-10 * scale
-            or abs(vec.conj() @ rhs) > 1e-10 * np.linalg.norm(rhs)
-        ):
+    for row in vh[rank:]:  # row.conj() is a right null vector; must be a left one too
+        driven = abs(row @ rhs) > 1e-10 * np.linalg.norm(rhs)
+        if np.linalg.norm(row @ matrix) > 1e-10 * scale or driven:
             raise SolverError("steady-state system is singular with a driven null mode")
     return solution
 

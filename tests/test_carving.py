@@ -355,3 +355,63 @@ class TestRunProtocol:
         assert results[+1].cumulative_herald_probability == pytest.approx(
             results[-1].cumulative_herald_probability, abs=1e-12
         )
+
+
+class TestRegisterInputs:
+    def test_list_amplitudes_stored_as_complex_array(self):
+        reg = QubitRegister(m=2, amplitudes=[1, 0, 0, 0])
+        assert reg.amplitudes.dtype == complex
+        assert reg.amplitude("00") == 1.0
+
+
+class TestOneSolvePerPlannedDetuning:
+    def test_one_kernel_call_per_plan_step(self, monkeypatch):
+        from chiralcav import carving
+
+        calls = []
+        kernel = carving._reflection
+
+        def counting(*args, **kw):
+            calls.append(args[1])
+            return kernel(*args, **kw)
+
+        plan = plan_protocol(5, template(5))
+        monkeypatch.setattr(carving, "_reflection", counting)
+        run_protocol(5, template(5), repetitions_per_step=3, plan=plan)
+        assert calls == list(plan.steps)
+
+    @pytest.mark.parametrize("m,reps", [(2, 4), (3, 3), (5, 2), (6, 3)])
+    def test_trace_equals_a_loop_of_measurements(self, m, reps):
+        params = template(m, gamma_L=0.8, xi=0.4)
+        result = run_protocol(m, params, repetitions_per_step=reps)
+        target = QubitRegister.w_state(m)
+        state = global_rotation(QubitRegister.ground(m), math.pi / 2)
+        cumulative = 1.0
+        expected = []
+        for delta in result.plan.steps:
+            for _ in range(reps):
+                outcome = carving_measurement(state, params, delta)
+                state = outcome.post_state
+                cumulative *= outcome.herald_probability
+                expected.append(
+                    (delta, outcome.herald_probability, cumulative, fidelity(state, target))
+                )
+        got = [
+            (rec.delta, rec.herald_probability, rec.cumulative_probability, rec.fidelity)
+            for rec in result.trace
+        ]
+        assert got == expected
+        assert [rec.step for rec in result.trace] == list(range(1, len(expected) + 1))
+        assert result.fidelity_vs_step == tuple(row[3] for row in expected)
+        assert np.array_equal(result.final_state.amplitudes, state.amplitudes)
+
+    def test_invalid_template_rejected_before_any_measurement(self, monkeypatch):
+        from chiralcav import carving
+
+        def no_measurement(*_args, **_kw):
+            raise AssertionError("measurement started")
+
+        plan = plan_protocol(3, template(3))
+        monkeypatch.setattr(carving, "carving_measurement", no_measurement)
+        with pytest.raises(ValidationError):
+            run_protocol(3, make_system(n=3, gamma_L=0.7, gamma_R=0.5), plan=plan)

@@ -305,6 +305,37 @@ class TestOptionsCheckedBeforeWork:
         config.write_text(line + "\n")
         assert_single_error_line(["spectrum", "--config", str(config)], capsys)
 
+    @pytest.mark.parametrize("command", ["spectrum", "map", "carve"])
+    def test_output_in_missing_directory(self, command, tmp_path, capsys, no_work):
+        path = tmp_path / "missing" / "x.csv"
+        assert_single_error_line([command, "--output", str(path)], capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_below_a_file(self, tmp_path, capsys, no_work):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert_single_error_line(["spectrum", "--output", str(taken / "x.csv")], capsys)
+        assert taken.read_text() == ""
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_outdir_is_or_is_below_a_file(self, below, tmp_path, capsys, no_work):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert_single_error_line(["repro", "fig4", "--outdir", str(taken / below)], capsys)
+        assert list(tmp_path.iterdir()) == [taken]
+        assert taken.read_text() == ""
+
+    def test_outdir_from_environment_is_a_file(self, tmp_path, capsys, monkeypatch, no_work):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.setenv("CHIRALCAV_OUTDIR", str(taken))
+        assert_single_error_line(["repro", "fig4"], capsys)
+        assert taken.read_text() == ""
+
+    def test_unknown_figure_creates_nothing(self, tmp_path, capsys):
+        assert_single_error_line(["repro", "fig9", "--outdir", str(tmp_path / "fresh")], capsys)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPathErrors:
     def test_config_is_a_directory(self, tmp_path, capsys):
