@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ProtocolExtinguishedError, ValidationError
-from .params import DriveParams, SystemParams, require_valid
+from .params import DriveParams, SystemParams, require_count, require_valid
 from .solver import _reflection, reflection_amplitude, reflectivity_batch
 from .spectrum import dip_detunings
 
@@ -50,8 +50,10 @@ class QubitRegister:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.m <= MAX_QUBITS:
-            raise ValidationError(f"register size must be in [1, {MAX_QUBITS}]")
+        m = require_count("register size", self.m, 1)
+        if m > MAX_QUBITS:
+            raise ValidationError(f"register size must be <= {MAX_QUBITS}")
+        object.__setattr__(self, "m", m)
         amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if amplitudes.shape != (2**self.m,):
             raise ValidationError("amplitude vector must have length 2**m")
@@ -227,8 +229,7 @@ def plan_protocol(
     system, on the side selected by ``dip_sign``.  Total steps: M/2 for
     even M, (M+1)/2 for odd M.
     """
-    if m < 2:
-        raise ValidationError("protocol requires at least 2 atoms")
+    m = require_count("m", m, 2)
     if m > MAX_QUBITS:
         raise ValidationError(f"register size must be <= {MAX_QUBITS}")
     if dip_sign not in (1, -1):
@@ -261,8 +262,8 @@ def run_protocol(
     component amplitudes depend only on (template, delta, M), so each
     planned detuning is solved once and reused for its repetitions.
     """
-    if repetitions_per_step < 1:
-        raise ValidationError("repetitions_per_step must be >= 1")
+    m = require_count("m", m, 1)
+    repetitions_per_step = require_count("repetitions_per_step", repetitions_per_step, 1)
     require_valid(params_template)
     if plan is None:
         plan = plan_protocol(m, params_template, dip_sign=dip_sign)

@@ -89,10 +89,27 @@ class ValidationReport:
         return self.ok
 
 
+def _integral(value) -> bool:
+    """True for an integral number: an int or an integral float such as 3.0."""
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int; ValidationError unless it is integral and >= ``minimum``."""
+    if not _integral(value):
+        raise ValidationError(f"{name} must be an integer")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}")
+    return int(value)
+
+
 def validate(params: SystemParams) -> ValidationReport:
     """Check every SystemParams invariant and report violations."""
     violations: list[str] = []
-    if int(params.n_atoms) != params.n_atoms or params.n_atoms < 0:
+    if not _integral(params.n_atoms) or params.n_atoms < 0:
         violations.append("n_atoms must be a nonnegative integer")
     if params.gamma_L < 0 or params.gamma_R < 0:
         violations.append("gamma_L and gamma_R must be >= 0")
@@ -107,6 +124,11 @@ def validate(params: SystemParams) -> ValidationReport:
     for name in ("gamma_L", "gamma_R", "g", "kappa_wg", "kappa_sc", "xi"):
         if not math.isfinite(getattr(params, name)):
             violations.append(f"{name} must be finite")
+    # 4 g^2 / kappa is checked only once g and kappa pass their own rules
+    own_rules = params.g >= 0 and params.kappa_wg > 0 and params.kappa_sc >= 0
+    cavity = (params.g, params.kappa_wg, params.kappa_sc)
+    if own_rules and all(map(math.isfinite, cavity)) and not math.isfinite(cooperativity(params)):
+        violations.append("4 g^2 / kappa must be finite")
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -119,8 +141,12 @@ def require_valid(params: SystemParams) -> SystemParams:
 
 
 def cooperativity(params: SystemParams) -> float:
-    """Single-atom cooperativity C = 4 g^2 / (kappa * gamma), gamma = 1."""
+    """Single-atom cooperativity C = 4 g^2 / (kappa * gamma), gamma = 1;
+    inf where g^2 overflows."""
     kappa = params.kappa
     if kappa <= 0:
         raise ValidationError("cooperativity requires kappa = kappa_wg + kappa_sc > 0")
-    return 4.0 * params.g**2 / kappa
+    try:
+        return 4.0 * params.g**2 / kappa
+    except OverflowError:
+        return math.inf

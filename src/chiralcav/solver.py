@@ -75,7 +75,8 @@ def _assemble(
     atom-atom coupling, so it drops out exactly as if it were removed.
     The result has shape ``broadcast + (n+1, n+1)``.  Only the diagonal
     depends on the detunings, M = M0 + i diag(delta_c, delta, ..., delta):
-    M0 is built over the shape of (gamma_L, xi, coupled) alone.
+    M0 is built over the shape of (gamma_L, xi) alone, and the mask and
+    the detunings are broadcast onto it.
     """
     if positions is None:
         positions = np.arange(params.n_atoms)
@@ -88,12 +89,7 @@ def _assemble(
         gamma_R = 1.0 - gamma_L
     xi = np.asarray(params.xi if xi is None else xi)
     delta, delta_c = np.asarray(delta), np.asarray(delta if delta_c is None else delta_c)
-    base = np.broadcast_shapes(gamma_L.shape, xi.shape)
-    if coupled is not None:
-        base = np.broadcast_shapes(base, coupled.shape[:-1])
-    lead = np.broadcast_shapes(base, delta.shape, delta_c.shape)
-
-    m0 = np.zeros(base + (n + 1, n + 1), dtype=complex)
+    m0 = np.zeros(np.broadcast_shapes(gamma_L.shape, xi.shape) + (n + 1, n + 1), dtype=complex)
     if n:
         sep = pos[None, :] - pos[:, None]  # sep[mu, nu] = p_nu - p_mu
         if not independent_atoms:
@@ -107,18 +103,30 @@ def _assemble(
         m0[..., 1:, 0] = -1j * params.g * cav_phase
     if coupled is not None:
         # an uncoupled atom loses every off-diagonal entry
-        atoms = np.broadcast_to(coupled, base + (n,))
-        on = np.concatenate([np.ones(base + (1,), dtype=bool), atoms], axis=-1)
+        on = np.concatenate([np.ones(coupled.shape[:-1] + (1,), dtype=bool), coupled], axis=-1)
         m0 = np.where(on[..., :, None] & on[..., None, :], m0, 0.0)
 
     kappa = params.kappa_wg + params.kappa_sc
-    matrix = m0 if base == lead else np.broadcast_to(m0, lead + m0.shape[-2:]).copy()
+    lead = np.broadcast_shapes(m0.shape[:-2], delta.shape, delta_c.shape)
+    matrix = m0 if m0.shape[:-2] == lead else np.broadcast_to(m0, lead + m0.shape[-2:]).copy()
     matrix[..., 0, 0] = 1j * delta_c - kappa / 2.0
     idx = np.arange(1, n + 1)
     matrix[..., idx, idx] = (1j * delta - 0.5)[..., None]
     rhs = np.zeros(lead + (n + 1,), dtype=complex)
     rhs[..., 0] = -np.sqrt(params.kappa_wg) * a_in
     return matrix, rhs
+
+
+def _require_positions(positions) -> None:
+    """Raise ValidationError unless ``positions`` is None or a finite 1-D array."""
+    if positions is None:
+        return
+    try:
+        pos = np.asarray(positions, dtype=float)
+    except (TypeError, ValueError):  # not numbers, or a ragged nesting
+        pos = None
+    if pos is None or pos.ndim != 1 or not np.all(np.isfinite(pos)):
+        raise ValidationError("positions must be a finite 1-D array")
 
 
 def build_linear_system(
@@ -135,6 +143,7 @@ def build_linear_system(
     configuration of cavity-coupled but mutually uncoupled atoms.
     """
     require_valid(params)
+    _require_positions(positions)
     matrix, rhs = _assemble(
         params,
         drive.delta,
@@ -181,15 +190,12 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     index of the point.  Without flagged points the stack is solved as
     given, so a batch of one costs no more than a single solve.
     """
-    cond = np.linalg.cond(matrix, 1)
-    flagged = np.flatnonzero(~(cond <= COND_MAX))  # NaN counts as flagged
-    fast = slice(None)
-    if flagged.size:
-        fast = np.ones(len(matrix), dtype=bool)
-        fast[flagged] = False
+    healthy = np.linalg.cond(matrix, 1) <= COND_MAX  # NaN counts as flagged
+    if healthy.all():
+        return np.linalg.solve(matrix, rhs[..., None])[..., 0]
     solution = np.empty_like(rhs)
-    solution[fast] = np.linalg.solve(matrix[fast], rhs[fast][..., None])[..., 0]
-    for i in flagged:
+    solution[healthy] = np.linalg.solve(matrix[healthy], rhs[healthy][..., None])[..., 0]
+    for i in np.flatnonzero(~healthy):
         try:
             solution[i] = _solve_degenerate(matrix[i], rhs[i])
         except SolverError as exc:
@@ -247,6 +253,7 @@ def reflection_amplitude(
 ) -> complex:
     """Complex reflection amplitude r for a single drive point."""
     require_valid(params)
+    _require_positions(positions)
     r = _reflection(
         params,
         drive.delta,
@@ -275,6 +282,7 @@ def reflectivity_batch(
     batch of any size (``**`` on a numpy scalar rounds through ``pow``).
     """
     require_valid(params)
+    _require_positions(positions)
     if gamma_L is not None:
         gamma_L = np.asarray(gamma_L, dtype=float)
         if not np.all((gamma_L >= 0.0) & (gamma_L <= 1.0)):
@@ -325,6 +333,7 @@ def relax_time_domain(
     also takes the closed cavity kappa_wg = 0 (nothing drives it, r = -1).
     """
     require_valid(replace(params, kappa_wg=1.0) if params.kappa_wg == 0 else params)
+    _require_positions(positions)
     matrix, rhs = _assemble(
         params,
         drive.delta,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DipNotFoundError, ValidationError
-from .params import SystemParams, cooperativity
+from .params import SystemParams, cooperativity, require_count
 # ``reflectivity`` is unused here but stays a module attribute: the benchmark
 # tracer wraps spectrum.reflectivity, and its self-test removes and restores it
 from .solver import reflectivity, reflectivity_batch  # noqa: F401
@@ -56,8 +56,13 @@ class Spectrum:
     features: tuple[Feature, ...] = ()
 
     def __post_init__(self) -> None:
-        if np.any(np.diff(self.deltas) <= 0):
+        deltas, values = np.asarray(self.deltas, dtype=float), np.asarray(self.values, dtype=float)
+        if deltas.ndim != 1 or values.shape != deltas.shape:
+            raise ValidationError("deltas and values must be 1-D arrays of equal length")
+        if np.any(np.diff(deltas) <= 0):
             raise ValidationError("delta grid must be strictly increasing")
+        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -105,8 +110,7 @@ def sweep_delta(
     params: SystemParams, delta_min: float, delta_max: float, n_points: int
 ) -> Spectrum:
     """Reflectivity on a uniform detuning grid (delta_c locked to delta)."""
-    if n_points < 2:
-        raise ValidationError("n_points must be >= 2")
+    n_points = require_count("n_points", n_points, 2)
     if not delta_max > delta_min:
         raise ValidationError("delta_max must exceed delta_min")
     deltas = np.linspace(delta_min, delta_max, n_points)
@@ -238,9 +242,7 @@ def dip_detunings(
     directional regime; for even counts this includes the on-resonance
     dip at delta = 0.
     """
-    if n_coupled < 2:
-        raise ValidationError("n_coupled must be >= 2")
-    sub = replace(params, n_atoms=int(n_coupled))
+    sub = replace(params, n_atoms=require_count("n_coupled", n_coupled, 2))
     spec = sweep_delta(sub, -span, span, n_points)
     _, _, _, delta = _extrema(spec, (1.0,), prominence_min)
     if not delta.size:

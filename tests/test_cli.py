@@ -332,6 +332,10 @@ class TestOptionsCheckedBeforeWork:
         assert_single_error_line(["repro", "fig4"], capsys)
         assert taken.read_text() == ""
 
+    @pytest.mark.parametrize("command", ["spectrum", "map", "carve"])
+    def test_overflowing_cooperativity(self, command, capsys, no_work):
+        assert_single_error_line([command, "--g", "1e155"], capsys)
+
     def test_unknown_figure_creates_nothing(self, tmp_path, capsys):
         assert_single_error_line(["repro", "fig9", "--outdir", str(tmp_path / "fresh")], capsys)
         assert list(tmp_path.iterdir()) == []

@@ -1,15 +1,29 @@
+import math
+
 import numpy as np
 import pytest
 
 from chiralcav import (
     ChiralCavError,
+    DriveParams,
     QubitRegister,
     Spectrum,
     ValidationError,
+    build_linear_system,
     cooperativity,
+    dip_detunings,
     global_rotation,
+    plan_protocol,
     reference_values,
+    reflection_amplitude,
+    reflectivity,
+    reflectivity_batch,
+    relax_time_domain,
+    run_protocol,
+    sweep_delta,
+    validate,
 )
+from chiralcav.params import require_valid
 from chiralcav.tables import DataTable, parse_csv, write_table
 from helpers import make_system
 
@@ -30,6 +44,23 @@ TABLE = DataTable(name="demo", columns=("x",), rows=np.zeros((1, 1)))
         lambda tmp: QubitRegister(m=2, amplitudes=np.zeros(4)).normalized(),
         lambda tmp: global_rotation(QubitRegister.ground(2), np.nan),
         lambda tmp: global_rotation(QubitRegister.ground(2), 1.0, phi=np.inf),
+        lambda tmp: reflectivity_batch(make_system(), np.zeros(3), positions=[0, np.inf]),
+        lambda tmp: build_linear_system(make_system(), DriveParams(), positions=[0, np.nan]),
+        lambda tmp: reflection_amplitude(make_system(), DriveParams(), positions=[[0, 1]]),
+        lambda tmp: reflectivity(make_system(), DriveParams(), positions=[0, np.nan]),
+        lambda tmp: relax_time_domain(make_system(), DriveParams(), positions=[0, np.inf]),
+        lambda tmp: reflectivity(make_system(), DriveParams(), positions=["a", "b"]),
+        lambda tmp: require_valid(make_system(g=1e155)),
+        lambda tmp: reflectivity_batch(make_system(g=1e155), 0.0),
+        lambda tmp: require_valid(make_system(n=math.nan)),
+        lambda tmp: plan_protocol(2.5, make_system()),
+        lambda tmp: run_protocol(2.5, make_system()),
+        lambda tmp: run_protocol(2, make_system(), repetitions_per_step=1.5),
+        lambda tmp: sweep_delta(make_system(), -1.0, 1.0, 10.5),
+        lambda tmp: dip_detunings(make_system(), 2.5),
+        lambda tmp: Spectrum(make_system(), np.array([0.0, 1.0]), np.zeros(3)),
+        lambda tmp: Spectrum(make_system(), np.linspace(0.0, 1.0, 3), np.zeros((3, 1))),
+        lambda tmp: Spectrum(make_system(), np.array([[0.0, 1.0, 2.0]]), np.zeros((1, 3))),
     ],
     ids=[
         "spectrum-grid",
@@ -43,6 +74,23 @@ TABLE = DataTable(name="demo", columns=("x",), rows=np.zeros((1, 1)))
         "register-zero-norm",
         "rotation-nan-theta",
         "rotation-inf-phi",
+        "batch-positions-inf",
+        "build-positions-nan",
+        "amplitude-positions-2d",
+        "reflectivity-positions-nan",
+        "relax-positions-inf",
+        "positions-not-numbers",
+        "cooperativity-overflow-valid",
+        "cooperativity-overflow-batch",
+        "n-atoms-nan",
+        "plan-m-float",
+        "run-m-float",
+        "run-repetitions-float",
+        "sweep-points-float",
+        "dip-count-float",
+        "spectrum-length",
+        "spectrum-values-2d",
+        "spectrum-deltas-2d",
     ],
 )
 def test_invalid_input_raises_package_error(call, tmp_path):
@@ -50,3 +98,35 @@ def test_invalid_input_raises_package_error(call, tmp_path):
         call(tmp_path)
     assert isinstance(info.value, ValidationError)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cooperativity_overflow_is_inf_and_reported():
+    params = make_system(g=1e155)
+    assert cooperativity(params) == math.inf
+    assert validate(params).violations == ("4 g^2 / kappa must be finite",)
+    assert cooperativity(make_system(g=20.0)) == 4.0 * 20.0**2 / 400.0
+
+
+@pytest.mark.parametrize(
+    "overrides, violations",
+    [
+        ({"g": math.inf}, ("g must be finite",)),
+        ({"g": -1e155}, ("g must be >= 0",)),
+        ({"g": 1e155, "kappa_wg": 0.0}, ("kappa_wg must be > 0",)),
+    ],
+)
+def test_cooperativity_rule_only_after_the_rates_pass(overrides, violations):
+    assert validate(make_system(**overrides)).violations == violations
+
+
+def test_integral_float_counts_behave_like_ints():
+    params = make_system()
+    spec = sweep_delta(params, -1.0, 1.0, 11.0)
+    assert np.array_equal(spec.values, sweep_delta(params, -1.0, 1.0, 11).values)
+    assert dip_detunings(make_system(n=3), 3.0) == dip_detunings(make_system(n=3), 3)
+    assert plan_protocol(3.0, params) == plan_protocol(3, params)
+    result = run_protocol(3.0, params, repetitions_per_step=2.0)
+    assert result.trace == run_protocol(3, params, repetitions_per_step=2).trace
+    register = QubitRegister(m=2.0, amplitudes=np.ones(4))
+    assert register.m == 2 and isinstance(register.m, int)
+    assert global_rotation(register, 1.0).m == 2
