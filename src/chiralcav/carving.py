@@ -37,6 +37,23 @@ MAX_QUBITS = 12
 EXTINCTION_THRESHOLD = 1e-12
 
 
+def _register_size(m) -> int:
+    """``m`` as an int; ValidationError unless it is integral and in [1, MAX_QUBITS]."""
+    m = require_count("register size", m, 1)
+    if m > MAX_QUBITS:
+        raise ValidationError(f"register size must be <= {MAX_QUBITS}")
+    return m
+
+
+def _require_bits(bits, m: int | None = None) -> str:
+    """``bits`` if it is a nonempty string of 0s and 1s (of length ``m`` if given)."""
+    if not isinstance(bits, str) or not bits or set(bits) - {"0", "1"}:
+        raise ValidationError(f"bits must be a string of 0s and 1s, got {bits!r}")
+    if m is not None and len(bits) != m:
+        raise ValidationError(f"bits must have length {m}, got {bits!r}")
+    return bits
+
+
 @dataclass(frozen=True)
 class QubitRegister:
     """Dense state vector over {0,1}^M basis strings.
@@ -50,10 +67,7 @@ class QubitRegister:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        m = require_count("register size", self.m, 1)
-        if m > MAX_QUBITS:
-            raise ValidationError(f"register size must be <= {MAX_QUBITS}")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _register_size(self.m))
         amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if amplitudes.shape != (2**self.m,):
             raise ValidationError("amplitude vector must have length 2**m")
@@ -64,14 +78,14 @@ class QubitRegister:
     @classmethod
     def ground(cls, m: int) -> "QubitRegister":
         """All-uncoupled register |0...0>."""
-        amps = np.zeros(2**m, dtype=complex)
+        amps = np.zeros(2 ** _register_size(m), dtype=complex)
         amps[0] = 1.0
         return cls(m=m, amplitudes=amps)
 
     @classmethod
     def from_bits(cls, bits: str) -> "QubitRegister":
         """Computational basis state from a string like "011"."""
-        m = len(bits)
+        m = _register_size(len(_require_bits(bits)))
         amps = np.zeros(2**m, dtype=complex)
         amps[int(bits, 2)] = 1.0
         return cls(m=m, amplitudes=amps)
@@ -79,13 +93,14 @@ class QubitRegister:
     @classmethod
     def w_state(cls, m: int) -> "QubitRegister":
         """Equal superposition of all single-coupled basis states."""
+        m = _register_size(m)
         amps = np.zeros(2**m, dtype=complex)
         for site in range(m):
             amps[1 << (m - 1 - site)] = 1.0 / math.sqrt(m)
         return cls(m=m, amplitudes=amps)
 
     def amplitude(self, bits: str) -> complex:
-        return complex(self.amplitudes[int(bits, 2)])
+        return complex(self.amplitudes[int(_require_bits(bits, self.m), 2)])
 
     @property
     def norm(self) -> float:
@@ -164,13 +179,15 @@ def component_reflection(
 ) -> complex:
     """Reflection amplitude of the subsystem coupled in component ``bits``.
 
-    Uncoupled atoms are removed entirely; the coupled ones keep their
-    lattice positions.  A component with no coupled atom reflects like
-    the bare cavity.  This removal route is independent of the masked
-    batch that :func:`carving_measurement` solves.
+    ``bits`` is a string of 0s and 1s, or a tuple of the coupled site
+    indices (not of bits).  Uncoupled atoms are removed entirely; the
+    coupled ones keep their lattice positions.  A component with no
+    coupled atom reflects like the bare cavity.  This removal route is
+    independent of the masked batch that :func:`carving_measurement`
+    solves.
     """
     if isinstance(bits, str):
-        sites = tuple(i for i, b in enumerate(bits) if b == "1")
+        sites = tuple(i for i, b in enumerate(_require_bits(bits)) if b == "1")
     else:
         sites = tuple(bits)
     return reflection_amplitude(

@@ -118,7 +118,7 @@ def _assemble(
 
 
 def _require_positions(positions) -> None:
-    """Raise ValidationError unless ``positions`` is None or a finite 1-D array."""
+    """Raise ValidationError unless ``positions`` is None or distinct finite sites in 1-D."""
     if positions is None:
         return
     try:
@@ -127,6 +127,21 @@ def _require_positions(positions) -> None:
         pos = None
     if pos is None or pos.ndim != 1 or not np.all(np.isfinite(pos)):
         raise ValidationError("positions must be a finite 1-D array")
+    if np.unique(pos).size < pos.size:  # coincident atoms make a gain medium
+        raise ValidationError("positions must be distinct")
+
+
+def _drive_system(params: SystemParams, drive: DriveParams, positions, independent_atoms):
+    """(matrix, rhs) of one drive point, after checking ``positions``."""
+    _require_positions(positions)
+    return _assemble(
+        params,
+        drive.delta,
+        drive.delta_c,
+        drive.a_in,
+        positions=positions,
+        independent_atoms=independent_atoms,
+    )
 
 
 def build_linear_system(
@@ -143,39 +158,40 @@ def build_linear_system(
     configuration of cavity-coupled but mutually uncoupled atoms.
     """
     require_valid(params)
-    _require_positions(positions)
-    matrix, rhs = _assemble(
-        params,
-        drive.delta,
-        drive.delta_c,
-        drive.a_in,
-        positions=positions,
-        independent_atoms=independent_atoms,
-    )
-    return LinearSystem(matrix=matrix, rhs=rhs)
+    return LinearSystem(*_drive_system(params, drive, positions, independent_atoms))
 
 
-def _solve_degenerate(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Resolve a singular system if its null modes are genuinely dark.
+def _solve_degenerate(matrix: np.ndarray, rhs: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Resolve a stack of singular systems if their null modes are genuinely dark.
 
     A mode may be exactly degenerate (e.g. the undamped subradiant pair
     mode at gamma_L = 1/2, xi = n*pi, delta = 0).  If every null vector
     is simultaneously a left and right null vector and carries no drive,
     the mode is never populated when relaxing from vacuum and the
     physical steady state is the minimum-norm solution.  Anything else
-    is a true degeneracy and raises SolverError.
+    is a true degeneracy and raises SolverError naming ``index``, the
+    caller's flat index, of the first failing system.
     """
     u, s, vh = np.linalg.svd(matrix)
-    scale = s[0]
-    rank = int(np.count_nonzero(s > _NULL_CUTOFF * scale))  # lstsq's rcond rule
-    solution = vh[:rank].conj().T @ ((u[:, :rank].conj().T @ rhs) / s[:rank])
-    residual = np.linalg.norm(matrix @ solution - rhs)
-    if residual > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-        raise SolverError(f"steady-state system is inconsistent (residual {residual:.3e})")
-    for row in vh[rank:]:  # row.conj() is a right null vector; must be a left one too
-        driven = abs(row @ rhs) > 1e-10 * np.linalg.norm(rhs)
-        if np.linalg.norm(row @ matrix) > 1e-10 * scale or driven:
-            raise SolverError("steady-state system is singular with a driven null mode")
+    scale = s[:, :1]
+    kept = s > _NULL_CUTOFF * scale  # each point's rank by lstsq's rcond rule
+    coeff = (np.conj(u).swapaxes(-1, -2) @ rhs[..., None])[..., 0]
+    coeff = np.where(kept, coeff / np.where(kept, s, 1.0), 0.0)
+    solution = (np.conj(vh).swapaxes(-1, -2) @ coeff[..., None])[..., 0]
+    residual = np.linalg.norm((matrix @ solution[..., None])[..., 0] - rhs, axis=-1)
+    rhs_norm = np.linalg.norm(rhs, axis=-1)
+    inconsistent = residual > 1e-8 * np.maximum(1.0, rhs_norm)
+    # a row of vh beyond the rank is a conjugated right null vector; it
+    # must be a left one too and carry no drive
+    leaky = np.linalg.norm(vh @ matrix, axis=-1) > 1e-10 * scale
+    driven = np.abs((vh @ rhs[..., None])[..., 0]) > 1e-10 * rhs_norm[:, None]
+    failed = inconsistent | np.any(~kept & (leaky | driven), axis=-1)
+    if failed.any():
+        i = np.argmax(failed)
+        fault = "singular with a driven null mode"
+        if inconsistent[i]:
+            fault = f"inconsistent (residual {residual[i]:.3e})"
+        raise SolverError(f"steady-state system is {fault} (flat index {index[i]})")
     return solution
 
 
@@ -185,33 +201,31 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     Every point gets one 1-norm condition number (an LU inverse, not
     the SVD of the 2-norm; the two differ by at most a factor d, far
     inside the gap between flagged and healthy points).  Well-conditioned
-    points share one batched dense solve; flagged points go through the
-    dark-mode rule of ``_solve_degenerate``, whose errors name the flat
-    index of the point.  Without flagged points the stack is solved as
-    given, so a batch of one costs no more than a single solve.
+    points share one batched dense solve; flagged points share one call
+    of the dark-mode rule of ``_solve_degenerate``, whose errors name the
+    flat index of the point.  Without flagged points the stack is solved
+    as given, so a batch of one costs no more than a single solve.
     """
     healthy = np.linalg.cond(matrix, 1) <= COND_MAX  # NaN counts as flagged
     if healthy.all():
         return np.linalg.solve(matrix, rhs[..., None])[..., 0]
     solution = np.empty_like(rhs)
     solution[healthy] = np.linalg.solve(matrix[healthy], rhs[healthy][..., None])[..., 0]
-    for i in np.flatnonzero(~healthy):
-        try:
-            solution[i] = _solve_degenerate(matrix[i], rhs[i])
-        except SolverError as exc:
-            raise SolverError(f"{exc} (flat index {i})") from exc
+    flagged = ~healthy
+    solution[flagged] = _solve_degenerate(matrix[flagged], rhs[flagged], np.flatnonzero(flagged))
     return solution
 
 
-def _reflection(params: SystemParams, delta, delta_c=None, a_in=1.0, **system) -> np.ndarray:
-    """Reflection amplitudes r over the leading axes of ``_assemble``.
+def _reflection(params: SystemParams, delta, **system) -> np.ndarray:
+    """Reflection amplitudes r over the leading axes of ``_assemble`` for
+    a_in = 1 and delta_c locked to delta.
 
     No validation: callers check their inputs once before calling.
     """
-    matrix, rhs = _assemble(params, delta, delta_c, a_in, **system)
+    matrix, rhs = _assemble(params, delta, **system)
     dim = rhs.shape[-1]
     solution = _solve(matrix.reshape(-1, dim, dim), rhs.reshape(-1, dim))
-    r = np.sqrt(params.kappa_wg) * solution[:, 0] / a_in - 1.0
+    r = np.sqrt(params.kappa_wg) * solution[:, 0] - 1.0
     return r.reshape(rhs.shape[:-1])
 
 
@@ -253,16 +267,8 @@ def reflection_amplitude(
 ) -> complex:
     """Complex reflection amplitude r for a single drive point."""
     require_valid(params)
-    _require_positions(positions)
-    r = _reflection(
-        params,
-        drive.delta,
-        drive.delta_c,
-        drive.a_in,
-        positions=positions,
-        independent_atoms=independent_atoms,
-    )
-    return complex(r)
+    matrix, rhs = _drive_system(params, drive, positions, independent_atoms)
+    return _steady_state_from(_solve(matrix[None], rhs[None])[0], params, drive).r
 
 
 def reflectivity_batch(
@@ -333,15 +339,7 @@ def relax_time_domain(
     also takes the closed cavity kappa_wg = 0 (nothing drives it, r = -1).
     """
     require_valid(replace(params, kappa_wg=1.0) if params.kappa_wg == 0 else params)
-    _require_positions(positions)
-    matrix, rhs = _assemble(
-        params,
-        drive.delta,
-        drive.delta_c,
-        drive.a_in,
-        positions=positions,
-        independent_atoms=independent_atoms,
-    )
+    matrix, rhs = _drive_system(params, drive, positions, independent_atoms)
     dim = matrix.shape[0]
     bound = _gershgorin_bound(matrix)
     h = dt if dt is not None else (1.0 / bound if bound > 0 else 1.0)

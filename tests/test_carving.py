@@ -197,15 +197,18 @@ class TestCarvingMeasurement:
         calls = []
         degenerate = solver._solve_degenerate
 
-        def counting(matrix, rhs):
-            calls.append(matrix.shape)
-            return degenerate(matrix, rhs)
+        def counting(matrix, rhs, index):
+            calls.append((matrix.shape[1:], set(index.tolist())))
+            return degenerate(matrix, rhs, index)
 
         monkeypatch.setattr(solver, "_solve_degenerate", counting)
         params = template(3, gamma_L=0.5, xi=0.0)
         state = global_rotation(QubitRegister.ground(3), math.pi / 2)
         r = carving_measurement(state, params, 0.0).per_component_r
-        assert (4, 4) in calls
+        # one call for the whole flagged stack, holding both adjacent pairs
+        assert len(calls) == 1
+        shape, flagged = calls[0]
+        assert shape == (4, 4) and {0b110, 0b011} <= flagged
         ode = relax_time_domain(params, DriveParams(), positions=[0, 1]).r
         for bits in ("110", "011"):
             assert r[int(bits, 2)] == pytest.approx(ode, abs=1e-8)

@@ -10,6 +10,7 @@ from chiralcav import (
     Spectrum,
     ValidationError,
     build_linear_system,
+    component_reflection,
     cooperativity,
     dip_detunings,
     global_rotation,
@@ -61,6 +62,21 @@ TABLE = DataTable(name="demo", columns=("x",), rows=np.zeros((1, 1)))
         lambda tmp: Spectrum(make_system(), np.array([0.0, 1.0]), np.zeros(3)),
         lambda tmp: Spectrum(make_system(), np.linspace(0.0, 1.0, 3), np.zeros((3, 1))),
         lambda tmp: Spectrum(make_system(), np.array([[0.0, 1.0, 2.0]]), np.zeros((1, 3))),
+        lambda tmp: reflectivity(make_system(n=3), DriveParams(), positions=[0, 0, 1]),
+        lambda tmp: reflectivity_batch(make_system(n=3), 0.0, positions=[0, 0, 1]),
+        lambda tmp: build_linear_system(make_system(n=3), DriveParams(), positions=[0, 0, 1]),
+        lambda tmp: relax_time_domain(make_system(n=3), DriveParams(), positions=[0, 0, 1]),
+        lambda tmp: component_reflection((1, 0, 1), make_system(n=3), 0.0),
+        lambda tmp: QubitRegister.from_bits("012"),
+        lambda tmp: QubitRegister.from_bits("1_0"),
+        lambda tmp: QubitRegister.from_bits(""),
+        lambda tmp: QubitRegister.from_bits("1" * 64),
+        lambda tmp: QubitRegister.ground(64),
+        lambda tmp: QubitRegister.w_state(64),
+        lambda tmp: QubitRegister.w_state(3).amplitude("1"),
+        lambda tmp: QubitRegister.w_state(3).amplitude("1111"),
+        lambda tmp: QubitRegister.w_state(3).amplitude(" 10"),
+        lambda tmp: component_reflection("1x1", make_system(n=3), 0.0),
     ],
     ids=[
         "spectrum-grid",
@@ -91,6 +107,21 @@ TABLE = DataTable(name="demo", columns=("x",), rows=np.zeros((1, 1)))
         "spectrum-length",
         "spectrum-values-2d",
         "spectrum-deltas-2d",
+        "reflectivity-positions-repeated",
+        "batch-positions-repeated",
+        "build-positions-repeated",
+        "relax-positions-repeated",
+        "component-sites-repeated",
+        "from-bits-digit-2",
+        "from-bits-underscore",
+        "from-bits-empty",
+        "from-bits-64",
+        "ground-64",
+        "w-state-64",
+        "amplitude-bits-short",
+        "amplitude-bits-long",
+        "amplitude-bits-space",
+        "component-bits-letter",
     ],
 )
 def test_invalid_input_raises_package_error(call, tmp_path):

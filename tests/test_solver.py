@@ -6,9 +6,14 @@ import pytest
 from chiralcav import (
     DriveParams,
     LinearSystem,
+    PoleError,
+    QubitRegister,
     SolverError,
     ValidationError,
     build_linear_system,
+    carving_measurement,
+    component_reflection,
+    global_rotation,
     r_no_atoms,
     r_two_atoms,
     reflection_amplitude,
@@ -345,3 +350,80 @@ class TestDegeneracyTest:
         flagged = [np.linalg.cond(matrix, p) > solver.COND_MAX for p in (1, None)]
         assert np.array_equal(flagged[0], flagged[1])
         assert sorted(zip(*np.nonzero(flagged[0]))) == [(0, 20), (80, 20), (160, 20)]
+
+
+def bits(value):
+    """The uint64 view of a complex or float value, signed zeros included."""
+    return np.atleast_1d(value).view(np.uint64).tolist()
+
+
+class TestDarkModeStack:
+    """One stack mixing healthy, dark and failing points through ``_solve``."""
+
+    SYSTEMS = {
+        "healthy": build_linear_system(make_system(gamma_L=0.8, xi=0.3), DriveParams()),
+        "dark": build_linear_system(make_system(gamma_L=0.5, xi=0.0), DriveParams()),
+        "dark-pi": build_linear_system(make_system(gamma_L=0.5, xi=math.pi), DriveParams()),
+        "inconsistent": LinearSystem(np.zeros((3, 3), dtype=complex), np.ones(3, dtype=complex)),
+        "driven": LinearSystem(
+            np.array([[0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=complex), np.ones(3, dtype=complex)
+        ),
+        # consistent and undriven, but the right null vector e_2 is not a left one
+        "not-left-null": LinearSystem(
+            np.array([[1, 0, 0], [0, 0, 0], [0, 1, 0]], dtype=complex), np.eye(3, dtype=complex)[0]
+        ),
+    }
+
+    def solve(self, *names):
+        systems = [self.SYSTEMS[name] for name in names]
+        return solver._solve(
+            np.stack([system.matrix for system in systems]),
+            np.stack([system.rhs for system in systems]),
+        )
+
+    def test_errors_name_the_first_failing_flat_index(self):
+        with pytest.raises(SolverError, match=r"inconsistent .*\(flat index 2\)"):
+            self.solve("healthy", "dark", "inconsistent", "driven")
+        for failing in ("driven", "not-left-null"):
+            with pytest.raises(SolverError, match=r"null mode \(flat index 2\)"):
+                self.solve("healthy", "dark", failing)
+
+    def test_dark_points_in_a_stack_equal_batches_of_one(self):
+        solution = self.solve("healthy", "dark", "healthy", "dark-pi")
+        for i, name in ((1, "dark"), (3, "dark-pi")):
+            assert bits(solution[i]) == bits(self.solve(name)[0])
+        assert bits(solution[0]) == bits(solution[2]) == bits(self.solve("healthy")[0])
+
+
+class TestDarkPoints:
+    """The subradiant points gamma_L = 1/2, xi = n pi, delta = 0 on every route.
+
+    At xi = 0 (2 pi is stored as 0) the LU meets an exact zero pivot and
+    the condition number is inf; at xi = pi, where e^{i pi} rounds off -1,
+    it is about 1e18.  Both take the dark-mode rule, with the atoms
+    decoupled from the cavity (g = 0) or not (g = 20).
+    """
+
+    @pytest.mark.parametrize("g", [0.0, 20.0])
+    @pytest.mark.parametrize("xi", [0.0, math.pi, 2 * math.pi])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_routes_agree(self, n, xi, g):
+        params = make_system(n=n, gamma_L=0.5, g=g, xi=xi)
+        r = reflection_amplitude(params, DriveParams())
+        state = steady(params)
+        assert bits(state.r) == bits(r)
+        assert bits(state.R) == bits(reflectivity_batch(params, 0.0))
+        assert bits(reflectivity(params, DriveParams())) == bits(state.R)
+
+        register = global_rotation(QubitRegister.ground(n), math.pi / 2)
+        carved = carving_measurement(register, params, 0.0).per_component_r
+        removed = [component_reflection(format(i, f"0{n}b"), params, 0.0) for i in range(2**n)]
+        assert np.max(np.abs(carved - removed)) <= 1e-12
+        assert relax_time_domain(params, DriveParams()).r == pytest.approx(r, abs=1e-8)
+
+        if n == 2 and g > 0:
+            if params.xi == 0.0:  # 2 pi is stored as 0
+                with pytest.raises(PoleError):
+                    r_two_atoms(0.0, params)
+            else:  # e^{2 i pi} rounds off 1, and the 0/0 cancels to the limit
+                assert r_two_atoms(0.0, params) == pytest.approx(r, abs=1e-12)
