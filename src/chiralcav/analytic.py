@@ -34,8 +34,10 @@ def r_two_atoms(delta: float, params: SystemParams) -> complex:
     for r.  Depends on xi only through e^{2 i xi}, hence is pi-periodic
     in the interatomic phase.  Exact poles are reported, never
     regularized; in particular the subradiant point
-    (delta = 0, xi = n pi, gamma_L = 1/2) is a genuine 0/0 of this
-    expression and raises PoleError.
+    (delta = 0, xi = 0, gamma_L = 1/2) is a genuine 0/0 of this
+    expression and raises PoleError.  At xi = pi it does not raise: the
+    rounded phase e^{2 i pi} = 1 - 2.4e-16j leaves the bracket at
+    6e-17j, and the 0/0 cancels to the limit.
     """
     d_at = 1j * delta - 0.5
     e2 = cmath.exp(2j * params.xi)

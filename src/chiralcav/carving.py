@@ -174,22 +174,16 @@ def global_rotation(state: QubitRegister, theta: float, phi: float = 0.0) -> Qub
     return QubitRegister(m=state.m, amplitudes=psi.reshape(-1))
 
 
-def component_reflection(
-    bits: str | tuple[int, ...], params_template: SystemParams, delta: float
-) -> complex:
+def component_reflection(bits: str, params_template: SystemParams, delta: float) -> complex:
     """Reflection amplitude of the subsystem coupled in component ``bits``.
 
-    ``bits`` is a string of 0s and 1s, or a tuple of the coupled site
-    indices (not of bits).  Uncoupled atoms are removed entirely; the
-    coupled ones keep their lattice positions.  A component with no
-    coupled atom reflects like the bare cavity.  This removal route is
-    independent of the masked batch that :func:`carving_measurement`
-    solves.
+    ``bits`` is a string of 0s and 1s; anything else raises
+    ValidationError.  Uncoupled atoms are removed entirely; the coupled
+    ones keep their lattice positions.  A component with no coupled atom
+    reflects like the bare cavity.  This removal route is independent of
+    the masked batch that :func:`carving_measurement` solves.
     """
-    if isinstance(bits, str):
-        sites = tuple(i for i, b in enumerate(_require_bits(bits)) if b == "1")
-    else:
-        sites = tuple(bits)
+    sites = [i for i, b in enumerate(_require_bits(bits)) if b == "1"]
     return reflection_amplitude(
         params_template, DriveParams(delta=delta), positions=np.array(sites, dtype=float)
     )
@@ -246,9 +240,7 @@ def plan_protocol(
     system, on the side selected by ``dip_sign``.  Total steps: M/2 for
     even M, (M+1)/2 for odd M.
     """
-    m = require_count("m", m, 2)
-    if m > MAX_QUBITS:
-        raise ValidationError(f"register size must be <= {MAX_QUBITS}")
+    m = _register_size(require_count("m", m, 2))
     if dip_sign not in (1, -1):
         raise ValidationError("dip_sign must be +1 or -1")
     require_valid(params_template)

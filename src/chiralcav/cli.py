@@ -135,6 +135,8 @@ def _merge_options(args: argparse.Namespace, command: str) -> dict:
     for key in ("precision", "xi_points", "gamma_l_points"):
         if key in merged and merged[key] < 1:
             raise ValidationError(f"{key} must be >= 1")
+    if "prominence" in merged and not merged["prominence"] >= 0:  # NaN fails too
+        raise ValidationError("prominence must be >= 0")
     # paths: the output file's directory must exist; repro creates its
     # outdir, so the nearest existing ancestor must be a directory
     if merged.get("output"):

@@ -84,15 +84,17 @@ def golden_section_minimize(f, lo, hi, tol: float = REFINE_TOL):
 
     ``lo`` and ``hi`` are floats or broadcastable arrays of brackets.
     Every step makes one call ``f(points)`` with one trial point per
-    bracket, shaped like the brackets, and a bracket stops shrinking
-    once it is narrower than ``tol``.  Scalar brackets return a float.
+    bracket, shaped like the brackets.  A bracket stops once it is
+    narrower than ``tol`` or a trial point is not strictly inside it, so
+    each step shrinks every live bracket and the search always ends,
+    also where float spacing exceeds ``tol``.  Scalar brackets return a float.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc, fd = f(c), f(d)
-    shrink = hi - lo > tol
+    shrink = (hi - lo > tol) & (lo < c) & (d < hi)
     while np.any(shrink):
         left = fc < fd  # the minimum lies in [lo, d]
         lo = np.where(shrink & ~left, c, lo)
@@ -101,7 +103,7 @@ def golden_section_minimize(f, lo, hi, tol: float = REFINE_TOL):
         c, d = np.where(left, hi - invphi * (hi - lo), d), np.where(left, c, lo + invphi * (hi - lo))
         new = f(np.where(left, c, d))
         fc, fd = np.where(left, new, fd), np.where(left, fc, new)
-        shrink = hi - lo > tol
+        shrink &= (hi - lo > tol) & (lo < c) & (d < hi)
     mid = 0.5 * (lo + hi)
     return float(mid) if mid.ndim == 0 else mid
 
@@ -204,7 +206,7 @@ def _widths(spec: Spectrum, index, level, sign) -> np.ndarray:
 
 
 def find_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> tuple[Feature, ...]:
-    """Locate and refine all dips and peaks above ``prominence_min``.
+    """Locate and refine all dips and peaks above ``prominence_min`` >= 0.
 
     Grid candidates come from topographic prominence on the sampled
     curve; all of them are then refined together by golden-section
@@ -214,6 +216,8 @@ def find_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> tup
     """
     if spec.deltas.size == 0:
         raise ValidationError("empty spectrum")
+    if not prominence_min >= 0:  # NaN fails too
+        raise ValidationError(f"prominence_min must be >= 0, got {prominence_min}")
     index, sign, prominence, delta = _extrema(spec, (1.0, -1.0), prominence_min)
     value = reflectivity_batch(spec.params, delta)
     width = _widths(spec, index, value + sign * prominence / 2.0, sign)
@@ -224,30 +228,24 @@ def find_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> tup
     return tuple(sorted(features, key=lambda feat: feat.delta))
 
 
-def with_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> Spectrum:
-    """Copy of ``spec`` with its feature list populated."""
-    return replace(spec, features=find_features(spec, prominence_min))
+def with_features(spec: Spectrum) -> Spectrum:
+    """Copy of ``spec`` with its features above ``PROMINENCE_MIN``."""
+    return replace(spec, features=find_features(spec))
 
 
-def dip_detunings(
-    params: SystemParams,
-    n_coupled: int,
-    span: float = DIP_SPAN,
-    n_points: int = DIP_POINTS,
-    prominence_min: float = PROMINENCE_MIN,
-) -> list[float]:
+def dip_detunings(params: SystemParams, n_coupled: int, n_points: int = DIP_POINTS) -> list[float]:
     """Refined dip locations of the ``n_coupled``-atom system.
 
-    The n_coupled-atom spectrum carries n_coupled - 1 dips in the
-    directional regime; for even counts this includes the on-resonance
-    dip at delta = 0.
+    Dips above ``PROMINENCE_MIN`` on ``n_points`` over +-DIP_SPAN.  The
+    n_coupled-atom spectrum carries n_coupled - 1 dips in the directional
+    regime; for even counts this includes the on-resonance dip at delta = 0.
     """
     sub = replace(params, n_atoms=require_count("n_coupled", n_coupled, 2))
-    spec = sweep_delta(sub, -span, span, n_points)
-    _, _, _, delta = _extrema(spec, (1.0,), prominence_min)
+    spec = sweep_delta(sub, -DIP_SPAN, DIP_SPAN, n_points)
+    _, _, _, delta = _extrema(spec, (1.0,), PROMINENCE_MIN)
     if not delta.size:
         raise DipNotFoundError(
-            f"no dip above prominence {prominence_min} for n_coupled={n_coupled}"
+            f"no dip above prominence {PROMINENCE_MIN} for n_coupled={n_coupled}"
         )
     return sorted(delta.tolist())
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .params import require_count
 
 DEFAULT_DIGITS = 12
 
@@ -31,11 +32,12 @@ class DataTable:
 
 
 def fmt(value: float, digits: int = DEFAULT_DIGITS) -> str:
-    """Format one float with a fixed significant-digit budget."""
-    return format(float(value), f".{digits}g")
+    """Format one float with a fixed significant-digit budget (an integer >= 1)."""
+    return format(float(value), f".{require_count('digits', digits, 1)}g")
 
 
 def render_csv(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
+    digits = require_count("digits", digits, 1)
     lines = [f"# {key} = {val}" for key, val in table.meta.items()]
     lines.append(",".join(table.columns))
     rows = np.atleast_2d(np.asarray(table.rows, dtype=float))
@@ -50,11 +52,12 @@ def render_csv(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
 
 
 def render_json(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
+    number = f"%.{require_count('digits', digits, 1)}g"  # fmt's format, checked once
     payload = {
         "name": table.name,
         "meta": dict(table.meta),
         "columns": list(table.columns),
-        "rows": [[float(fmt(v, digits)) for v in row] for row in np.atleast_2d(table.rows)],
+        "rows": [[float(number % v) for v in row] for row in np.atleast_2d(table.rows)],
         "features": [
             {
                 "kind": kind,

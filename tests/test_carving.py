@@ -54,6 +54,11 @@ class TestQubitRegister:
         with pytest.raises(ValidationError):
             QubitRegister(m=2, amplitudes=np.ones(3, dtype=complex))
 
+    def test_normalized(self):
+        reg = QubitRegister(m=1, amplitudes=[3.0, 4.0j]).normalized()
+        assert np.allclose(reg.amplitudes, [0.6, 0.8j], rtol=0, atol=1e-15)
+        assert reg.m == 1
+
 
 class TestGlobalRotation:
     def test_half_pi_on_two_qubit_ground(self):
@@ -275,6 +280,10 @@ class TestPlanProtocol:
     def test_minimum_register(self, base_params):
         with pytest.raises(ValidationError):
             plan_protocol(1, base_params)
+
+    def test_maximum_register(self, base_params):
+        with pytest.raises(ValidationError, match=r"^register size must be <= 12$"):
+            plan_protocol(13, base_params)
 
 
 class TestRunProtocol:

@@ -79,6 +79,14 @@ class TestSpectrumCommand:
         assert payload["columns"] == ["delta_over_gamma", "R"]
         assert len(payload["rows"]) == 51
 
+    def test_large_detuning_feature_search_ends(self, capsys):
+        args = ["spectrum", "--n", "1", "--g", "1e10", "--delta-min=-1.2e10", "--delta-max=-0.8e10"]
+        code, out = run_cli([*args, "--points", "401"], capsys)
+        assert code == 0
+        (feature,) = parse_csv(out).features
+        assert feature[0] == "dip"
+        assert feature[1] == pytest.approx(-1e10, rel=1e-12)
+
 
 class TestGridErrors:
     @pytest.mark.parametrize(
@@ -298,6 +306,13 @@ class TestOptionsCheckedBeforeWork:
     @pytest.mark.parametrize("precision", ["0", "-1"])
     def test_precision_below_one(self, precision, capsys, no_work):
         assert_single_error_line(["spectrum", "--precision", precision], capsys)
+
+    @pytest.mark.parametrize("prominence", ["nan", "-1e-3"])
+    def test_prominence_not_a_nonnegative_number(self, prominence, tmp_path, capsys, no_work):
+        assert_single_error_line(["spectrum", f"--prominence={prominence}"], capsys)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"prominence = {prominence}\n")
+        assert_single_error_line(["spectrum", "--config", str(config)], capsys)
 
     @pytest.mark.parametrize("line", ["n_atoms = abc", "points = 1.5", "g = twenty"])
     def test_config_value_that_does_not_parse(self, line, tmp_path, capsys, no_work):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from chiralcav import (
     component_reflection,
     cooperativity,
     dip_detunings,
+    find_features,
     global_rotation,
     plan_protocol,
     reference_values,
@@ -23,12 +25,14 @@ from chiralcav import (
     run_protocol,
     sweep_delta,
     validate,
+    with_features,
 )
 from chiralcav.params import require_valid
-from chiralcav.tables import DataTable, parse_csv, write_table
+from chiralcav.tables import DataTable, fmt, parse_csv, render_csv, render_json, write_table
 from helpers import make_system
 
 TABLE = DataTable(name="demo", columns=("x",), rows=np.zeros((1, 1)))
+SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
 
 
 @pytest.mark.parametrize(
@@ -77,6 +81,18 @@ TABLE = DataTable(name="demo", columns=("x",), rows=np.zeros((1, 1)))
         lambda tmp: QubitRegister.w_state(3).amplitude("1111"),
         lambda tmp: QubitRegister.w_state(3).amplitude(" 10"),
         lambda tmp: component_reflection("1x1", make_system(n=3), 0.0),
+        lambda tmp: component_reflection((1, 0), make_system(), 0.0),
+        lambda tmp: component_reflection(b"10", make_system(), 0.0),
+        lambda tmp: find_features(SPECTRUM, math.nan),
+        lambda tmp: find_features(SPECTRUM, -1e-3),
+        lambda tmp: fmt(1.5, 0),
+        lambda tmp: fmt(1.5, -1),
+        lambda tmp: fmt(1.5, 2.5),
+        lambda tmp: render_csv(TABLE, 0),
+        lambda tmp: render_json(TABLE, 0),
+        lambda tmp: render_json(TABLE, -1),
+        lambda tmp: write_table(TABLE, tmp / "demo.csv", "csv", 0),
+        lambda tmp: write_table(TABLE, tmp / "demo.json", "json", -1),
     ],
     ids=[
         "spectrum-grid",
@@ -122,6 +138,18 @@ TABLE = DataTable(name="demo", columns=("x",), rows=np.zeros((1, 1)))
         "amplitude-bits-long",
         "amplitude-bits-space",
         "component-bits-letter",
+        "component-bits-tuple",
+        "component-bits-bytes",
+        "features-prominence-nan",
+        "features-prominence-negative",
+        "fmt-digits-0",
+        "fmt-digits-negative",
+        "fmt-digits-float",
+        "csv-digits-0",
+        "json-digits-0",
+        "json-digits-negative",
+        "write-csv-digits-0",
+        "write-json-digits-negative",
     ],
 )
 def test_invalid_input_raises_package_error(call, tmp_path):
@@ -129,6 +157,21 @@ def test_invalid_input_raises_package_error(call, tmp_path):
         call(tmp_path)
     assert isinstance(info.value, ValidationError)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "func, name",
+    [
+        (relax_time_domain, "dt"),
+        (relax_time_domain, "tol"),
+        (dip_detunings, "span"),
+        (dip_detunings, "prominence_min"),
+        (with_features, "prominence_min"),
+    ],
+)
+def test_no_tuning_knob(func, name):
+    # the step, tolerances and dip window are module rules, not arguments
+    assert name not in inspect.signature(func).parameters
 
 
 def test_cooperativity_overflow_is_inf_and_reported():

@@ -315,6 +315,15 @@ class TestRelaxation:
         assert ode.r == -1.0
         assert ode.R == 1.0
 
+    @pytest.mark.parametrize("a_in", [1e-12, 1e-9, 1e-6, 1.0, 1e6, 2 - 0.4j])
+    def test_independent_of_drive_amplitude(self, a_in):
+        params = make_system(xi=0.3)
+        drive = DriveParams(a_in=a_in)
+        ode = relax_time_domain(params, drive)
+        assert abs(ode.R - reflectivity(params, drive)) < 1e-10
+        unit = relax_time_domain(params, DriveParams())
+        assert abs(ode.a / a_in - unit.a) < 1e-10 * abs(unit.a)
+
     def test_nonconvergence_reports_residual(self):
         params = make_system(g=50.0)  # narrow dip, slow relaxation
         with pytest.raises(SolverError, match="residual"):

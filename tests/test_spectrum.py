@@ -154,6 +154,19 @@ class TestBatchedRefinement:
             reference = golden_section_scalar(f, lo[k], hi[k], 1e-6)
             assert batched[k] == golden_section_minimize(f, lo[k], hi[k]) == reference
 
+    def test_bracket_at_float_resolution_ends(self):
+        # at 1e10 the float spacing (1.9e-6) exceeds the 1e-6 tolerance
+        found = golden_section_minimize(lambda x: (x - 1e10) ** 2, 1e10 - 1, 1e10 + 1)
+        assert abs(found - 1e10) <= 2 * np.spacing(1e10)
+
+    def test_bracket_at_float_resolution_leaves_others_alone(self):
+        def f(x):
+            return (x - np.where(x > 1e5, 1e10, 0.3)) ** 2
+
+        found = golden_section_minimize(f, np.array([1e10 - 1, 0.0]), np.array([1e10 + 1, 1.0]))
+        assert abs(found[0] - 1e10) <= 2 * np.spacing(1e10)
+        assert found[1] == golden_section_minimize(lambda x: (x - 0.3) ** 2, 0.0, 1.0)
+
     def test_scalar_bracket_returns_float(self):
         found = golden_section_minimize(lambda x: (x - 0.3) ** 2, 0.0, 1.0)
         assert type(found) is float
