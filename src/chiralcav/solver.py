@@ -11,13 +11,20 @@ linear system  M v = rhs  with
              - i g e^{+i xi p_mu} a  =  0
 
 where p_mu are the atom positions in units of the lattice spacing
-(p_mu = mu - 1 for the equidistant array).  The cascaded structure of the
-atom block -- emission to the left drives atoms at smaller positions only,
-emission to the right the converse -- is what produces the chiral
-interference the rest of the package probes.
-
-The reflected amplitude follows from the input-output boundary relation
+(p_mu = mu - 1 for the equidistant array).  The reflected amplitude
+follows from the input-output boundary relation
 a_out + a_in = sqrt(kappa_wg) a, i.e. r = sqrt(kappa_wg) a / a_in - 1.
+
+The atom block is cascaded, so each atom is a two-port scatterer on the
+waveguide: with w = i delta - 1/2, the source c = i g e^{i xi p} per unit a
+and incoming right- and left-moving fields, sigma = (c + R_in + L_in)/w,
+R_out = R_in + gamma_R sigma and L_out = L_in + gamma_L sigma; the cavity
+sees O = g sum e^{-i xi p} sigma.  ``_fold`` composes the sorted sites by the
+Redheffer star product in O(N), dividing by the Fabry-Perot denominator
+D = 1 - e^{2 i xi dp} r_left r_atom at each junction; a = -sqrt(kappa_wg) /
+(i delta_c - kappa/2 - i O).  Points with a non-finite fold or |D| <= 1/COND_MAX
+(D = 0: a dark state) go to the dense solve and its dark-mode rule; the dense
+``build_linear_system``, ``solve_steady_state``, ``relax_time_domain`` are oracles.
 """
 
 from __future__ import annotations
@@ -137,14 +144,8 @@ def _require_positions(positions) -> None:
 def _drive_system(params: SystemParams, drive: DriveParams, positions, independent_atoms):
     """(matrix, rhs) of one drive point, after checking ``positions``."""
     _require_positions(positions)
-    return _assemble(
-        params,
-        drive.delta,
-        drive.delta_c,
-        drive.a_in,
-        positions=positions,
-        independent_atoms=independent_atoms,
-    )
+    system = dict(positions=positions, independent_atoms=independent_atoms)
+    return _assemble(params, drive.delta, drive.delta_c, drive.a_in, **system)
 
 
 def build_linear_system(
@@ -198,54 +199,102 @@ def _solve_degenerate(matrix: np.ndarray, rhs: np.ndarray, index: np.ndarray) ->
     return solution
 
 
-def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve(matrix: np.ndarray, rhs: np.ndarray, index=None) -> np.ndarray:
     """Solve a flat stack of systems, shapes (k, d, d) and (k, d).
 
-    Every point gets one 1-norm condition number (an LU inverse, not
-    the SVD of the 2-norm; the two differ by at most a factor d, far
-    inside the gap between flagged and healthy points).  Well-conditioned
-    points share one batched dense solve; flagged points share one call
-    of the dark-mode rule of ``_solve_degenerate``, whose errors name the
-    flat index of the point.  Without flagged points the stack is solved
-    as given, so a batch of one costs no more than a single solve.
+    Points whose 1-norm condition number (an LU inverse) exceeds COND_MAX
+    share one call of the dark-mode rule of ``_solve_degenerate``, whose
+    errors name the point's flat index in the caller's batch (``index``,
+    default 0..k-1); the others share one batched dense solve.
     """
     healthy = np.linalg.cond(matrix, 1) <= COND_MAX  # NaN counts as flagged
-    if healthy.all():
-        return np.linalg.solve(matrix, rhs[..., None])[..., 0]
     solution = np.empty_like(rhs)
     solution[healthy] = np.linalg.solve(matrix[healthy], rhs[healthy][..., None])[..., 0]
-    flagged = ~healthy
-    solution[flagged] = _solve_degenerate(matrix[flagged], rhs[flagged], np.flatnonzero(flagged))
+    if not healthy.all():
+        index = np.arange(len(rhs)) if index is None else index
+        flagged = ~healthy
+        solution[flagged] = _solve_degenerate(matrix[flagged], rhs[flagged], index[flagged])
     return solution
 
 
-def _reflection(params: SystemParams, delta, **system) -> np.ndarray:
-    """Reflection amplitudes r over the leading axes of ``_assemble`` for
-    a_in = 1 and delta_c locked to delta.
+def _fold(params, delta, delta_c, pos, gamma_L, gamma_R, xi, on):
+    """r (a_in = 1) and the smallest |D| of the fold over the sorted sites ``pos``.
 
-    No validation: callers check their inputs once before calling.
+    ``on[..., k]`` scales the rates of site k.  The segment left of a site
+    gives R_out = rho L + s and O = q L + o for the field L entering it.
     """
-    matrix, rhs = _assemble(params, delta, **system)
-    dim = rhs.shape[-1]
-    solution = _solve(matrix.reshape(-1, dim, dim), rhs.reshape(-1, dim))
-    r = np.sqrt(params.kappa_wg) * solution[:, 0] - 1.0
-    return r.reshape(rhs.shape[:-1])
+    xi = xi[..., None]
+    gl, gr = (np.asarray(rate)[..., None] * on for rate in (gamma_L, gamma_R))
+    cav, g = np.exp(1j * xi * pos), params.g * on
+    hop = np.exp(1j * xi * (pos - np.concatenate((pos[:1], pos[:-1]))))  # from the previous site
+    sites = [hop, gl, gr, 1j * g * cav, g * np.conj(cav)]
+    w = 1j * delta - 0.5
+    rho = s = q = o = np.zeros(1, dtype=complex)
+    wd_min = np.full(1, np.inf)  # of |w D|: w is the same at every site
+    with np.errstate(all="ignore"):  # D = 0 gives inf or nan: the dense route takes it
+        for k in range(pos.size):
+            phi, gl, gr, src, obs = (v[..., k] for v in sites)
+            u = phi * phi * rho  # the segment's reflection seen from this site
+            ugl, t = u * gl, q * phi
+            wd = w - ugl
+            sig_l, sig_0 = (1.0 + u) / wd, (src + phi * s) / wd  # sigma = sig_l L + sig_0
+            out = ugl + gr
+            rho, s = u + out * sig_l, phi * s + out * sig_0
+            q, o = t * (1.0 + gl * sig_l) + obs * sig_l, o + (t * gl + obs) * sig_0
+            wd_min = np.minimum(wd_min, np.abs(wd))
+        a = -np.sqrt(params.kappa_wg) / (1j * delta_c - params.kappa / 2.0 - 1j * o)
+        return np.sqrt(params.kappa_wg) * a - 1.0, wd_min / np.abs(w)
 
 
-def solve_steady_state(
-    system: LinearSystem, params: SystemParams, drive: DriveParams
-) -> SteadyState:
-    """Solve the linear system exactly and package the reflection amplitude."""
+def _reflection(
+    params: SystemParams, delta, delta_c=None, positions=None, gamma_L=None, xi=None,
+    independent_atoms: bool = False, coupled=None,
+) -> np.ndarray:
+    """r (a_in = 1) over the leading axes of ``_assemble``, which takes the same
+    arguments, folded on at-least-1-D arrays: a batch of one has the bits of the
+    same point inside a batch.  Points with a non-finite fold or |D| <= 1/COND_MAX
+    are assembled alone and solved by ``_solve`` under their flat indices.  No
+    validation: callers check their inputs once.
+    """
+    pos = np.asarray(np.arange(params.n_atoms) if positions is None else positions, dtype=float)
+    order = np.argsort(pos, kind="stable")
+    on = np.ones(pos.size, dtype=bool) if coupled is None else coupled
+    gl = params.gamma_L if gamma_L is None else gamma_L
+    axes = [delta, delta if delta_c is None else delta_c, gl, params.xi if xi is None else xi]
+    lead = np.broadcast_shapes(*map(np.shape, axes), np.shape(on)[:-1])
+    d, dc, gl, x = (np.atleast_1d(np.asarray(v, dtype=float)) for v in axes)
+    gr = params.gamma_R if gamma_L is None else 1.0 - gl
+    if independent_atoms:  # gamma_L enters only the atom-atom block
+        gl = gr = 0.0
+    shape = lead or (1,)
+    folded = _fold(params, d, dc, pos[order], gl, gr, x, on[..., order])
+    r, d_min = (np.broadcast_to(v, shape).flatten() for v in folded)
+    index = np.flatnonzero(~np.isfinite(r) | (d_min <= 1.0 / COND_MAX))
+    if index.size:
+        d, dc, gl, x = (np.broadcast_to(v, shape).reshape(-1)[index] for v in (d, dc, gl, x))
+        mask = np.broadcast_to(on, shape + pos.shape).reshape(-1, pos.size)[index]
+        system = dict(positions=positions, xi=x, independent_atoms=independent_atoms, coupled=mask)
+        matrix, rhs = _assemble(params, d, dc, gamma_L=None if gamma_L is None else gl, **system)
+        r[index] = np.sqrt(params.kappa_wg) * _solve(matrix, rhs, index)[:, 0] - 1.0
+    return r.reshape(lead)
+
+
+def solve_steady_state(system: LinearSystem, params: SystemParams, drive=None) -> SteadyState:
+    """Solve the linear system exactly and package the reflection amplitude.
+
+    a_in is the system's own, rhs[0] = -sqrt(kappa_wg) a_in; ``drive`` is not used.
+    """
     require_valid(params)
     solution = _solve(system.matrix[None], system.rhs[None])[0]
-    return _steady_state_from(solution, params, drive)
+    a_in = -system.rhs[0] / np.sqrt(params.kappa_wg)
+    if a_in == 0:
+        raise SolverError("the system is not driven: rhs[0] = 0")
+    return _steady_state_from(solution, params, a_in)
 
 
-def _steady_state_from(
-    solution: np.ndarray, params: SystemParams, drive: DriveParams
-) -> SteadyState:
+def _steady_state_from(solution: np.ndarray, params: SystemParams, a_in) -> SteadyState:
     a = complex(solution[0])
-    r = np.sqrt(params.kappa_wg) * a / drive.a_in - 1.0
+    r = np.sqrt(params.kappa_wg) * a / a_in - 1.0
     R = float(np.square(np.abs(r)))  # the formula of reflectivity, bit for bit
     return SteadyState(a=a, sigma=solution[1:].copy(), r=complex(r), R=R)
 
@@ -268,10 +317,11 @@ def reflection_amplitude(
     positions=None,
     independent_atoms: bool = False,
 ) -> complex:
-    """Complex reflection amplitude r for a single drive point."""
+    """Complex reflection amplitude r for a single drive point: a batch of one."""
     require_valid(params)
-    matrix, rhs = _drive_system(params, drive, positions, independent_atoms)
-    return _steady_state_from(_solve(matrix[None], rhs[None])[0], params, drive).r
+    _require_positions(positions)
+    system = dict(positions=positions, independent_atoms=independent_atoms)
+    return complex(_reflection(params, drive.delta, drive.delta_c, **system))
 
 
 def reflectivity_batch(
@@ -363,7 +413,7 @@ def relax_time_domain(
         if change < RELAX_TOL * max(1.0, float(np.linalg.norm(state_next))) and (
             change <= change_prev
         ):
-            return _steady_state_from(state_next * drive.a_in, params, drive)
+            return _steady_state_from(state_next * drive.a_in, params, drive.a_in)
         propagator = propagator @ propagator
         state = state_next
         change_prev = change

@@ -6,6 +6,7 @@ derandomized, so every run draws the same examples.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from chiralcav import (
     DriveParams,
     PoleError,
     QubitRegister,
+    build_linear_system,
     carving_measurement,
     component_reflection,
     global_rotation,
@@ -23,6 +25,7 @@ from chiralcav import (
     reflectivity,
     reflectivity_batch,
     relax_time_domain,
+    solve_steady_state,
     solver,
 )
 from helpers import make_system
@@ -48,6 +51,8 @@ def systems(draw, n_max=6):
 
 @DERANDOMIZED
 @given(systems(), st.lists(detuning, min_size=1, max_size=8))
+# lossless: the dense solve gave R - 1 = 1.65e-12 here (1-norm condition 2.4e4)
+@example(make_system(gamma_L=1.0, g=33.0, kappa_wg=82.0, kappa_sc=0.0), [0.0])
 def test_passivity(params, deltas):
     R = reflectivity_batch(params, np.array(deltas))
     assert np.all((R >= 0.0) & (R <= 1.0 + 1e-12))
@@ -69,6 +74,30 @@ def test_detunings_enter_only_the_diagonal(params, delta, delta_c, mask_bits):
     shifted, _ = solver._assemble(params, delta, delta_c, coupled=coupled)
     expected = np.diag(np.array([1j * delta_c] + [1j * delta] * n))
     assert np.array_equal(shifted - base, expected[None])
+
+
+@st.composite
+def folded_systems(draw):
+    """A system on distinct shuffled sites, a carving mask and ``independent_atoms``."""
+    params = draw(systems(n_max=8))
+    n = params.n_atoms
+    sites = draw(st.lists(st.integers(0, 16), min_size=n, max_size=n, unique=True))
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return params, np.array(sites, dtype=float), np.array(mask, dtype=bool), draw(st.booleans())
+
+
+@settings(DERANDOMIZED, max_examples=200)
+@given(folded_systems(), detuning, st.one_of(st.none(), detuning))
+def test_fold_matches_dense_oracle(system, delta, delta_c):
+    # the masked fold against the dense solve of the coupled atoms alone
+    params, sites, mask, independent = system
+    r = solver._reflection(
+        params, delta, delta_c, positions=sites, independent_atoms=independent, coupled=mask
+    )
+    drive = DriveParams(delta=delta, delta_c=delta_c, unlock_delta_c=True)
+    sub = replace(params, n_atoms=int(mask.sum()))
+    dense = build_linear_system(sub, drive, positions=sites[mask], independent_atoms=independent)
+    assert abs(r - solve_steady_state(dense, sub).r) <= 1e-10
 
 
 @DERANDOMIZED
@@ -102,13 +131,6 @@ def test_chirality_mirror_at_xi_n_pi(params, xi, delta):
     assert abs(R[0] - R[1]) <= 1e-12
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the dense solve is off by about cond * eps in R: at the lossless point "
-    "N=2, g=33, kappa_wg=82, kappa_sc=0, delta=0 (1-norm condition 2.4e4) gamma_L = 0 "
-    "and 1 give R - 1 = 6.0e-13 and 1.65e-12, where the exact value is 3e-16",
-)
 @DERANDOMIZED
 @given(systems(), detuning)
 @example(make_system(gamma_L=0.0, g=33.0, kappa_wg=82.0, kappa_sc=0.0), 0.0)

@@ -165,6 +165,19 @@ class TestSolveSteadyState:
         with pytest.raises(SolverError, match="inconsistent"):
             solve_steady_state(system, params, DriveParams())
 
+    def test_drive_amplitude_is_read_from_the_system(self, base_params):
+        # the system is driven with a_in = 2; the drive argument says 1
+        system = build_linear_system(base_params, DriveParams(a_in=2.0))
+        state = solve_steady_state(system, base_params, DriveParams())
+        assert state.r == pytest.approx(-0.5, abs=1e-12)
+        assert state.r == pytest.approx(reflection_amplitude(base_params, DriveParams()), abs=1e-12)
+
+    def test_undriven_system_raises(self, base_params):
+        system = build_linear_system(base_params, DriveParams())
+        undriven = LinearSystem(system.matrix, np.zeros_like(system.rhs))
+        with pytest.raises(SolverError, match="not driven"):
+            solve_steady_state(undriven, base_params)
+
     def test_driven_null_mode_raises(self):
         params = make_system(n=1)
         system = LinearSystem(
@@ -229,8 +242,8 @@ class TestValidation:
             delta = rng.uniform(-3, 3)
             assert reflectivity(params, DriveParams(delta=delta)) == reflectivity_batch(params, delta)
 
-    def test_steady_state_R_is_the_reflectivity(self, rng):
-        # one R formula on every route: bit for bit, not to a tolerance
+    @staticmethod
+    def draws(rng):
         for _ in range(200):
             params = make_system(
                 n=int(rng.integers(0, 7)),
@@ -238,8 +251,22 @@ class TestValidation:
                 g=rng.uniform(0, 50),
                 xi=rng.uniform(0, 2 * math.pi),
             )
-            delta = rng.uniform(-3, 3)
-            assert steady(params, delta).R == reflectivity(params, DriveParams(delta=delta))
+            yield params, rng.uniform(-3, 3)
+
+    def test_R_is_the_square_of_r_on_each_route(self, rng):
+        # one R formula on every route: bit for bit, not to a tolerance
+        for params, delta in self.draws(rng):
+            state = steady(params, delta)
+            assert state.R == np.square(np.abs(state.r))
+            drive = DriveParams(delta=delta)
+            r = reflection_amplitude(params, drive)
+            assert reflectivity(params, drive) == np.square(np.abs(r))
+
+    def test_steady_state_R_is_the_reflectivity(self, rng):
+        # the same 200 draws: the dense oracle and the fold are two algorithms
+        for params, delta in self.draws(rng):
+            fold = reflectivity(params, DriveParams(delta=delta))
+            assert abs(steady(params, delta).R - fold) <= 1e-12
 
 
 class TestSymmetries:
@@ -436,3 +463,23 @@ class TestDarkPoints:
                     r_two_atoms(0.0, params)
             else:  # e^{2 i pi} rounds off 1, and the 0/0 cancels to the limit
                 assert r_two_atoms(0.0, params) == pytest.approx(r, abs=1e-12)
+
+
+class TestNearDarkPoints:
+    """gamma_L = 1/2 + 1e-5, xi = 0, delta = 0: valid, nonsingular systems
+    whose subradiant pair mode is damped at the 1e-10 level.
+
+    Their condition number exceeds COND_MAX, and for even N the dense
+    dark-mode rule rejects them as inconsistent; the fold's smallest
+    Fabry-Perot denominator is about 4e-10, so the fold answers them.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_fold_returns_a_passive_reflectivity(self, n):
+        params = make_system(n=n, gamma_L=0.5 + 1e-5, xi=0.0)
+        R = reflectivity(params, DriveParams())
+        assert 0.0 <= R <= 1.0
+        assert reflectivity_batch(params, 0.0) == R
+        if n == 2:
+            r = reflection_amplitude(params, DriveParams())
+            assert abs(r - r_two_atoms(0.0, params)) <= 1e-6
