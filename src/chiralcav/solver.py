@@ -23,7 +23,8 @@ sees O = g sum e^{-i xi p} sigma.  ``_fold`` composes the sorted sites by the
 Redheffer star product in O(N), dividing by the Fabry-Perot denominator
 D = 1 - e^{2 i xi dp} r_left r_atom at each junction; a = -sqrt(kappa_wg) /
 (i delta_c - kappa/2 - i O).  Points with a non-finite fold or |D| <= 1/COND_MAX
-(D = 0: a dark state) go to the dense solve and its dark-mode rule; the dense
+(D = 0: a dark state) take the dark-point rule ``_contour_mean``: the mean of
+the fold on a small circle around the point.  The dense one-point
 ``build_linear_system``, ``solve_steady_state``, ``relax_time_domain`` are oracles.
 """
 
@@ -36,11 +37,13 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .params import DriveParams, SystemParams, require_valid
 
-#: condition-number estimate above which a system counts as degenerate
+#: a fold point whose smallest Fabry-Perot denominator |D| is at most
+#: 1/COND_MAX takes the dark-point rule
 COND_MAX = 1e12
 
-#: relative singular-value cutoff used to identify an exact null space
-_NULL_CUTOFF = 1e-13
+#: the dark-point rule's K points on a circle of radius eps, and its bound
+#: on |residue| / (eps max |r_k|), far above rounding and far below a pole
+_K, _EPS, _RESIDUE_TOL = 8, 1e-3, 1e-14
 
 #: relative state change across a doubled horizon at which relaxation stops
 RELAX_TOL = 1e-9
@@ -66,64 +69,30 @@ class SteadyState:
 
 def _assemble(
     params: SystemParams,
-    delta,
-    delta_c=None,
+    delta: float,
+    delta_c: float,
     a_in: complex = 1.0,
     positions=None,
-    gamma_L=None,
-    xi=None,
     independent_atoms: bool = False,
-    coupled=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Build (matrix, rhs) with arbitrary broadcastable leading axes.
-
-    ``delta``, ``delta_c`` (default: locked to ``delta``), ``gamma_L``
-    and ``xi`` (default: taken from ``params``) may be scalars or arrays
-    of a common broadcast shape; an explicit ``gamma_L`` comes with
-    gamma_R = 1 - gamma_L.  ``coupled`` is a boolean mask with leading
-    axes ``(..., n)``: an atom whose entry is False gets no cavity and no
-    atom-atom coupling, so it drops out exactly as if it were removed.
-    The result has shape ``broadcast + (n+1, n+1)``.  Only the diagonal
-    depends on the detunings, M = M0 + i diag(delta_c, delta, ..., delta):
-    M0 is built over the shape of (gamma_L, xi) alone, and the mask and
-    the detunings are broadcast onto it.
-    """
-    if positions is None:
-        positions = np.arange(params.n_atoms)
-    pos = np.asarray(positions, dtype=float)
+    """(matrix, rhs) of one drive point, M = M0 + i diag(delta_c, delta, ..., delta)."""
+    pos = np.asarray(np.arange(params.n_atoms) if positions is None else positions, dtype=float)
     n = pos.size
-    if gamma_L is None:
-        gamma_L, gamma_R = np.asarray(params.gamma_L), np.asarray(params.gamma_R)
-    else:
-        gamma_L = np.asarray(gamma_L)
-        gamma_R = 1.0 - gamma_L
-    xi = np.asarray(params.xi if xi is None else xi)
-    delta, delta_c = np.asarray(delta), np.asarray(delta if delta_c is None else delta_c)
-    m0 = np.zeros(np.broadcast_shapes(gamma_L.shape, xi.shape) + (n + 1, n + 1), dtype=complex)
-    if n:
-        sep = pos[None, :] - pos[:, None]  # sep[mu, nu] = p_nu - p_mu
-        if not independent_atoms:
-            phase = np.exp(1j * np.multiply.outer(xi, np.abs(sep)))
-            gl, gr = gamma_L[..., None, None], gamma_R[..., None, None]
-            m0[..., 1:, 1:] = np.where(sep > 0, -gl * phase, 0.0) + np.where(
-                sep < 0, -gr * phase, 0.0
-            )
-        cav_phase = np.exp(1j * np.multiply.outer(xi, pos))
-        m0[..., 0, 1:] = -1j * params.g * np.conj(cav_phase)
-        m0[..., 1:, 0] = -1j * params.g * cav_phase
-    if coupled is not None:
-        # an uncoupled atom loses every off-diagonal entry
-        on = np.concatenate([np.ones(coupled.shape[:-1] + (1,), dtype=bool), coupled], axis=-1)
-        m0 = np.where(on[..., :, None] & on[..., None, :], m0, 0.0)
-
-    kappa = params.kappa_wg + params.kappa_sc
-    lead = np.broadcast_shapes(m0.shape[:-2], delta.shape, delta_c.shape)
-    matrix = m0 if m0.shape[:-2] == lead else np.broadcast_to(m0, lead + m0.shape[-2:]).copy()
-    matrix[..., 0, 0] = 1j * delta_c - kappa / 2.0
+    matrix = np.zeros((n + 1, n + 1), dtype=complex)
+    sep = pos[None, :] - pos[:, None]  # sep[mu, nu] = p_nu - p_mu
+    if not independent_atoms:
+        phase = np.exp(1j * params.xi * np.abs(sep))
+        matrix[1:, 1:] = np.where(sep > 0, -params.gamma_L * phase, 0.0) + np.where(
+            sep < 0, -params.gamma_R * phase, 0.0
+        )
+    cav_phase = np.exp(1j * params.xi * pos)
+    matrix[0, 1:] = -1j * params.g * np.conj(cav_phase)
+    matrix[1:, 0] = -1j * params.g * cav_phase
+    matrix[0, 0] = 1j * delta_c - params.kappa / 2.0
     idx = np.arange(1, n + 1)
-    matrix[..., idx, idx] = (1j * delta - 0.5)[..., None]
-    rhs = np.zeros(lead + (n + 1,), dtype=complex)
-    rhs[..., 0] = -np.sqrt(params.kappa_wg) * a_in
+    matrix[idx, idx] = 1j * delta - 0.5
+    rhs = np.zeros(n + 1, dtype=complex)
+    rhs[0] = -np.sqrt(params.kappa_wg) * a_in
     return matrix, rhs
 
 
@@ -144,8 +113,7 @@ def _require_positions(positions) -> None:
 def _drive_system(params: SystemParams, drive: DriveParams, positions, independent_atoms):
     """(matrix, rhs) of one drive point, after checking ``positions``."""
     _require_positions(positions)
-    system = dict(positions=positions, independent_atoms=independent_atoms)
-    return _assemble(params, drive.delta, drive.delta_c, drive.a_in, **system)
+    return _assemble(params, drive.delta, drive.delta_c, drive.a_in, positions, independent_atoms)
 
 
 def build_linear_system(
@@ -165,55 +133,35 @@ def build_linear_system(
     return LinearSystem(*_drive_system(params, drive, positions, independent_atoms))
 
 
-def _solve_degenerate(matrix: np.ndarray, rhs: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Resolve a stack of singular systems if their null modes are genuinely dark.
+def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve one dense system; a singular one only if its null modes are dark.
 
-    A mode may be exactly degenerate (e.g. the undamped subradiant pair
-    mode at gamma_L = 1/2, xi = n*pi, delta = 0).  If every null vector
-    is simultaneously a left and right null vector and carries no drive,
-    the mode is never populated when relaxing from vacuum and the
-    physical steady state is the minimum-norm solution.  Anything else
-    is a true degeneracy and raises SolverError naming ``index``, the
-    caller's flat index, of the first failing system.
+    The rank counts the singular values above rounding, s > d eps s_max
+    (numpy's ``matrix_rank`` rule).  A full-rank system, however
+    ill-conditioned, gets the LU solve: at gamma_L = 1/2 + 1e-5 it is within
+    3e-8 of the exact r, where the SVD formula is off by up to 1.5e-5.  A mode may
+    be exactly degenerate (e.g. the undamped subradiant pair mode at
+    gamma_L = 1/2, xi = n*pi, delta = 0).  If every null vector is
+    simultaneously a left and right null vector and carries no drive, the
+    mode is never populated when relaxing from vacuum and the physical
+    steady state is the minimum-norm solution.  Anything else raises
+    SolverError.
     """
     u, s, vh = np.linalg.svd(matrix)
-    scale = s[:, :1]
-    kept = s > _NULL_CUTOFF * scale  # each point's rank by lstsq's rcond rule
-    coeff = (np.conj(u).swapaxes(-1, -2) @ rhs[..., None])[..., 0]
-    coeff = np.where(kept, coeff / np.where(kept, s, 1.0), 0.0)
-    solution = (np.conj(vh).swapaxes(-1, -2) @ coeff[..., None])[..., 0]
-    residual = np.linalg.norm((matrix @ solution[..., None])[..., 0] - rhs, axis=-1)
-    rhs_norm = np.linalg.norm(rhs, axis=-1)
-    inconsistent = residual > 1e-8 * np.maximum(1.0, rhs_norm)
+    kept = s > s.size * np.finfo(float).eps * s[0]
+    if kept.all():
+        return np.linalg.solve(matrix, rhs)
+    coeff = np.where(kept, (np.conj(u).T @ rhs) / np.where(kept, s, 1.0), 0.0)
+    solution = np.conj(vh).T @ coeff
+    residual = np.linalg.norm(matrix @ solution - rhs)
+    if residual > 1e-8 * max(1.0, np.linalg.norm(rhs)):
+        raise SolverError(f"steady-state system is inconsistent (residual {residual:.3e})")
     # a row of vh beyond the rank is a conjugated right null vector; it
     # must be a left one too and carry no drive
-    leaky = np.linalg.norm(vh @ matrix, axis=-1) > 1e-10 * scale
-    driven = np.abs((vh @ rhs[..., None])[..., 0]) > 1e-10 * rhs_norm[:, None]
-    failed = inconsistent | np.any(~kept & (leaky | driven), axis=-1)
-    if failed.any():
-        i = np.argmax(failed)
-        fault = "singular with a driven null mode"
-        if inconsistent[i]:
-            fault = f"inconsistent (residual {residual[i]:.3e})"
-        raise SolverError(f"steady-state system is {fault} (flat index {index[i]})")
-    return solution
-
-
-def _solve(matrix: np.ndarray, rhs: np.ndarray, index=None) -> np.ndarray:
-    """Solve a flat stack of systems, shapes (k, d, d) and (k, d).
-
-    Points whose 1-norm condition number (an LU inverse) exceeds COND_MAX
-    share one call of the dark-mode rule of ``_solve_degenerate``, whose
-    errors name the point's flat index in the caller's batch (``index``,
-    default 0..k-1); the others share one batched dense solve.
-    """
-    healthy = np.linalg.cond(matrix, 1) <= COND_MAX  # NaN counts as flagged
-    solution = np.empty_like(rhs)
-    solution[healthy] = np.linalg.solve(matrix[healthy], rhs[healthy][..., None])[..., 0]
-    if not healthy.all():
-        index = np.arange(len(rhs)) if index is None else index
-        flagged = ~healthy
-        solution[flagged] = _solve_degenerate(matrix[flagged], rhs[flagged], index[flagged])
+    null = vh[~kept]
+    leaky = np.linalg.norm(null @ matrix, axis=-1) > 1e-10 * s[0]
+    if np.any(leaky | (np.abs(null @ rhs) > 1e-10 * np.linalg.norm(rhs))):
+        raise SolverError("steady-state system is singular with a driven null mode")
     return solution
 
 
@@ -231,7 +179,7 @@ def _fold(params, delta, delta_c, pos, gamma_L, gamma_R, xi, on):
     w = 1j * delta - 0.5
     rho = s = q = o = np.zeros(1, dtype=complex)
     wd_min = np.full(1, np.inf)  # of |w D|: w is the same at every site
-    with np.errstate(all="ignore"):  # D = 0 gives inf or nan: the dense route takes it
+    with np.errstate(all="ignore"):  # D = 0 gives inf or nan: the dark-point rule takes it
         for k in range(pos.size):
             phi, gl, gr, src, obs = (v[..., k] for v in sites)
             u = phi * phi * rho  # the segment's reflection seen from this site
@@ -246,15 +194,40 @@ def _fold(params, delta, delta_c, pos, gamma_L, gamma_R, xi, on):
         return np.sqrt(params.kappa_wg) * a - 1.0, wd_min / np.abs(w)
 
 
+def _contour_mean(params, index, delta, delta_c, gamma_L, gamma_R, xi, pos, on) -> np.ndarray:
+    """r at the flagged points ``index`` as the mean of the fold on a circle around each.
+
+    The fold arguments hold one row per point.  For passive parameters a
+    real-axis singularity of r(delta) is removable: the undamped mode has
+    no cavity component, so it is neither driven nor seen.  The trapezoidal
+    mean over delta + eps z_k, z_k = e^{2 pi i (k + 1/2)/K}, with delta_c
+    shifted alike, then converges geometrically to r.  The same samples
+    give the residue, mean eps z_k r_k, which must vanish to rounding;
+    otherwise the point raises SolverError under its flat index.
+    """
+    shift = _EPS * np.exp(2j * np.pi * (np.arange(_K) + 0.5) / _K)
+    gl, gr, x = (v[:, None] for v in (gamma_L, gamma_R, xi))
+    d, dc = delta[:, None] + shift, delta_c[:, None] + shift
+    r = _fold(params, d, dc, pos, gl, gr, x, on[:, None])[0]
+    residue = np.abs(np.mean(shift * r, axis=-1))
+    driven = ~(residue <= _RESIDUE_TOL * _EPS * np.max(np.abs(r), axis=-1))  # NaN is driven
+    if driven.any():
+        fault = f"singular with a driven null mode (flat index {index[np.argmax(driven)]})"
+        raise SolverError(f"steady-state system is {fault}")
+    return np.mean(r, axis=-1)
+
+
 def _reflection(
     params: SystemParams, delta, delta_c=None, positions=None, gamma_L=None, xi=None,
     independent_atoms: bool = False, coupled=None,
 ) -> np.ndarray:
-    """r (a_in = 1) over the leading axes of ``_assemble``, which takes the same
-    arguments, folded on at-least-1-D arrays: a batch of one has the bits of the
-    same point inside a batch.  Points with a non-finite fold or |D| <= 1/COND_MAX
-    are assembled alone and solved by ``_solve`` under their flat indices.  No
-    validation: callers check their inputs once.
+    """r (a_in = 1) over the broadcast shape of the detunings, ``gamma_L``, ``xi``
+    (default: from ``params``; an explicit ``gamma_L`` comes with gamma_R =
+    1 - gamma_L) and the leading axes of the carving mask ``coupled`` (..., n),
+    whose False entries drop an atom out.  Folded on arrays of the batch's
+    ndim: a batch of one has the bits of the same point inside a batch.
+    Points with a non-finite fold or |D| <= 1/COND_MAX go to ``_contour_mean``
+    under their flat indices.  No validation: callers check their inputs once.
     """
     pos = np.asarray(np.arange(params.n_atoms) if positions is None else positions, dtype=float)
     order = np.argsort(pos, kind="stable")
@@ -262,20 +235,21 @@ def _reflection(
     gl = params.gamma_L if gamma_L is None else gamma_L
     axes = [delta, delta if delta_c is None else delta_c, gl, params.xi if xi is None else xi]
     lead = np.broadcast_shapes(*map(np.shape, axes), np.shape(on)[:-1])
-    d, dc, gl, x = (np.atleast_1d(np.asarray(v, dtype=float)) for v in axes)
+    shape = lead or (1,)
+    # every operand gets the batch's ndim: numpy multiplies a size-1 pair of
+    # unequal ndims without FMA, and a batch of one would change its bits
+    d, dc, gl, x = (np.asarray(v, dtype=float)[(None,) * (len(shape) - np.ndim(v))] for v in axes)
     gr = params.gamma_R if gamma_L is None else 1.0 - gl
     if independent_atoms:  # gamma_L enters only the atom-atom block
         gl = gr = 0.0
-    shape = lead or (1,)
-    folded = _fold(params, d, dc, pos[order], gl, gr, x, on[..., order])
+    pos, on = pos[order], on[(None,) * (len(shape) + 1 - np.ndim(on)) + (..., order)]
+    folded = _fold(params, d, dc, pos, gl, gr, x, on)
     r, d_min = (np.broadcast_to(v, shape).flatten() for v in folded)
     index = np.flatnonzero(~np.isfinite(r) | (d_min <= 1.0 / COND_MAX))
     if index.size:
-        d, dc, gl, x = (np.broadcast_to(v, shape).reshape(-1)[index] for v in (d, dc, gl, x))
+        points = (np.broadcast_to(v, shape).reshape(-1)[index] for v in (d, dc, gl, gr, x))
         mask = np.broadcast_to(on, shape + pos.shape).reshape(-1, pos.size)[index]
-        system = dict(positions=positions, xi=x, independent_atoms=independent_atoms, coupled=mask)
-        matrix, rhs = _assemble(params, d, dc, gamma_L=None if gamma_L is None else gl, **system)
-        r[index] = np.sqrt(params.kappa_wg) * _solve(matrix, rhs, index)[:, 0] - 1.0
+        r[index] = _contour_mean(params, index, *points, pos, mask)
     return r.reshape(lead)
 
 
@@ -285,7 +259,7 @@ def solve_steady_state(system: LinearSystem, params: SystemParams, drive=None) -
     a_in is the system's own, rhs[0] = -sqrt(kappa_wg) a_in; ``drive`` is not used.
     """
     require_valid(params)
-    solution = _solve(system.matrix[None], system.rhs[None])[0]
+    solution = _solve(system.matrix, system.rhs)
     a_in = -system.rhs[0] / np.sqrt(params.kappa_wg)
     if a_in == 0:
         raise SolverError("the system is not driven: rhs[0] = 0")

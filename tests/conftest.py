@@ -14,3 +14,19 @@ def rng():
     import numpy as np
 
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def dark_point_calls(monkeypatch):
+    """The flat indices of each call of the fold's dark-point rule, in order."""
+    from chiralcav import solver
+
+    calls = []
+    rule = solver._contour_mean
+
+    def recording(params, index, *points):
+        calls.append(index.tolist())
+        return rule(params, index, *points)
+
+    monkeypatch.setattr(solver, "_contour_mean", recording)
+    return calls

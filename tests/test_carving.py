@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from chiralcav import (
     ProtocolExtinguishedError,
     QubitRegister,
     ValidationError,
+    build_linear_system,
     carving_measurement,
     component_reflection,
     fidelity,
@@ -17,6 +19,7 @@ from chiralcav import (
     reflection_amplitude,
     relax_time_domain,
     run_protocol,
+    solve_steady_state,
     solver,
 )
 from helpers import brute_force_carve, make_system, single_atom_r
@@ -196,27 +199,33 @@ class TestCarvingMeasurement:
                     outcome.post_state.amplitudes, carved / np.linalg.norm(carved), atol=1e-13
                 )
 
-    def test_dark_component_takes_degenerate_path(self, monkeypatch):
+    def test_dark_component_takes_degenerate_path(self, dark_point_calls):
         # gamma_L = 1/2, xi = 0, delta = 0: an adjacent coupled pair carries
-        # an undriven, undamped subradiant mode and its matrix is singular
-        calls = []
-        degenerate = solver._solve_degenerate
-
-        def counting(matrix, rhs, index):
-            calls.append((matrix.shape[1:], set(index.tolist())))
-            return degenerate(matrix, rhs, index)
-
-        monkeypatch.setattr(solver, "_solve_degenerate", counting)
+        # an undriven, undamped subradiant mode and the fold meets D = 0
         params = template(3, gamma_L=0.5, xi=0.0)
         state = global_rotation(QubitRegister.ground(3), math.pi / 2)
         r = carving_measurement(state, params, 0.0).per_component_r
-        # one call for the whole flagged stack, holding both adjacent pairs
-        assert len(calls) == 1
-        shape, flagged = calls[0]
-        assert shape == (4, 4) and {0b110, 0b011} <= flagged
+        # one call of the dark-point rule for the batch, holding both adjacent pairs
+        assert len(dark_point_calls) == 1
+        assert {0b110, 0b011} <= set(dark_point_calls[0])
         ode = relax_time_domain(params, DriveParams(), positions=[0, 1]).r
         for bits in ("110", "011"):
             assert r[int(bits, 2)] == pytest.approx(ode, abs=1e-8)
+
+    def test_dark_register_of_twelve_matches_dense_oracle(self, dark_point_calls, monkeypatch):
+        # nearly every component holds an adjacent coupled pair; the residue
+        # of each stays ten times below the bound
+        monkeypatch.setattr(solver, "_RESIDUE_TOL", solver._RESIDUE_TOL / 10)
+        params = template(12, gamma_L=0.5, xi=0.0)
+        state = global_rotation(QubitRegister.ground(12), math.pi / 2)
+        r = carving_measurement(state, params, 0.0).per_component_r
+        (flagged,) = dark_point_calls
+        assert len(flagged) == 4083
+        for i in flagged:
+            sites = [k for k in range(12) if (i >> (11 - k)) & 1]
+            sub = replace(params, n_atoms=len(sites))
+            system = build_linear_system(sub, DriveParams(), positions=sites)
+            assert abs(solve_steady_state(system, sub).r - r[i]) <= 1e-14
 
     def test_batch_of_one_bit_identical_inside_batch(self):
         # with every atom coupled the masked matrix is the full system itself

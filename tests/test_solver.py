@@ -374,18 +374,27 @@ class TestRelaxation:
 
 class TestDegeneracyTest:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_one_norm_flags_the_same_points_as_two_norm(self, n):
-        """The kernel's 1-norm condition number flags exactly the three dark
-        points (gamma_L = 1/2, xi = 0, pi, 2 pi) of the 161 x 41 map grid, as
-        the 2-norm does: the norms differ by at most the matrix size, and the
-        flagged and healthy points lie many orders of magnitude apart."""
+    def test_one_norm_flags_the_same_points_as_two_norm(self, n, dark_point_calls):
+        """The 1-norm condition number of the dense systems flags exactly the
+        three dark points (gamma_L = 1/2, xi = 0, pi, 2 pi) of the 161 x 41
+        map grid, as the 2-norm does, and the fold sends exactly these points
+        to one call of the dark-point rule; the oracle's rank rule finds a
+        null space at each of them."""
         xi_grid, gamma_L_grid = np.linspace(0, 2 * math.pi, 161), np.linspace(0, 1, 41)
-        matrix, _ = solver._assemble(
-            make_system(n=n), 0.0, gamma_L=gamma_L_grid[None, :], xi=xi_grid[:, None]
+        reflectivity_batch(make_system(n=n), 0.0, gamma_L=gamma_L_grid[None, :], xi=xi_grid[:, None])
+        assert dark_point_calls == [[20, 80 * 41 + 20, 160 * 41 + 20]]
+        matrix = np.array(
+            [
+                [solver._assemble(make_system(n=n, gamma_L=gl, xi=xi), 0.0, 0.0)[0] for gl in gamma_L_grid]
+                for xi in xi_grid
+            ]
         )
-        flagged = [np.linalg.cond(matrix, p) > solver.COND_MAX for p in (1, None)]
+        flagged = [np.linalg.cond(matrix, p) > 1e12 for p in (1, None)]
         assert np.array_equal(flagged[0], flagged[1])
         assert sorted(zip(*np.nonzero(flagged[0]))) == [(0, 20), (80, 20), (160, 20)]
+        for i in (0, 80, 160):
+            s = np.linalg.svd(matrix[i, 20], compute_uv=False)
+            assert s[-1] <= s.size * np.finfo(float).eps * s[0]
 
 
 def bits(value):
@@ -394,12 +403,17 @@ def bits(value):
 
 
 class TestDarkModeStack:
-    """One stack mixing healthy, dark and failing points through ``_solve``."""
+    """One batch mixing healthy, dark and failing points through the fold's
+    dark-point rule, and the dense oracle's rule on synthetic systems."""
 
+    # (gamma_L, xi) at delta = 0; 1/2 + 1e-7 leaves a driven mode of width ~1e-14
+    POINTS = {
+        "healthy": (0.8, 0.3),
+        "dark": (0.5, 0.0),
+        "dark-pi": (0.5, math.pi),
+        "driven": (0.5 + 1e-7, 0.0),
+    }
     SYSTEMS = {
-        "healthy": build_linear_system(make_system(gamma_L=0.8, xi=0.3), DriveParams()),
-        "dark": build_linear_system(make_system(gamma_L=0.5, xi=0.0), DriveParams()),
-        "dark-pi": build_linear_system(make_system(gamma_L=0.5, xi=math.pi), DriveParams()),
         "inconsistent": LinearSystem(np.zeros((3, 3), dtype=complex), np.ones(3, dtype=complex)),
         "driven": LinearSystem(
             np.array([[0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=complex), np.ones(3, dtype=complex)
@@ -410,53 +424,62 @@ class TestDarkModeStack:
         ),
     }
 
-    def solve(self, *names):
-        systems = [self.SYSTEMS[name] for name in names]
-        return solver._solve(
-            np.stack([system.matrix for system in systems]),
-            np.stack([system.rhs for system in systems]),
-        )
+    def fold(self, *names):
+        gamma_L, xi = np.array([self.POINTS[name] for name in names]).T
+        return solver._reflection(make_system(), 0.0, gamma_L=gamma_L, xi=xi)
 
     def test_errors_name_the_first_failing_flat_index(self):
-        with pytest.raises(SolverError, match=r"inconsistent .*\(flat index 2\)"):
-            self.solve("healthy", "dark", "inconsistent", "driven")
-        for failing in ("driven", "not-left-null"):
-            with pytest.raises(SolverError, match=r"null mode \(flat index 2\)"):
-                self.solve("healthy", "dark", failing)
+        with pytest.raises(SolverError, match=r"driven null mode \(flat index 2\)"):
+            self.fold("healthy", "dark", "driven", "driven")
+
+    def test_oracle_rejects_inconsistent_and_driven_null_modes(self, base_params):
+        for name, fault in (
+            ("inconsistent", "inconsistent"),
+            ("driven", "driven null mode"),
+            ("not-left-null", "driven null mode"),
+        ):
+            with pytest.raises(SolverError, match=fault):
+                solve_steady_state(self.SYSTEMS[name], base_params)
 
     def test_dark_points_in_a_stack_equal_batches_of_one(self):
-        solution = self.solve("healthy", "dark", "healthy", "dark-pi")
+        r = self.fold("healthy", "dark", "healthy", "dark-pi")
         for i, name in ((1, "dark"), (3, "dark-pi")):
-            assert bits(solution[i]) == bits(self.solve(name)[0])
-        assert bits(solution[0]) == bits(solution[2]) == bits(self.solve("healthy")[0])
+            assert bits(r[i]) == bits(self.fold(name)[0])
+        assert bits(r[0]) == bits(r[2]) == bits(self.fold("healthy")[0])
+
+
+def assert_routes_agree(params):
+    """Fold, dense oracle, scalar and batch calls, carving and RK4 at delta = 0."""
+    r = reflection_amplitude(params, DriveParams())
+    assert abs(steady(params).r - r) <= 1e-14
+    R = reflectivity(params, DriveParams())
+    assert bits(R) == bits(reflectivity_batch(params, 0.0)) == bits(np.square(np.abs(r)))
+
+    n = params.n_atoms
+    register = global_rotation(QubitRegister.ground(n), math.pi / 2)
+    carved = carving_measurement(register, params, 0.0).per_component_r
+    removed = [component_reflection(format(i, f"0{n}b"), params, 0.0) for i in range(2**n)]
+    assert np.max(np.abs(carved - removed)) <= 1e-12
+    assert relax_time_domain(params, DriveParams()).r == pytest.approx(r, abs=1e-8)
+    return r
 
 
 class TestDarkPoints:
     """The subradiant points gamma_L = 1/2, xi = n pi, delta = 0 on every route.
 
-    At xi = 0 (2 pi is stored as 0) the LU meets an exact zero pivot and
-    the condition number is inf; at xi = pi, where e^{i pi} rounds off -1,
-    it is about 1e18.  Both take the dark-mode rule, with the atoms
-    decoupled from the cavity (g = 0) or not (g = 20).
+    There the fold divides by D = 0 (xi = 0; 2 pi is stored as 0) or by a
+    rounding-level D (xi = pi, where e^{i pi} rounds off -1), and the
+    dark-point rule resolves r as the mean of the fold on a circle; the
+    dense oracle's matrix is singular and takes its minimum-norm rule.  The
+    atoms are decoupled from the cavity (g = 0) or not (g = 20).
     """
 
     @pytest.mark.parametrize("g", [0.0, 20.0])
     @pytest.mark.parametrize("xi", [0.0, math.pi, 2 * math.pi])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_routes_agree(self, n, xi, g):
         params = make_system(n=n, gamma_L=0.5, g=g, xi=xi)
-        r = reflection_amplitude(params, DriveParams())
-        state = steady(params)
-        assert bits(state.r) == bits(r)
-        assert bits(state.R) == bits(reflectivity_batch(params, 0.0))
-        assert bits(reflectivity(params, DriveParams())) == bits(state.R)
-
-        register = global_rotation(QubitRegister.ground(n), math.pi / 2)
-        carved = carving_measurement(register, params, 0.0).per_component_r
-        removed = [component_reflection(format(i, f"0{n}b"), params, 0.0) for i in range(2**n)]
-        assert np.max(np.abs(carved - removed)) <= 1e-12
-        assert relax_time_domain(params, DriveParams()).r == pytest.approx(r, abs=1e-8)
-
+        r = assert_routes_agree(params)
         if n == 2 and g > 0:
             if params.xi == 0.0:  # 2 pi is stored as 0
                 with pytest.raises(PoleError):
@@ -464,14 +487,41 @@ class TestDarkPoints:
             else:  # e^{2 i pi} rounds off 1, and the 0/0 cancels to the limit
                 assert r_two_atoms(0.0, params) == pytest.approx(r, abs=1e-12)
 
+    @pytest.mark.parametrize("g", [0.0, 20.0])
+    @pytest.mark.parametrize("xi", [0.0, math.pi, 2 * math.pi])
+    def test_residue_stays_ten_times_below_the_bound(self, xi, g, monkeypatch):
+        monkeypatch.setattr(solver, "_RESIDUE_TOL", solver._RESIDUE_TOL / 10)
+        for n in range(2, 9):
+            params = make_system(n=n, gamma_L=0.5, g=g, xi=xi)
+            assert abs(reflection_amplitude(params, DriveParams()) - steady(params).r) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_driven_near_dark_point_raises(self, n):
+        # the dark-limit mean is -0.9 here, but r = -0.5: the residue tells them apart
+        gamma_L = np.array([0.8, 0.5 + 1e-7])
+        with pytest.raises(SolverError, match=r"driven null mode \(flat index 1\)"):
+            reflectivity_batch(make_system(n=n), 0.0, gamma_L=gamma_L, xi=0.0)
+
+
+class TestExceptionalPoints:
+    """The fully directional chains gamma_L = 0 and 1: the atom block is
+    triangular with one repeated diagonal entry, a defective (Jordan) matrix."""
+
+    @pytest.mark.parametrize("gamma_L", [0.0, 1.0])
+    @pytest.mark.parametrize("g", [0.0, 20.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_routes_agree(self, n, g, gamma_L):
+        assert_routes_agree(make_system(n=n, gamma_L=gamma_L, g=g, xi=0.7))
+
 
 class TestNearDarkPoints:
     """gamma_L = 1/2 + 1e-5, xi = 0, delta = 0: valid, nonsingular systems
     whose subradiant pair mode is damped at the 1e-10 level.
 
-    Their condition number exceeds COND_MAX, and for even N the dense
-    dark-mode rule rejects them as inconsistent; the fold's smallest
-    Fabry-Perot denominator is about 4e-10, so the fold answers them.
+    Their condition number exceeds 1e12, but every singular value lies
+    above rounding, so the dense oracle solves them by LU; the fold's
+    smallest Fabry-Perot denominator is about 4e-10, so the fold answers
+    them without the dark-point rule.
     """
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -483,3 +533,9 @@ class TestNearDarkPoints:
         if n == 2:
             r = reflection_amplitude(params, DriveParams())
             assert abs(r - r_two_atoms(0.0, params)) <= 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_dense_oracle_agrees_with_the_fold(self, n, dark_point_calls):
+        params = make_system(n=n, gamma_L=0.5 + 1e-5, xi=0.0)
+        assert abs(steady(params).r - reflection_amplitude(params, DriveParams())) <= 1e-6
+        assert dark_point_calls == []
