@@ -53,7 +53,6 @@ from .spectrum import (
     dip_detunings,
     figure_data,
     find_features,
-    golden_section_minimize,
     sweep_2d,
     sweep_delta,
     with_features,
@@ -93,7 +92,6 @@ __all__ = [
     "figure_data",
     "find_features",
     "global_rotation",
-    "golden_section_minimize",
     "plan_protocol",
     "r_no_atoms",
     "r_two_atoms",

@@ -21,13 +21,13 @@ reflecting strongly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ProtocolExtinguishedError, ValidationError
 from .params import DriveParams, SystemParams, require_count, require_valid
-from .solver import _reflection, reflection_amplitude, reflectivity_batch
+from .solver import _reflection, reflection_amplitude
 from .spectrum import dip_detunings
 
 #: dense 2^M state vectors only; the protocol targets small registers
@@ -246,11 +246,9 @@ def plan_protocol(
     require_valid(params_template)
     steps = [0.0]
     for n in range(3, m + 1, 2):
-        sub = replace(params_template, n_atoms=n)
-        all_dips = dip_detunings(params_template, n)
-        candidates = [d for d in all_dips if d * dip_sign > 0] or all_dips
-        values = reflectivity_batch(sub, np.array(candidates))
-        steps.append(candidates[int(np.argmin(values))])
+        dips, depths = dip_detunings(params_template, n, _depths=True)
+        side = [k for k, d in enumerate(dips) if d * dip_sign > 0] or range(len(dips))
+        steps.append(dips[min(side, key=lambda k: depths[k])])
     expected = m // 2 if m % 2 == 0 else (m + 1) // 2
     assert len(steps) == expected
     return ProtocolPlan(steps=tuple(steps), target="bell" if m == 2 else "w", m=m)

@@ -135,6 +135,9 @@ def _merge_options(args: argparse.Namespace, command: str) -> dict:
     for key in ("precision", "xi_points", "gamma_l_points"):
         if key in merged and merged[key] < 1:
             raise ValidationError(f"{key} must be >= 1")
+    for key in ("delta_min", "delta_max", "xi_min", "xi_max", "gamma_l_min", "gamma_l_max"):
+        if key in merged and not math.isfinite(merged[key]):
+            raise ValidationError(f"{key} must be finite")
     if "prominence" in merged and not merged["prominence"] >= 0:  # NaN fails too
         raise ValidationError("prominence must be >= 0")
     # paths: the output file's directory must exist; repro creates its

@@ -68,11 +68,7 @@ class SteadyState:
 
 
 def _assemble(
-    params: SystemParams,
-    delta: float,
-    delta_c: float,
-    a_in: complex = 1.0,
-    positions=None,
+    params: SystemParams, delta: float, delta_c: float, a_in: complex = 1.0, positions=None,
     independent_atoms: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(matrix, rhs) of one drive point, M = M0 + i diag(delta_c, delta, ..., delta)."""
@@ -117,10 +113,7 @@ def _drive_system(params: SystemParams, drive: DriveParams, positions, independe
 
 
 def build_linear_system(
-    params: SystemParams,
-    drive: DriveParams,
-    positions=None,
-    independent_atoms: bool = False,
+    params: SystemParams, drive: DriveParams, positions=None, independent_atoms: bool = False
 ) -> LinearSystem:
     """Steady-state system for ``params`` under ``drive``.
 
@@ -165,11 +158,15 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def _fold(params, delta, delta_c, pos, gamma_L, gamma_R, xi, on):
-    """r (a_in = 1) and the smallest |D| of the fold over the sorted sites ``pos``.
+def _fold(params, delta, delta_c, pos, gamma_L, gamma_R, xi, on, jet=False):
+    """r (a_in = 1) and the smallest |D| of the fold over the sorted sites ``pos``;
+    with ``jet`` also dr/d(delta) and d2r/d(delta)^2 along delta_c = delta.
 
     ``on[..., k]`` scales the rates of site k.  The segment left of a site
     gives R_out = rho L + s and O = q L + o for the field L entering it.
+    The jet of x, (x', x''/2) on a leading axis, rides beside the order-0
+    lines: jet(ab) = a jet(b) + b jet(a) + (0, a' b'), and c = a/b has
+    jet (jet(a) - c jet(b))/b less (0, c' b'/b).
     """
     xi = xi[..., None]
     gl, gr = (np.asarray(rate)[..., None] * on for rate in (gamma_L, gamma_R))
@@ -178,6 +175,8 @@ def _fold(params, delta, delta_c, pos, gamma_L, gamma_R, xi, on):
     sites = [hop, gl, gr, 1j * g * cav, g * np.conj(cav)]
     w = 1j * delta - 0.5
     rho = s = q = o = np.zeros(1, dtype=complex)
+    jw = np.array([1j, 0.0]).reshape((2,) + (1,) * np.ndim(delta))  # dw/d(delta) = i
+    jrho = js = jq = jo = 0.0 * jw
     wd_min = np.full(1, np.inf)  # of |w D|: w is the same at every site
     with np.errstate(all="ignore"):  # D = 0 gives inf or nan: the dark-point rule takes it
         for k in range(pos.size):
@@ -187,15 +186,35 @@ def _fold(params, delta, delta_c, pos, gamma_L, gamma_R, xi, on):
             wd = w - ugl
             sig_l, sig_0 = (1.0 + u) / wd, (src + phi * s) / wd  # sigma = sig_l L + sig_0
             out = ugl + gr
+            if jet:  # jet(out) = jet(ugl); q' = t + c sig_l and o' = o + c sig_0
+                ju = phi * phi * jrho
+                jugl, jt, c = ju * gl, jq * phi, t * gl + obs
+                jwd, jc = jw - jugl, jt * gl
+                jl, jz = (ju - sig_l * jwd) / wd, (phi * js - sig_0 * jwd) / wd
+                step = jwd[0] / wd
+                jl[1] -= jl[0] * step
+                jz[1] -= jz[0] * step
+                jrho, js = ju + out * jl + sig_l * jugl, phi * js + out * jz + sig_0 * jugl
+                jq, jo = jt + c * jl + sig_l * jc, jo + c * jz + sig_0 * jc
+                for jx, ja, jb in ((jrho, jugl, jl), (js, jugl, jz), (jq, jc, jl), (jo, jc, jz)):
+                    jx[1] += ja[0] * jb[0]
             rho, s = u + out * sig_l, phi * s + out * sig_0
             q, o = t * (1.0 + gl * sig_l) + obs * sig_l, o + (t * gl + obs) * sig_0
             wd_min = np.minimum(wd_min, np.abs(wd))
-        a = -np.sqrt(params.kappa_wg) / (1j * delta_c - params.kappa / 2.0 - 1j * o)
-        return np.sqrt(params.kappa_wg) * a - 1.0, wd_min / np.abs(w)
+        den = 1j * delta_c - params.kappa / 2.0 - 1j * o
+        a = -np.sqrt(params.kappa_wg) / den
+        r, d_min = np.sqrt(params.kappa_wg) * a - 1.0, wd_min / np.abs(w)
+        if not jet:
+            return r, d_min
+        jden = jw - 1j * jo
+        ja = -a * jden / den
+        ja[1] -= ja[0] * jden[0] / den
+        return r, d_min, np.sqrt(params.kappa_wg) * ja[0], 2.0 * np.sqrt(params.kappa_wg) * ja[1]
 
 
 def _contour_mean(params, index, delta, delta_c, gamma_L, gamma_R, xi, pos, on) -> np.ndarray:
-    """r at the flagged points ``index`` as the mean of the fold on a circle around each.
+    """(r, dr/d(delta), d2r/d(delta)^2) at the flagged points ``index`` from the fold
+    on a circle around each, as rows of a (3, points) array.
 
     The fold arguments hold one row per point.  For passive parameters a
     real-axis singularity of r(delta) is removable: the undamped mode has
@@ -203,7 +222,8 @@ def _contour_mean(params, index, delta, delta_c, gamma_L, gamma_R, xi, pos, on) 
     mean over delta + eps z_k, z_k = e^{2 pi i (k + 1/2)/K}, with delta_c
     shifted alike, then converges geometrically to r.  The same samples
     give the residue, mean eps z_k r_k, which must vanish to rounding;
-    otherwise the point raises SolverError under its flat index.
+    otherwise the point raises SolverError under its flat index.  The
+    Cauchy means r' = mean r_k/(eps z_k), r'' = 2 mean r_k/(eps z_k)^2 follow.
     """
     shift = _EPS * np.exp(2j * np.pi * (np.arange(_K) + 0.5) / _K)
     gl, gr, x = (v[:, None] for v in (gamma_L, gamma_R, xi))
@@ -214,20 +234,22 @@ def _contour_mean(params, index, delta, delta_c, gamma_L, gamma_R, xi, pos, on) 
     if driven.any():
         fault = f"singular with a driven null mode (flat index {index[np.argmax(driven)]})"
         raise SolverError(f"steady-state system is {fault}")
-    return np.mean(r, axis=-1)
+    z = r / shift
+    return np.stack([np.mean(v, axis=-1) for v in (r, z, 2.0 * z / shift)])
 
 
 def _reflection(
     params: SystemParams, delta, delta_c=None, positions=None, gamma_L=None, xi=None,
-    independent_atoms: bool = False, coupled=None,
-) -> np.ndarray:
+    independent_atoms: bool = False, coupled=None, derivatives: bool = False,
+):
     """r (a_in = 1) over the broadcast shape of the detunings, ``gamma_L``, ``xi``
     (default: from ``params``; an explicit ``gamma_L`` comes with gamma_R =
     1 - gamma_L) and the leading axes of the carving mask ``coupled`` (..., n),
     whose False entries drop an atom out.  Folded on arrays of the batch's
     ndim: a batch of one has the bits of the same point inside a batch.
     Points with a non-finite fold or |D| <= 1/COND_MAX go to ``_contour_mean``
-    under their flat indices.  No validation: callers check their inputs once.
+    under their flat indices.  ``derivatives=True`` adds dr/d(delta) and
+    d2r/d(delta)^2 along delta_c = delta.  No validation: callers check once.
     """
     pos = np.asarray(np.arange(params.n_atoms) if positions is None else positions, dtype=float)
     order = np.argsort(pos, kind="stable")
@@ -243,14 +265,15 @@ def _reflection(
     if independent_atoms:  # gamma_L enters only the atom-atom block
         gl = gr = 0.0
     pos, on = pos[order], on[(None,) * (len(shape) + 1 - np.ndim(on)) + (..., order)]
-    folded = _fold(params, d, dc, pos, gl, gr, x, on)
-    r, d_min = (np.broadcast_to(v, shape).flatten() for v in folded)
+    folded = _fold(params, d, dc, pos, gl, gr, x, on, derivatives)
+    r, d_min, *jet = (np.broadcast_to(v, shape).flatten() for v in folded)
     index = np.flatnonzero(~np.isfinite(r) | (d_min <= 1.0 / COND_MAX))
     if index.size:
         points = (np.broadcast_to(v, shape).reshape(-1)[index] for v in (d, dc, gl, gr, x))
         mask = np.broadcast_to(on, shape + pos.shape).reshape(-1, pos.size)[index]
-        r[index] = _contour_mean(params, index, *points, pos, mask)
-    return r.reshape(lead)
+        for v, mean in zip((r, *jet), _contour_mean(params, index, *points, pos, mask)):
+            v[index] = mean
+    return tuple(v.reshape(lead) for v in (r, *jet)) if derivatives else r.reshape(lead)
 
 
 def solve_steady_state(system: LinearSystem, params: SystemParams, drive=None) -> SteadyState:
@@ -274,10 +297,7 @@ def _steady_state_from(solution: np.ndarray, params: SystemParams, a_in) -> Stea
 
 
 def reflectivity(
-    params: SystemParams,
-    drive: DriveParams,
-    positions=None,
-    independent_atoms: bool = False,
+    params: SystemParams, drive: DriveParams, positions=None, independent_atoms: bool = False
 ) -> float:
     """Reflectivity R = |r|^2 for a single drive point, bit for bit the
     value :func:`reflectivity_batch` gives there."""
@@ -286,10 +306,7 @@ def reflectivity(
 
 
 def reflection_amplitude(
-    params: SystemParams,
-    drive: DriveParams,
-    positions=None,
-    independent_atoms: bool = False,
+    params: SystemParams, drive: DriveParams, positions=None, independent_atoms: bool = False
 ) -> complex:
     """Complex reflection amplitude r for a single drive point: a batch of one."""
     require_valid(params)
@@ -299,12 +316,7 @@ def reflection_amplitude(
 
 
 def reflectivity_batch(
-    params: SystemParams,
-    delta,
-    gamma_L=None,
-    xi=None,
-    positions=None,
-    independent_atoms: bool = False,
+    params: SystemParams, delta, gamma_L=None, xi=None, positions=None, independent_atoms: bool = False
 ) -> np.ndarray:
     """R over broadcastable arrays of (delta, gamma_L, xi), delta_c locked.
 
@@ -323,22 +335,12 @@ def reflectivity_batch(
     for name, value in (("xi", xi), ("delta", delta)):
         if value is not None and not np.all(np.isfinite(value)):
             raise ValidationError(f"{name} must be finite")
-    r = _reflection(
-        params,
-        delta,
-        gamma_L=gamma_L,
-        xi=xi,
-        positions=positions,
-        independent_atoms=independent_atoms,
-    )
-    return np.square(np.abs(r))
+    system = dict(positions=positions, independent_atoms=independent_atoms)
+    return np.square(np.abs(_reflection(params, delta, gamma_L=gamma_L, xi=xi, **system)))
 
 
 def relax_time_domain(
-    params: SystemParams,
-    drive: DriveParams,
-    t_max: float = 1e8,
-    positions=None,
+    params: SystemParams, drive: DriveParams, t_max: float = 1e8, positions=None,
     independent_atoms: bool = False,
 ) -> SteadyState:
     """Steady state by integrating the equations of motion from vacuum.

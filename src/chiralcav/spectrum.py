@@ -2,10 +2,11 @@
 
 Sweep engines evaluate R = |r|^2 on detuning grids or on the
 on-resonance (xi, gamma_L) plane through the general-N solver.  Grid
-extrema are refined on the continuous curve by golden-section search and
-characterized by their full width at half prominence, which stays well
-defined for dips sitting on a curved background.  All extrema of a
-spectrum are refined together, one batch solve per search step.
+extrema are refined on the continuous curve by safeguarded Newton on
+R' = 0 and characterized by their full width at half prominence, which
+stays well defined for dips sitting on a curved background.  All extrema,
+then all width edges, of a spectrum are refined together, one fold of r,
+dr/d(delta) and d2r/d(delta)^2 per Newton step.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DipNotFoundError, ValidationError
-from .params import SystemParams, cooperativity, require_count
+from .params import SystemParams, cooperativity, require_count, require_valid
 # ``reflectivity`` is unused here but stays a module attribute: the benchmark
 # tracer wraps spectrum.reflectivity, and its self-test removes and restores it
-from .solver import reflectivity, reflectivity_batch  # noqa: F401
+from .solver import _reflection, reflectivity, reflectivity_batch  # noqa: F401
 from .tables import DataTable, fmt
 
 #: default detuning grid for dip work: dips at high C are narrow, so the
-#: grid only brackets candidates and golden-section refinement finishes
+#: grid only brackets candidates and Newton refinement finishes
 DIP_SPAN = 3.0
 DIP_POINTS = 4001
 
@@ -31,8 +32,12 @@ DIP_POINTS = 4001
 #: from floating-point ripple
 PROMINENCE_MIN = 1e-3
 
-#: |delta| tolerance of the golden-section refinement, units of gamma
+#: |delta| tolerance of the extremum refinement, units of gamma: a Newton
+#: step of at most REFINE_TOL/2 ends it
 REFINE_TOL = 1e-6
+
+#: |delta| tolerance of the half-prominence edges, units of gamma
+EDGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,40 +84,11 @@ class Map2D:
         return np.column_stack([xi.ravel(), gamma_L.ravel(), self.values.ravel()])
 
 
-def golden_section_minimize(f, lo, hi, tol: float = REFINE_TOL):
-    """Locate the minima of unimodal functions on brackets [lo, hi] to within tol.
-
-    ``lo`` and ``hi`` are floats or broadcastable arrays of brackets.
-    Every step makes one call ``f(points)`` with one trial point per
-    bracket, shaped like the brackets.  A bracket stops once it is
-    narrower than ``tol`` or a trial point is not strictly inside it, so
-    each step shrinks every live bracket and the search always ends,
-    also where float spacing exceeds ``tol``.  Scalar brackets return a float.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    shrink = (hi - lo > tol) & (lo < c) & (d < hi)
-    while np.any(shrink):
-        left = fc < fd  # the minimum lies in [lo, d]
-        lo = np.where(shrink & ~left, c, lo)
-        hi = np.where(shrink & left, d, hi)
-        # the kept interior point is reused, the other one is new
-        c, d = np.where(left, hi - invphi * (hi - lo), d), np.where(left, c, lo + invphi * (hi - lo))
-        new = f(np.where(left, c, d))
-        fc, fd = np.where(left, new, fd), np.where(left, fc, new)
-        shrink &= (hi - lo > tol) & (lo < c) & (d < hi)
-    mid = 0.5 * (lo + hi)
-    return float(mid) if mid.ndim == 0 else mid
-
-
-def sweep_delta(
-    params: SystemParams, delta_min: float, delta_max: float, n_points: int
-) -> Spectrum:
+def sweep_delta(params: SystemParams, delta_min: float, delta_max: float, n_points: int) -> Spectrum:
     """Reflectivity on a uniform detuning grid (delta_c locked to delta)."""
     n_points = require_count("n_points", n_points, 2)
+    if not np.all(np.isfinite([delta_min, delta_max])):
+        raise ValidationError("delta_min and delta_max must be finite")
     if not delta_max > delta_min:
         raise ValidationError("delta_max must exceed delta_min")
     deltas = np.linspace(delta_min, delta_max, n_points)
@@ -126,12 +102,8 @@ def sweep_2d(params_template: SystemParams, xi_grid, gamma_L_grid) -> Map2D:
     gamma_L_grid = np.asarray(gamma_L_grid, dtype=float)
     if xi_grid.size == 0 or gamma_L_grid.size == 0:
         raise ValidationError("grids must be nonempty")
-    values = reflectivity_batch(
-        params_template,
-        delta=0.0,
-        gamma_L=gamma_L_grid[None, :],
-        xi=xi_grid[:, None],
-    )
+    grids = dict(gamma_L=gamma_L_grid[None, :], xi=xi_grid[:, None])
+    values = reflectivity_batch(params_template, 0.0, **grids)
     return Map2D(xi_grid=xi_grid, gamma_L_grid=gamma_L_grid, values=values)
 
 
@@ -161,26 +133,57 @@ def _peaks(x, prominence_min: float) -> tuple[np.ndarray, np.ndarray]:
     return peaks[keep], prominence[keep]
 
 
+def _newton(params, x, lo, hi, sign, level, order: int, tol: float):
+    """Roots of f = sign (d^order R/d(delta)^order - level) between ``lo`` (f < 0)
+    and ``hi``, refined together from ``x``, one fold of the live points per step.
+
+    Each step moves the bracket end on the side of f's sign to the point
+    and takes the Newton step, or bisects where that step leaves the
+    bracket.  A point stops once its Newton step is within ``tol`` or no
+    float lies inside its bracket.  Returns the last points and R there.
+    """
+    x, lo, hi = (np.array(v, dtype=float) for v in (x, lo, hi))
+    R, live = np.empty_like(x), np.arange(x.size)
+    while live.size:
+        xl, l, h, s = x[live], lo[live], hi[live], sign[live]
+        r, r1, r2 = _reflection(params, xl, derivatives=True)
+        R[live] = np.square(np.abs(r))
+        jet = (R[live], 2 * np.real(np.conj(r) * r1), 2 * (np.abs(r1) ** 2 + np.real(np.conj(r) * r2)))
+        f, slope = s * (jet[order] - level[live]), s * jet[order + 1]
+        l, h = np.where(f < 0, xl, l), np.where(f < 0, h, xl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = xl - f / slope
+        step = np.where((newton - l) * (newton - h) < 0, newton, 0.5 * (l + h))  # NaN bisects
+        done = (np.abs(newton - xl) <= tol) | (step == l) | (step == h)
+        x[live], lo[live], hi[live] = np.where(done, xl, step), l, h
+        live = live[~done]
+    return x, R
+
+
 def _extrema(spec: Spectrum, signs, prominence_min: float):
     """Dips (sign +1) and peaks (sign -1) of the sampled curve, in the
     order of ``signs``, with their extrema refined together on the
-    continuous curve: (index, sign, prominence, delta) arrays."""
+    continuous curve: (index, sign, prominence, delta, value) arrays."""
     found = [(s, *_peaks(-s * spec.values, prominence_min)) for s in signs]
     index = np.concatenate([peaks for _, peaks, _ in found])
     sign = np.concatenate([np.full(peaks.size, s) for s, peaks, _ in found])
     prominence = np.concatenate([prom for _, _, prom in found])
-    lo, hi = spec.deltas[index - 1], spec.deltas[index + 1]
-    delta = golden_section_minimize(lambda d: sign * reflectivity_batch(spec.params, d), lo, hi)
-    return index, sign, prominence, delta
+    # Newton starts at the vertex of the parabola through the three samples
+    x0, x1, x2 = (spec.deltas[index + j] for j in (-1, 0, 1))
+    f0, f1, f2 = (spec.values[index + j] for j in (-1, 0, 1))
+    a, b = (x1 - x0) * (f1 - f2), (x1 - x2) * (f1 - f0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a plateau has a = b = 0
+        start = np.where(a != b, x1 - 0.5 * ((x1 - x0) * a - (x1 - x2) * b) / (a - b), x1)
+    delta, value = _newton(spec.params, start, x0, x2, sign, np.zeros(index.size), 1, REFINE_TOL / 2)
+    return index, sign, prominence, delta, value
 
 
 def _widths(spec: Spectrum, index, level, sign) -> np.ndarray:
     """Full widths between the crossings of ``level`` around each grid ``index``.
 
     The sampled curve is walked outward to the first point past the
-    level, or to the grid edge.  All crossings are then bisected
-    together on the continuous curve, one batch per step, until each
-    bracket reaches float resolution.
+    level, or to the grid edge.  All crossings are then refined together
+    on the continuous curve from the linear interpolation of the samples.
     """
     n = spec.deltas.size
     right, left = np.empty_like(index), np.empty_like(index)
@@ -189,19 +192,13 @@ def _widths(spec: Spectrum, index, level, sign) -> np.ndarray:
         right[k] = past[np.searchsorted(past, i, side="right")]
         left[k] = past[np.searchsorted(past, i) - 1]
     inside = np.concatenate([right - 1, left + 1])
-    level = np.tile(level, 2)
-    below = spec.values[inside] < level
-    lo = spec.deltas[inside]
-    hi = spec.deltas[np.concatenate([np.minimum(right, n - 1), np.maximum(left, 0)])]
-    mid = 0.5 * (lo + hi)
-    done = (mid == lo) | (mid == hi)  # also a bracket that ends at the grid edge
-    while not np.all(done):
-        inner = (reflectivity_batch(spec.params, mid) < level) == below
-        lo = np.where(inner & ~done, mid, lo)
-        hi = np.where(~inner & ~done, mid, hi)
-        mid = 0.5 * (lo + hi)
-        done = (mid == lo) | (mid == hi)
-    upper, lower = np.split(mid, 2)
+    outside = np.concatenate([np.minimum(right, n - 1), np.maximum(left, 0)])
+    level, sign = np.tile(level, 2), np.tile(sign, 2)
+    lo, hi = spec.deltas[inside], spec.deltas[outside]
+    f_lo, f_hi = sign * (spec.values[inside] - level), sign * (spec.values[outside] - level)
+    with np.errstate(invalid="ignore"):  # a bracket cut by the grid edge has lo = hi
+        start = np.where(lo == hi, lo, lo + (hi - lo) * f_lo / (f_lo - f_hi))
+    upper, lower = np.split(_newton(spec.params, start, lo, hi, sign, level, 0, EDGE_TOL)[0], 2)
     return upper - lower
 
 
@@ -209,17 +206,17 @@ def find_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> tup
     """Locate and refine all dips and peaks above ``prominence_min`` >= 0.
 
     Grid candidates come from topographic prominence on the sampled
-    curve; all of them are then refined together by golden-section
-    search on the continuous R(delta) and given their full widths at
-    half prominence.  Assumes the grid is dense enough that adjacent
-    features are separated by at least three grid points.
+    curve; all of them are then refined together by safeguarded Newton
+    on the continuous R(delta) and given their full widths at half
+    prominence.  Assumes the grid is dense enough that adjacent features
+    are separated by at least three grid points.
     """
     if spec.deltas.size == 0:
         raise ValidationError("empty spectrum")
     if not prominence_min >= 0:  # NaN fails too
         raise ValidationError(f"prominence_min must be >= 0, got {prominence_min}")
-    index, sign, prominence, delta = _extrema(spec, (1.0, -1.0), prominence_min)
-    value = reflectivity_batch(spec.params, delta)
+    require_valid(spec.params)
+    index, sign, prominence, delta, value = _extrema(spec, (1.0, -1.0), prominence_min)
     width = _widths(spec, index, value + sign * prominence / 2.0, sign)
     features = [
         Feature("dip" if s > 0 else "peak", *row)
@@ -233,21 +230,23 @@ def with_features(spec: Spectrum) -> Spectrum:
     return replace(spec, features=find_features(spec))
 
 
-def dip_detunings(params: SystemParams, n_coupled: int, n_points: int = DIP_POINTS) -> list[float]:
-    """Refined dip locations of the ``n_coupled``-atom system.
+def dip_detunings(params: SystemParams, n_coupled: int, n_points: int = DIP_POINTS, *, _depths=False):
+    """Refined dip locations of the ``n_coupled``-atom system, ascending.
 
     Dips above ``PROMINENCE_MIN`` on ``n_points`` over +-DIP_SPAN.  The
     n_coupled-atom spectrum carries n_coupled - 1 dips in the directional
     regime; for even counts this includes the on-resonance dip at delta = 0.
+    ``_depths=True`` (for planning) also returns R there, from the same fold.
     """
     sub = replace(params, n_atoms=require_count("n_coupled", n_coupled, 2))
     spec = sweep_delta(sub, -DIP_SPAN, DIP_SPAN, n_points)
-    _, _, _, delta = _extrema(spec, (1.0,), PROMINENCE_MIN)
+    _, _, _, delta, value = _extrema(spec, (1.0,), PROMINENCE_MIN)
     if not delta.size:
         raise DipNotFoundError(
             f"no dip above prominence {PROMINENCE_MIN} for n_coupled={n_coupled}"
         )
-    return sorted(delta.tolist())
+    order = np.argsort(delta, kind="stable")
+    return (delta[order].tolist(), value[order]) if _depths else delta[order].tolist()
 
 
 # ---------------------------------------------------------------------------

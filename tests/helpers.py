@@ -1,15 +1,23 @@
 """Shared helpers: parameter shorthands and independent measurement oracles.
 
-The width and carving oracles here deliberately avoid the package's
-feature-detection and measurement code paths so tests compare two
-independent routes to the same number.
+The refinement, width and carving oracles here deliberately avoid the
+package's feature-detection and measurement code paths so tests compare
+two independent routes to the same number.
 """
 
 import math
 
 import numpy as np
 
-from chiralcav import DriveParams, SystemParams, reflectivity, reflectivity_batch
+from chiralcav import (
+    DriveParams,
+    SystemParams,
+    build_linear_system,
+    reflectivity,
+    reflectivity_batch,
+    solver,
+)
+from chiralcav.spectrum import REFINE_TOL
 
 
 def make_system(n=2, gamma_L=1.0, g=20.0, kappa_wg=100.0, kappa_sc=300.0, xi=0.0, **kw):
@@ -26,6 +34,21 @@ def make_system(n=2, gamma_L=1.0, g=20.0, kappa_wg=100.0, kappa_sc=300.0, xi=0.0
 
 def r_at(params, delta):
     return reflectivity(params, DriveParams(delta=delta))
+
+
+def dense_jet(params, delta):
+    """(r, dr/d(delta), d2r/d(delta)^2) at one point from the dense system, delta_c = delta.
+
+    There M' = i I, so M v' = -i v and M v'' = -2 i v': two more solves
+    with the same matrix.  At a dark point each takes the oracle's
+    minimum-norm rule, since v and its derivatives carry no dark mode.
+    """
+    system = build_linear_system(params, DriveParams(delta=delta))
+    v = solver._solve(system.matrix, system.rhs)
+    v1 = solver._solve(system.matrix, -1j * v)
+    v2 = solver._solve(system.matrix, -2j * v1)
+    root = math.sqrt(params.kappa_wg)
+    return root * v[0] - 1.0, root * v1[0], root * v2[0]
 
 
 def single_atom_r(delta, g, kappa_wg, kappa_sc):
@@ -63,6 +86,35 @@ def half_level_width(params, span, n_points=6001, baseline=None):
         return 0.5 * (lo + hi)
 
     return edge(i_hi, i_hi + 1) - edge(i_lo, i_lo - 1)
+
+
+def golden_section_minimize(f, lo, hi, tol: float = REFINE_TOL):
+    """Locate the minima of unimodal functions on brackets [lo, hi] to within tol.
+
+    ``lo`` and ``hi`` are floats or broadcastable arrays of brackets.
+    Every step makes one call ``f(points)`` with one trial point per
+    bracket, shaped like the brackets.  A bracket stops once it is
+    narrower than ``tol`` or a trial point is not strictly inside it, so
+    each step shrinks every live bracket and the search always ends,
+    also where float spacing exceeds ``tol``.  Scalar brackets return a float.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    shrink = (hi - lo > tol) & (lo < c) & (d < hi)
+    while np.any(shrink):
+        left = fc < fd  # the minimum lies in [lo, d]
+        lo = np.where(shrink & ~left, c, lo)
+        hi = np.where(shrink & left, d, hi)
+        # the kept interior point is reused, the other one is new
+        c, d = np.where(left, hi - invphi * (hi - lo), d), np.where(left, c, lo + invphi * (hi - lo))
+        new = f(np.where(left, c, d))
+        fc, fd = np.where(left, new, fd), np.where(left, fc, new)
+        shrink &= (hi - lo > tol) & (lo < c) & (d < hi)
+    mid = 0.5 * (lo + hi)
+    return float(mid) if mid.ndim == 0 else mid
 
 
 def golden_section_scalar(f, lo, hi, tol):

@@ -19,7 +19,6 @@ from chiralcav import (
     find_features,
     fidelity,
     global_rotation,
-    golden_section_minimize,
     plan_protocol,
     r_two_atoms,
     reference_values,
@@ -29,7 +28,7 @@ from chiralcav import (
     sweep_delta,
 )
 from chiralcav.tables import render_csv
-from helpers import brute_force_carve, half_level_width, make_system
+from helpers import brute_force_carve, golden_section_minimize, half_level_width, make_system
 
 
 def R_at(params, delta=0.0, **kw):

@@ -97,6 +97,12 @@ class TestGridErrors:
             ["map", "--xi-points", "0"],
             ["map", "--xi-points", "-1"],
             ["map", "--gamma-l-points", "-1"],
+            ["spectrum", "--delta-max", "inf"],
+            ["spectrum", "--delta-min=-inf"],
+            ["spectrum", "--delta-min", "nan"],
+            ["map", "--xi-max", "inf"],
+            ["map", "--xi-min", "nan"],
+            ["map", "--gamma-l-min=-inf"],
         ],
     )
     def test_bad_grid_exits_2(self, args, capsys):

@@ -28,7 +28,7 @@ from chiralcav import (
     solve_steady_state,
     solver,
 )
-from helpers import make_system
+from helpers import dense_jet, make_system
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -105,6 +105,17 @@ def test_fold_matches_dense_oracle(system, delta, delta_c):
     sub = replace(params, n_atoms=int(mask.sum()))
     dense = build_linear_system(sub, drive, positions=sites[mask], independent_atoms=independent)
     assert abs(r - solve_steady_state(dense, sub).r) <= 1e-10
+
+
+@settings(DERANDOMIZED, max_examples=200)
+@given(systems(n_max=8), detuning)
+def test_jet_matches_dense_oracle(params, delta):
+    # dr/d(delta) and d2r/d(delta)^2 along delta_c = delta against two more dense solves
+    r, r1, r2 = solver._reflection(params, delta, derivatives=True)
+    _, e1, e2 = dense_jet(params, delta)
+    assert bits(r) == bits(solver._reflection(params, delta))
+    assert abs(r1 - e1) <= 1e-9 * (1.0 + abs(e1))
+    assert abs(r2 - e2) <= 1e-6 * (1.0 + abs(e2))
 
 
 @DERANDOMIZED

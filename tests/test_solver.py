@@ -23,7 +23,7 @@ from chiralcav import (
     solve_steady_state,
     solver,
 )
-from helpers import make_system, single_atom_r
+from helpers import dense_jet, make_system, single_atom_r
 
 
 def steady(params, delta=0.0, **kw):
@@ -539,3 +539,38 @@ class TestNearDarkPoints:
         params = make_system(n=n, gamma_L=0.5 + 1e-5, xi=0.0)
         assert abs(steady(params).r - reflection_amplitude(params, DriveParams())) <= 1e-6
         assert dark_point_calls == []
+
+
+class TestJet:
+    """The fold's derivative jet: d/d(delta) and d^2/d(delta)^2 along delta_c = delta."""
+
+    @pytest.mark.parametrize("g", [0.0, 20.0])
+    @pytest.mark.parametrize("xi", [0.0, math.pi, 2 * math.pi])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_dark_points_match_dense_oracle(self, n, xi, g, dark_point_calls):
+        # the dark-point rule's Cauchy means against two more minimum-norm solves
+        params = make_system(n=n, gamma_L=0.5, g=g, xi=xi)
+        r, r1, r2 = solver._reflection(params, 0.0, derivatives=True)
+        assert dark_point_calls == [[0]]
+        e0, e1, e2 = dense_jet(params, 0.0)
+        assert bits(r) == bits(solver._reflection(params, 0.0))
+        assert abs(r - e0) <= 1e-14
+        assert abs(r1 - e1) <= 1e-12
+        assert abs(r2 - e2) <= 1e-8
+
+    def test_order_zero_has_the_bits_of_the_plain_fold(self):
+        params = make_system(n=5, gamma_L=0.8, xi=0.9)
+        sweep = dict(delta=np.linspace(-3.0, 3.0, 4001))
+        dark_map = dict(  # holds the dark points gamma_L = 1/2, xi = 0, pi, 2 pi
+            delta=0.0,
+            gamma_L=np.linspace(0.0, 1.0, 41)[None, :],
+            xi=np.linspace(0.0, 2 * math.pi, 161)[:, None],
+        )
+        masks = ((np.arange(2**6)[:, None] >> np.arange(5, -1, -1)) & 1).astype(bool)
+        carving = dict(delta=0.37, positions=np.arange(6), coupled=masks)
+        for batch in (sweep, dark_map, carving):
+            plain = solver._reflection(params, **batch)
+            r, r1, r2 = solver._reflection(params, **batch, derivatives=True)
+            assert r.shape == r1.shape == r2.shape == plain.shape
+            assert np.array_equal(r.view(np.uint64), plain.view(np.uint64))
+            assert np.all(np.isfinite(r1) & np.isfinite(r2))

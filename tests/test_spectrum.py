@@ -15,7 +15,7 @@ from chiralcav import (
     dip_detunings,
     figure_data,
     find_features,
-    golden_section_minimize,
+    plan_protocol,
     r_no_atoms,
     reference_values,
     reflectivity,
@@ -27,7 +27,7 @@ from chiralcav import (
     with_features,
 )
 from chiralcav.tables import render_csv
-from helpers import golden_section_scalar, half_level_width, make_system, width_scalar
+from helpers import golden_section_minimize, golden_section_scalar, half_level_width, make_system, width_scalar
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -45,6 +45,9 @@ class TestGridErrors:
         for call in (
             lambda: sweep_delta(base_params, -1.0, 1.0, 1),
             lambda: sweep_delta(base_params, 3.0, -3.0, 11),
+            lambda: sweep_delta(base_params, 0.0, math.inf, 5),
+            lambda: sweep_delta(base_params, -math.inf, 0.0, 5),
+            lambda: sweep_delta(base_params, math.nan, 1.0, 5),
             lambda: sweep_2d(base_params, [], [0.5]),
             lambda: find_features(spec),
             lambda: dip_detunings(base_params, 1),
@@ -191,25 +194,51 @@ class TestBatchedRefinement:
             assert len(same_kind) == len(index)
             for i, feat in zip(index, same_kind):
                 level = feat.value + sign * feat.prominence / 2.0
-                assert feat.width == width_scalar(params, spec.deltas, spec.values, i, level, sign)
+                width = width_scalar(params, spec.deltas, spec.values, i, level, sign)
+                assert abs(feat.width - width) <= 1e-9 * width
+
+    @pytest.mark.parametrize(
+        "n, gamma_L, xi, g",
+        [(2, 1.0, 0.0, 20.0), (3, 1.0, 0.0, 20.0), (6, 1.0, 0.0, 20.0), (4, 0.8, 0.7, 20.0), (5, 1.0, 0.0, 50.0)],
+    )
+    def test_extrema_within_tolerance_of_golden_section(self, n, gamma_L, xi, g):
+        # the search the refinement replaced, on the same grid brackets
+        params = make_system(n=n, gamma_L=gamma_L, xi=xi, g=g)
+        spec = sweep_delta(params, -3, 3, 4001)
+        features = find_features(spec)
+        for kind, sign in (("dip", 1.0), ("peak", -1.0)):
+            index, _ = find_peaks(-sign * spec.values, prominence=1e-3)
+            refined = np.array([feat.delta for feat in features if feat.kind == kind])
+            lo, hi = spec.deltas[index - 1], spec.deltas[index + 1]
+            found = golden_section_minimize(lambda d: sign * reflectivity_batch(params, d), lo, hi)
+            assert refined.shape == found.shape
+            assert np.all(np.abs(refined - found) <= spectrum.REFINE_TOL)
+
+    @staticmethod
+    def count_folds(monkeypatch):
+        calls = []
+        fold = solver._fold
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return fold(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_fold", counted)
+        return calls
 
     @pytest.mark.parametrize("n, n_features", [(2, 3), (6, 11)])
     def test_one_batch_call_per_search_step(self, n, n_features, monkeypatch):
         spec = sweep_delta(make_system(n=n), -3, 3, 4001)
-        calls = {"batch": 0, "solve": 0}
-
-        def counted(key, func):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return func(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(spectrum, "reflectivity_batch", counted("batch", spectrum.reflectivity_batch))
-        monkeypatch.setattr(solver, "_reflection", counted("solve", solver._reflection))
+        folds = self.count_folds(monkeypatch)
         assert len(find_features(spec)) == n_features
-        assert 0 < calls["batch"] <= 150
-        assert calls["solve"] == calls["batch"]  # no solve outside a batch
+        assert 0 < len(folds) <= 10
+
+    def test_plan_of_twelve_takes_at_most_twenty_folds(self, monkeypatch):
+        folds = self.count_folds(monkeypatch)
+        plan = plan_protocol(12, make_system(n=12))
+        assert len(plan.steps) == 6
+        assert len(folds) <= 20
+        assert sum(shape == (4001,) for shape in folds) == 5  # one sweep per odd n = 3..11
 
 
 class TestPeaks:
