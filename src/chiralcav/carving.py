@@ -6,8 +6,9 @@ probe detuning delta multiplies every basis component by the complex
 reflection amplitude of the subsystem formed by its coupled atoms at
 their original sites; renormalizing yields the carved state and the
 pre-normalization norm squared is the heralding probability.  All 2^M
-components are solved as one masked batch: an uncoupled atom keeps its
-site but loses every coupling, which makes it exactly the removed atom.
+components come from one fold that doubles the batch at every site: an
+uncoupled atom keeps its site but loses every coupling, which makes it
+exactly the removed atom.  Planning folds the longest odd chain once.
 
 The planners prepare the equal-weight single-coupled-manifold target
 (|10...0> + |01...0> + ... + |00...1>)/sqrt(M): an on-resonance
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import ProtocolExtinguishedError, ValidationError
 from .params import DriveParams, SystemParams, require_count, require_valid
 from .solver import _reflection, reflection_amplitude
-from .spectrum import dip_detunings
+from .spectrum import _dips
 
 #: dense 2^M state vectors only; the protocol targets small registers
 MAX_QUBITS = 12
@@ -181,7 +182,7 @@ def component_reflection(bits: str, params_template: SystemParams, delta: float)
     ValidationError.  Uncoupled atoms are removed entirely; the coupled
     ones keep their lattice positions.  A component with no coupled atom
     reflects like the bare cavity.  This removal route is independent of
-    the masked batch that :func:`carving_measurement` solves.
+    the doubled batch that :func:`carving_measurement` solves.
     """
     sites = [i for i, b in enumerate(_require_bits(bits)) if b == "1"]
     return reflection_amplitude(
@@ -200,10 +201,7 @@ def carving_measurement(
     """
     require_valid(params_template)
     drive = DriveParams(delta=delta)
-    m = state.m
-    shifts = np.arange(m - 1, -1, -1)
-    coupled = ((np.arange(2**m)[:, None] >> shifts) & 1).astype(bool)
-    r = _reflection(params_template, drive.delta, positions=np.arange(m), coupled=coupled)
+    r = _reflection(params_template, drive.delta, positions=np.arange(state.m), subsets=True)
     return _herald(state, r, delta)
 
 
@@ -245,8 +243,7 @@ def plan_protocol(
         raise ValidationError("dip_sign must be +1 or -1")
     require_valid(params_template)
     steps = [0.0]
-    for n in range(3, m + 1, 2):
-        dips, depths = dip_detunings(params_template, n, _depths=True)
+    for dips, depths in _dips(params_template, list(range(3, m + 1, 2))):
         side = [k for k, d in enumerate(dips) if d * dip_sign > 0] or range(len(dips))
         steps.append(dips[min(side, key=lambda k: depths[k])])
     expected = m // 2 if m % 2 == 0 else (m + 1) // 2

@@ -22,10 +22,12 @@ R_out = R_in + gamma_R sigma and L_out = L_in + gamma_L sigma; the cavity
 sees O = g sum e^{-i xi p} sigma.  ``_fold`` composes the sorted sites by the
 Redheffer star product in O(N), dividing by the Fabry-Perot denominator
 D = 1 - e^{2 i xi dp} r_left r_atom at each junction; a = -sqrt(kappa_wg) /
-(i delta_c - kappa/2 - i O).  Points with a non-finite fold or |D| <= 1/COND_MAX
-(D = 0: a dark state) take the dark-point rule ``_contour_mean``: the mean of
-the fold on a small circle around the point.  The dense one-point
-``build_linear_system``, ``solve_steady_state``, ``relax_time_domain`` are oracles.
+(i delta_c - kappa/2 - i O).  One fold also reads out every prefix of the
+chain (planning) or every subset of its sites (carving).  Points with a
+non-finite fold or |D| <= 1/COND_MAX (D = 0: a dark state) take the dark-point
+rule ``_contour_mean``: the mean of the fold on a small circle around the
+point.  The dense one-point ``build_linear_system``, ``solve_steady_state``,
+``relax_time_domain`` are oracles.
 """
 
 from __future__ import annotations
@@ -158,37 +160,46 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def _fold(params, delta, delta_c, pos, gamma_L, gamma_R, xi, on, jet=False):
+def _fold(params, delta, delta_c, pos, gamma_L, gamma_R, xi, on, jet=False, prefix=None, split=False):
     """r (a_in = 1) and the smallest |D| of the fold over the sorted sites ``pos``;
     with ``jet`` also dr/d(delta) and d2r/d(delta)^2 along delta_c = delta.
 
-    ``on[..., k]`` scales the rates of site k.  The segment left of a site
-    gives R_out = rho L + s and O = q L + o for the field L entering it.
-    The jet of x, (x', x''/2) on a leading axis, rides beside the order-0
-    lines: jet(ab) = a jet(b) + b jet(a) + (0, a' b'), and c = a/b has
-    jet (jet(a) - c jet(b))/b less (0, c' b'/b).
+    ``on[..., k]`` scales the rates of site k.  ``prefix`` closes each
+    point's chain after its own first ``prefix`` sites.  ``split`` doubles
+    the rows, axis 0, at each site k: row i passes the site off by pure
+    propagation, (rho phi^2, s phi, q phi, o), the zero-rate update bit for
+    bit, and row i + 2^k takes the update; the first site ends up the top
+    bit.  The segment left of a site gives R_out = rho L + s and O = q L + o
+    for the field L entering it.  The jet of x, (x', x''/2) on a leading axis,
+    rides beside the order-0 lines: jet(ab) = a jet(b) + b jet(a) + (0, a' b'),
+    and c = a/b has jet (jet(a) - c jet(b))/b less (0, c' b'/b).
     """
-    xi = xi[..., None]
+    # split rows concatenate, so they start with the shape of the whole batch
+    batch = np.broadcast_shapes(*map(np.shape, (delta, gamma_L, gamma_R, xi))) if split else 1
+    nd, xi = np.ndim(delta), xi[..., None]
     gl, gr = (np.asarray(rate)[..., None] * on for rate in (gamma_L, gamma_R))
     cav, g = np.exp(1j * xi * pos), params.g * on
     hop = np.exp(1j * xi * (pos - np.concatenate((pos[:1], pos[:-1]))))  # from the previous site
     sites = [hop, gl, gr, 1j * g * cav, g * np.conj(cav)]
     w = 1j * delta - 0.5
-    rho = s = q = o = np.zeros(1, dtype=complex)
-    jw = np.array([1j, 0.0]).reshape((2,) + (1,) * np.ndim(delta))  # dw/d(delta) = i
-    jrho = js = jq = jo = 0.0 * jw
-    wd_min = np.full(1, np.inf)  # of |w D|: w is the same at every site
+    rho = s = q = o = np.zeros(batch, dtype=complex)
+    jw = np.array([1j, 0.0]).reshape((2,) + (1,) * nd)  # dw/d(delta) = i
+    jrho = js = jq = jo = np.zeros((2,) + o.shape, dtype=complex) if split else 0.0 * jw
+    wd_min = np.full(batch, np.inf)  # of |w D|: w is the same at every site
+    cuts, ends = ([] if prefix is None else np.unique(prefix[prefix < pos.size]).tolist()), []
     with np.errstate(all="ignore"):  # D = 0 gives inf or nan: the dark-point rule takes it
         for k in range(pos.size):
             phi, gl, gr, src, obs = (v[..., k] for v in sites)
             u = phi * phi * rho  # the segment's reflection seen from this site
             ugl, t = u * gl, q * phi
-            wd = w - ugl
+            wd, c = w - ugl, t * gl + obs
             sig_l, sig_0 = (1.0 + u) / wd, (src + phi * s) / wd  # sigma = sig_l L + sig_0
             out = ugl + gr
+            off = (u, phi * s, t, o, np.minimum(wd_min, np.abs(w))) if split else ()
             if jet:  # jet(out) = jet(ugl); q' = t + c sig_l and o' = o + c sig_0
                 ju = phi * phi * jrho
-                jugl, jt, c = ju * gl, jq * phi, t * gl + obs
+                jugl, jt = ju * gl, jq * phi
+                off += (ju, phi * js, jt, jo) if split else ()
                 jwd, jc = jw - jugl, jt * gl
                 jl, jz = (ju - sig_l * jwd) / wd, (phi * js - sig_0 * jwd) / wd
                 step = jwd[0] / wd
@@ -199,36 +210,46 @@ def _fold(params, delta, delta_c, pos, gamma_L, gamma_R, xi, on, jet=False):
                 for jx, ja, jb in ((jrho, jugl, jl), (js, jugl, jz), (jq, jc, jl), (jo, jc, jz)):
                     jx[1] += ja[0] * jb[0]
             rho, s = u + out * sig_l, phi * s + out * sig_0
-            q, o = t * (1.0 + gl * sig_l) + obs * sig_l, o + (t * gl + obs) * sig_0
+            q, o = t * (1.0 + gl * sig_l) + obs * sig_l, o + c * sig_0
             wd_min = np.minimum(wd_min, np.abs(wd))
+            if split:  # row i with site k off stays row i, with it on becomes row i + 2^k
+                rho, s, q, o, wd_min = map(np.concatenate, zip(off, (rho, s, q, o, wd_min)))
+                if jet:  # behind the jet axis
+                    jrho, js, jq, jo = (np.concatenate(x, 1) for x in zip(off[5:], (jrho, js, jq, jo)))
+            if k + 1 in cuts:  # the chains that end before the last site keep their lines
+                ends.append((prefix == k + 1, o, wd_min, jo))
+        for at, *lines in ends:
+            o, wd_min, jo = (np.where(at, x, y) for x, y in zip(lines, (o, wd_min, jo)))
         den = 1j * delta_c - params.kappa / 2.0 - 1j * o
         a = -np.sqrt(params.kappa_wg) / den
-        r, d_min = np.sqrt(params.kappa_wg) * a - 1.0, wd_min / np.abs(w)
-        if not jet:
-            return r, d_min
-        jden = jw - 1j * jo
-        ja = -a * jden / den
-        ja[1] -= ja[0] * jden[0] / den
-        return r, d_min, np.sqrt(params.kappa_wg) * ja[0], 2.0 * np.sqrt(params.kappa_wg) * ja[1]
+        folded = [np.sqrt(params.kappa_wg) * a - 1.0, wd_min / np.abs(w)]
+        if jet:
+            jden = jw - 1j * jo
+            ja = -a * jden / den
+            ja[1] -= ja[0] * jden[0] / den
+            folded += [np.sqrt(params.kappa_wg) * ja[0], 2.0 * np.sqrt(params.kappa_wg) * ja[1]]
+    if split:  # site k is bit k of the row: reverse the bits, the axes of (2,) * n
+        folded = [v[np.arange(v.shape[0]).reshape((2,) * pos.size).T.reshape(-1)] for v in folded]
+    return folded
 
 
-def _contour_mean(params, index, delta, delta_c, gamma_L, gamma_R, xi, pos, on) -> np.ndarray:
+def _contour_mean(params, index, delta, delta_c, gamma_L, gamma_R, xi, pos, on, prefix) -> np.ndarray:
     """(r, dr/d(delta), d2r/d(delta)^2) at the flagged points ``index`` from the fold
     on a circle around each, as rows of a (3, points) array.
 
-    The fold arguments hold one row per point.  For passive parameters a
-    real-axis singularity of r(delta) is removable: the undamped mode has
-    no cavity component, so it is neither driven nor seen.  The trapezoidal
-    mean over delta + eps z_k, z_k = e^{2 pi i (k + 1/2)/K}, with delta_c
-    shifted alike, then converges geometrically to r.  The same samples
-    give the residue, mean eps z_k r_k, which must vanish to rounding;
+    The fold arguments hold one row per point (``prefix``: None or a column).
+    For passive parameters a real-axis singularity of r(delta) is removable:
+    the undamped mode has no cavity component, so it is neither driven nor
+    seen.  The trapezoidal mean over delta + eps z_k, z_k = e^{2 pi i (k + 1/2)/K},
+    with delta_c shifted alike, then converges geometrically to r.  The same
+    samples give the residue, mean eps z_k r_k, which must vanish to rounding;
     otherwise the point raises SolverError under its flat index.  The
     Cauchy means r' = mean r_k/(eps z_k), r'' = 2 mean r_k/(eps z_k)^2 follow.
     """
     shift = _EPS * np.exp(2j * np.pi * (np.arange(_K) + 0.5) / _K)
     gl, gr, x = (v[:, None] for v in (gamma_L, gamma_R, xi))
     d, dc = delta[:, None] + shift, delta_c[:, None] + shift
-    r = _fold(params, d, dc, pos, gl, gr, x, on[:, None])[0]
+    r = _fold(params, d, dc, pos, gl, gr, x, on[:, None], prefix=prefix)[0]
     residue = np.abs(np.mean(shift * r, axis=-1))
     driven = ~(residue <= _RESIDUE_TOL * _EPS * np.max(np.abs(r), axis=-1))  # NaN is driven
     if driven.any():
@@ -240,23 +261,26 @@ def _contour_mean(params, index, delta, delta_c, gamma_L, gamma_R, xi, pos, on) 
 
 def _reflection(
     params: SystemParams, delta, delta_c=None, positions=None, gamma_L=None, xi=None,
-    independent_atoms: bool = False, coupled=None, derivatives: bool = False,
+    independent_atoms: bool = False, derivatives: bool = False, subsets: bool = False, prefix=None,
 ):
     """r (a_in = 1) over the broadcast shape of the detunings, ``gamma_L``, ``xi``
     (default: from ``params``; an explicit ``gamma_L`` comes with gamma_R =
-    1 - gamma_L) and the leading axes of the carving mask ``coupled`` (..., n),
-    whose False entries drop an atom out.  Folded on arrays of the batch's
-    ndim: a batch of one has the bits of the same point inside a batch.
-    Points with a non-finite fold or |D| <= 1/COND_MAX go to ``_contour_mean``
-    under their flat indices.  ``derivatives=True`` adds dr/d(delta) and
-    d2r/d(delta)^2 along delta_c = delta.  No validation: callers check once.
+    1 - gamma_L) and ``prefix``, each point's count of leading sorted sites:
+    one fold reads out every prefix of the chain.  ``subsets=True`` prepends
+    an axis over the 2^n subsets of the n sorted sites, the first site the
+    top bit; an absent atom keeps its site but loses every coupling, which
+    makes it exactly the removed atom.  Each site doubles the rows, so that
+    costs 2^n site updates and as many propagations, not n 2^n updates.
+    Folded on arrays of the batch's ndim: a batch of one has the bits of
+    the same point inside a batch.  Points with a non-finite fold or
+    |D| <= 1/COND_MAX go to ``_contour_mean`` under their flat indices.
+    ``derivatives=True`` adds dr/d(delta) and d2r/d(delta)^2 along
+    delta_c = delta.  No validation: callers check once.
     """
-    pos = np.asarray(np.arange(params.n_atoms) if positions is None else positions, dtype=float)
-    order = np.argsort(pos, kind="stable")
-    on = np.ones(pos.size, dtype=bool) if coupled is None else coupled
+    pos = np.sort(np.arange(params.n_atoms) if positions is None else positions).astype(float)
     gl = params.gamma_L if gamma_L is None else gamma_L
     axes = [delta, delta if delta_c is None else delta_c, gl, params.xi if xi is None else xi]
-    lead = np.broadcast_shapes(*map(np.shape, axes), np.shape(on)[:-1])
+    lead = (2**pos.size,) * subsets + np.broadcast_shapes(*map(np.shape, (*axes, prefix)))
     shape = lead or (1,)
     # every operand gets the batch's ndim: numpy multiplies a size-1 pair of
     # unequal ndims without FMA, and a batch of one would change its bits
@@ -264,14 +288,16 @@ def _reflection(
     gr = params.gamma_R if gamma_L is None else 1.0 - gl
     if independent_atoms:  # gamma_L enters only the atom-atom block
         gl = gr = 0.0
-    pos, on = pos[order], on[(None,) * (len(shape) + 1 - np.ndim(on)) + (..., order)]
-    folded = _fold(params, d, dc, pos, gl, gr, x, on, derivatives)
+    on = np.ones(pos.size, dtype=bool)  # all coupled; the subsets come from ``split``
+    folded = _fold(params, d, dc, pos, gl, gr, x, on, derivatives, prefix, subsets)
     r, d_min, *jet = (np.broadcast_to(v, shape).flatten() for v in folded)
     index = np.flatnonzero(~np.isfinite(r) | (d_min <= 1.0 / COND_MAX))
     if index.size:
         points = (np.broadcast_to(v, shape).reshape(-1)[index] for v in (d, dc, gl, gr, x))
-        mask = np.broadcast_to(on, shape + pos.shape).reshape(-1, pos.size)[index]
-        for v, mean in zip((r, *jet), _contour_mean(params, index, *points, pos, mask)):
+        rows = index // (r.size >> pos.size) if subsets else np.full(index.size, 2**pos.size - 1)
+        mask = (rows[:, None] >> np.arange(pos.size - 1, -1, -1)) & 1 > 0  # the row's atoms
+        cut = None if prefix is None else np.broadcast_to(prefix, shape).reshape(-1)[index, None]
+        for v, mean in zip((r, *jet), _contour_mean(params, index, *points, pos, mask, cut)):
             v[index] = mean
     return tuple(v.reshape(lead) for v in (r, *jet)) if derivatives else r.reshape(lead)
 

@@ -133,9 +133,10 @@ def _peaks(x, prominence_min: float) -> tuple[np.ndarray, np.ndarray]:
     return peaks[keep], prominence[keep]
 
 
-def _newton(params, x, lo, hi, sign, level, order: int, tol: float):
+def _newton(params, x, lo, hi, sign, level, order: int, tol: float, prefix=None):
     """Roots of f = sign (d^order R/d(delta)^order - level) between ``lo`` (f < 0)
-    and ``hi``, refined together from ``x``, one fold of the live points per step.
+    and ``hi``, refined together from ``x``, one fold of the live points per step
+    (of each point's ``prefix`` of the chain, if given).
 
     Each step moves the bracket end on the side of f's sign to the point
     and takes the Newton step, or bisects where that step leaves the
@@ -146,7 +147,8 @@ def _newton(params, x, lo, hi, sign, level, order: int, tol: float):
     R, live = np.empty_like(x), np.arange(x.size)
     while live.size:
         xl, l, h, s = x[live], lo[live], hi[live], sign[live]
-        r, r1, r2 = _reflection(params, xl, derivatives=True)
+        cut = None if prefix is None else prefix[live]
+        r, r1, r2 = _reflection(params, xl, derivatives=True, prefix=cut)
         R[live] = np.square(np.abs(r))
         jet = (R[live], 2 * np.real(np.conj(r) * r1), 2 * (np.abs(r1) ** 2 + np.real(np.conj(r) * r2)))
         f, slope = s * (jet[order] - level[live]), s * jet[order + 1]
@@ -160,22 +162,23 @@ def _newton(params, x, lo, hi, sign, level, order: int, tol: float):
     return x, R
 
 
-def _extrema(spec: Spectrum, signs, prominence_min: float):
-    """Dips (sign +1) and peaks (sign -1) of the sampled curve, in the
-    order of ``signs``, with their extrema refined together on the
-    continuous curve: (index, sign, prominence, delta, value) arrays."""
-    found = [(s, *_peaks(-s * spec.values, prominence_min)) for s in signs]
-    index = np.concatenate([peaks for _, peaks, _ in found])
-    sign = np.concatenate([np.full(peaks.size, s) for s, peaks, _ in found])
-    prominence = np.concatenate([prom for _, _, prom in found])
+def _extrema(params, deltas, values, signs, prominence_min: float, prefix=None):
+    """Dips (sign +1) and peaks (sign -1) of each sampled curve ``values[j]`` (of the
+    ``prefix[j]``-site chain, if given), in the order of (j, ``signs``), refined together
+    on the continuous curves: (curve, index, sign, prominence, delta, value) arrays."""
+    found = [(j, s, *_peaks(-s * row, prominence_min)) for j, row in enumerate(values) for s in signs]
+    curve, sign, index, prominence = (
+        np.concatenate([np.broadcast_to(f[i], f[2].shape) for f in found]) for i in range(4)
+    )
     # Newton starts at the vertex of the parabola through the three samples
-    x0, x1, x2 = (spec.deltas[index + j] for j in (-1, 0, 1))
-    f0, f1, f2 = (spec.values[index + j] for j in (-1, 0, 1))
+    x0, x1, x2 = (deltas[index + j] for j in (-1, 0, 1))
+    f0, f1, f2 = (values[curve, index + j] for j in (-1, 0, 1))
     a, b = (x1 - x0) * (f1 - f2), (x1 - x2) * (f1 - f0)
     with np.errstate(divide="ignore", invalid="ignore"):  # a plateau has a = b = 0
         start = np.where(a != b, x1 - 0.5 * ((x1 - x0) * a - (x1 - x2) * b) / (a - b), x1)
-    delta, value = _newton(spec.params, start, x0, x2, sign, np.zeros(index.size), 1, REFINE_TOL / 2)
-    return index, sign, prominence, delta, value
+    cut = None if prefix is None else prefix[curve]
+    delta, value = _newton(params, start, x0, x2, sign, np.zeros(index.size), 1, REFINE_TOL / 2, cut)
+    return curve, index, sign, prominence, delta, value
 
 
 def _widths(spec: Spectrum, index, level, sign) -> np.ndarray:
@@ -216,7 +219,8 @@ def find_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> tup
     if not prominence_min >= 0:  # NaN fails too
         raise ValidationError(f"prominence_min must be >= 0, got {prominence_min}")
     require_valid(spec.params)
-    index, sign, prominence, delta, value = _extrema(spec, (1.0, -1.0), prominence_min)
+    found = _extrema(spec.params, spec.deltas, spec.values[None], (1.0, -1.0), prominence_min)
+    _, index, sign, prominence, delta, value = found
     width = _widths(spec, index, value + sign * prominence / 2.0, sign)
     features = [
         Feature("dip" if s > 0 else "peak", *row)
@@ -230,6 +234,23 @@ def with_features(spec: Spectrum) -> Spectrum:
     return replace(spec, features=find_features(spec))
 
 
+def _dips(params: SystemParams, counts, n_points: int = DIP_POINTS) -> list:
+    """(ascending dip deltas, R there) of the ``n``-atom prefix of the chain
+    for each ``n`` in ``counts``: one fold sweeps every prefix on ``n_points``
+    over +-DIP_SPAN, and one Newton batch per step refines all their dips."""
+    if not counts:
+        return []
+    chain, counts = replace(params, n_atoms=max(counts)), np.asarray(counts)
+    deltas = np.linspace(-DIP_SPAN, DIP_SPAN, n_points)
+    values = np.square(np.abs(_reflection(chain, deltas, prefix=counts[:, None])))
+    curve, *_, delta, value = _extrema(chain, deltas, values, (1.0,), PROMINENCE_MIN, counts)
+    order = np.lexsort((delta, curve))  # by count, then ascending delta, ties in found order
+    dips = np.split(order, np.searchsorted(curve[order], np.arange(1, counts.size)))
+    if missing := [n for n, mine in zip(counts.tolist(), dips) if not mine.size]:
+        raise DipNotFoundError(f"no dip above prominence {PROMINENCE_MIN} for n_coupled={missing[0]}")
+    return [(delta[mine].tolist(), value[mine]) for mine in dips]
+
+
 def dip_detunings(params: SystemParams, n_coupled: int, n_points: int = DIP_POINTS, *, _depths=False):
     """Refined dip locations of the ``n_coupled``-atom system, ascending.
 
@@ -238,15 +259,10 @@ def dip_detunings(params: SystemParams, n_coupled: int, n_points: int = DIP_POIN
     regime; for even counts this includes the on-resonance dip at delta = 0.
     ``_depths=True`` (for planning) also returns R there, from the same fold.
     """
-    sub = replace(params, n_atoms=require_count("n_coupled", n_coupled, 2))
-    spec = sweep_delta(sub, -DIP_SPAN, DIP_SPAN, n_points)
-    _, _, _, delta, value = _extrema(spec, (1.0,), PROMINENCE_MIN)
-    if not delta.size:
-        raise DipNotFoundError(
-            f"no dip above prominence {PROMINENCE_MIN} for n_coupled={n_coupled}"
-        )
-    order = np.argsort(delta, kind="stable")
-    return (delta[order].tolist(), value[order]) if _depths else delta[order].tolist()
+    n_coupled = require_count("n_coupled", n_coupled, 2)
+    n_points = require_count("n_points", n_points, 2)
+    [(delta, value)] = _dips(require_valid(replace(params, n_atoms=n_coupled)), [n_coupled], n_points)
+    return (delta, value) if _depths else delta
 
 
 # ---------------------------------------------------------------------------

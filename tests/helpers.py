@@ -62,8 +62,9 @@ def half_level_width(params, span, n_points=6001, baseline=None):
     """Full width of the reflection structure at half level above baseline.
 
     Outermost crossings of (max + baseline)/2, located by bisection on
-    the continuous curve; implemented with plain gridding independent of
-    the package's feature machinery.
+    the continuous curve, both edges together with one two-point batch per
+    step; implemented with plain gridding independent of the package's
+    feature machinery.
     """
     deltas = np.linspace(-span, span, n_points)
     values = reflectivity_batch(params, deltas)
@@ -75,17 +76,14 @@ def half_level_width(params, span, n_points=6001, baseline=None):
     i_hi = len(above) - 1 - int(np.argmax(above[::-1]))
     assert 0 < i_lo and i_hi < len(deltas) - 1, "window does not bracket the structure"
 
-    def edge(inside, outside):
-        lo, hi = deltas[outside], deltas[inside]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if r_at(params, mid) >= level:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    return edge(i_hi, i_hi + 1) - edge(i_lo, i_lo - 1)
+    # lo stays below the level, hi at or above it: (upper edge, lower edge)
+    lo, hi = deltas[[i_hi + 1, i_lo - 1]], deltas[[i_hi, i_lo]]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        above = reflectivity_batch(params, mid) >= level
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    upper, lower = 0.5 * (lo + hi)
+    return upper - lower
 
 
 def golden_section_minimize(f, lo, hi, tol: float = REFINE_TOL):

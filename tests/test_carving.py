@@ -12,6 +12,7 @@ from chiralcav import (
     build_linear_system,
     carving_measurement,
     component_reflection,
+    dip_detunings,
     fidelity,
     global_rotation,
     plan_protocol,
@@ -33,6 +34,10 @@ R1 = -0.9
 
 def template(m=2, **kw):
     return make_system(n=m, **kw)
+
+
+#: (gamma_L, g, xi) of the benchmark's carving templates, kappa_wg = 100, kappa_sc = 300
+BENCH_TEMPLATES = [(1.0, 20.0, 0.0), (1.0, 30.0, 0.0), (0.95, 20.0, 0.3)]
 
 
 class TestQubitRegister:
@@ -199,6 +204,18 @@ class TestCarvingMeasurement:
                     outcome.post_state.amplitudes, carved / np.linalg.norm(carved), atol=1e-13
                 )
 
+    @pytest.mark.parametrize("gamma_L, g, xi", BENCH_TEMPLATES)
+    def test_doubled_batch_matches_removal_route_up_to_twelve(self, gamma_L, g, xi, rng):
+        # every component up to M = 8, then 300 sampled components of M = 12
+        delta = rng.uniform(-3, 3)
+        for m in (*range(1, 9), 12):
+            params = template(m, gamma_L=gamma_L, g=g, xi=xi)
+            state = global_rotation(QubitRegister.ground(m), math.pi / 2)
+            r = carving_measurement(state, params, delta).per_component_r
+            rows = range(2**m) if m <= 8 else rng.choice(2**m, size=300, replace=False)
+            expected = [component_reflection(format(i, f"0{m}b"), params, delta) for i in rows]
+            assert np.max(np.abs(r[list(rows)] - expected)) <= 1e-13
+
     def test_dark_component_takes_degenerate_path(self, dark_point_calls):
         # gamma_L = 1/2, xi = 0, delta = 0: an adjacent coupled pair carries
         # an undriven, undamped subradiant mode and the fold meets D = 0
@@ -265,6 +282,24 @@ class TestFidelity:
 
 
 class TestPlanProtocol:
+    @pytest.mark.parametrize("gamma_L, g, xi", [*BENCH_TEMPLATES, (0.8, 20.0, 0.9)])
+    def test_plan_equals_steps_from_per_count_dip_searches(self, gamma_L, g, xi):
+        # the one prefix fold against one dip_detunings search per odd count, bit for bit;
+        # make_system's default is the first benchmark template
+        dips = {}
+        for m in range(2, 13):
+            params = template(m, gamma_L=gamma_L, g=g, xi=xi)
+            for n in range(3, m + 1, 2):
+                dips.setdefault(n, dip_detunings(params, n, _depths=True))
+            for sign in (1, -1):
+                steps = [0.0]
+                for n in range(3, m + 1, 2):
+                    deltas, depths = dips[n]
+                    side = [k for k, d in enumerate(deltas) if d * sign > 0] or range(len(deltas))
+                    steps.append(deltas[min(side, key=lambda k: depths[k])])
+                plan = np.array(plan_protocol(m, params, dip_sign=sign).steps)
+                assert plan.view(np.uint64).tolist() == np.array(steps).view(np.uint64).tolist()
+
     def test_bell_plan_single_resonant_step(self, base_params):
         plan = plan_protocol(2, base_params)
         assert plan.steps == (0.0,)

@@ -178,7 +178,7 @@ class TestCarveCommand:
         def no_spectrum(*_args, **_kw):
             raise AssertionError("dip search started")
 
-        monkeypatch.setattr(carving, "dip_detunings", no_spectrum)
+        monkeypatch.setattr(carving, "_dips", no_spectrum)
         code, _ = run_cli(["carve", "--m", "3", "--dip-sign", sign, *BASE], capsys)
         assert code == 2
 

@@ -96,11 +96,12 @@ def folded_systems(draw):
 @settings(DERANDOMIZED, max_examples=200)
 @given(folded_systems(), detuning, st.one_of(st.none(), detuning))
 def test_fold_matches_dense_oracle(system, delta, delta_c):
-    # the masked fold against the dense solve of the coupled atoms alone
+    # the mask's row of the subset batch against the dense solve of the coupled atoms alone
     params, sites, mask, independent = system
-    r = solver._reflection(
-        params, delta, delta_c, positions=sites, independent_atoms=independent, coupled=mask
+    subsets = solver._reflection(
+        params, delta, delta_c, positions=sites, independent_atoms=independent, subsets=True
     )
+    r = subsets[sum(int(b) << k for k, b in enumerate(mask[np.argsort(sites)][::-1]))]
     drive = DriveParams(delta=delta, delta_c=delta_c, unlock_delta_c=True)
     sub = replace(params, n_atoms=int(mask.sum()))
     dense = build_linear_system(sub, drive, positions=sites[mask], independent_atoms=independent)
@@ -186,13 +187,13 @@ def test_relaxation_matches_linear_solve(n, gamma_L, g, kappa_wg, kappa_sc, xi, 
 
 @DERANDOMIZED
 @given(systems(), st.integers(1, 3), st.integers(1, 4), st.randoms(use_true_random=False))
-def test_masked_reflection_with_2d_mask_equals_row_calls(params, a, b, random):
+def test_subset_batch_over_a_2d_grid_equals_point_calls(params, a, b, random):
     n = params.n_atoms
-    coupled = np.array([random.random() < 0.5 for _ in range(a * b * n)], dtype=bool)
-    coupled = coupled.reshape(a, b, n)
+    gamma_L = np.array([random.random() for _ in range(a)])
     deltas = np.array([random.uniform(-5.0, 5.0) for _ in range(b)])
-    r = solver._reflection(params, deltas, coupled=coupled)
-    assert r.shape == (a, b)
+    r = solver._reflection(params, deltas, gamma_L=gamma_L[:, None], subsets=True)
+    assert r.shape == (2**n, a, b)
     for i in range(a):
         for j in range(b):
-            assert bits(r[i, j]) == bits(solver._reflection(params, deltas[j], coupled=coupled[i, j]))
+            row = solver._reflection(params, deltas[j], gamma_L=gamma_L[i], subsets=True)
+            assert bits(r[:, i, j].copy()) == bits(row)

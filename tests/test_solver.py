@@ -558,6 +558,16 @@ class TestJet:
         assert abs(r1 - e1) <= 1e-12
         assert abs(r2 - e2) <= 1e-8
 
+    @pytest.mark.parametrize("xi", [0.0, math.pi])
+    def test_prefix_read_out_has_the_bits_of_each_chain(self, xi, dark_point_calls):
+        # every prefix of the dark chain gamma_L = 1/2 from one jet fold; n >= 2 are dark
+        params = make_system(n=8, gamma_L=0.5, xi=xi)
+        r, r1, r2 = solver._reflection(params, 0.0, prefix=np.arange(1, 9), derivatives=True)
+        assert dark_point_calls == [list(range(1, 8))]
+        for n in range(1, 9):
+            chain = solver._reflection(make_system(n=n, gamma_L=0.5, xi=xi), 0.0, derivatives=True)
+            assert bits(np.array([r[n - 1], r1[n - 1], r2[n - 1]])) == bits(np.array(chain))
+
     def test_order_zero_has_the_bits_of_the_plain_fold(self):
         params = make_system(n=5, gamma_L=0.8, xi=0.9)
         sweep = dict(delta=np.linspace(-3.0, 3.0, 4001))
@@ -566,8 +576,7 @@ class TestJet:
             gamma_L=np.linspace(0.0, 1.0, 41)[None, :],
             xi=np.linspace(0.0, 2 * math.pi, 161)[:, None],
         )
-        masks = ((np.arange(2**6)[:, None] >> np.arange(5, -1, -1)) & 1).astype(bool)
-        carving = dict(delta=0.37, positions=np.arange(6), coupled=masks)
+        carving = dict(delta=0.37, positions=np.arange(6), subsets=True)
         for batch in (sweep, dark_map, carving):
             plain = solver._reflection(params, **batch)
             r, r1, r2 = solver._reflection(params, **batch, derivatives=True)

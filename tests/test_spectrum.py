@@ -233,12 +233,12 @@ class TestBatchedRefinement:
         assert len(find_features(spec)) == n_features
         assert 0 < len(folds) <= 10
 
-    def test_plan_of_twelve_takes_at_most_twenty_folds(self, monkeypatch):
+    def test_plan_of_twelve_takes_one_sweep_and_at_most_five_folds(self, monkeypatch):
         folds = self.count_folds(monkeypatch)
         plan = plan_protocol(12, make_system(n=12))
         assert len(plan.steps) == 6
-        assert len(folds) <= 20
-        assert sum(shape == (4001,) for shape in folds) == 5  # one sweep per odd n = 3..11
+        assert len(folds) <= 5
+        assert sum(math.prod(shape) == 4001 for shape in folds) == 1  # one sweep for n = 3..11
 
 
 class TestPeaks:
