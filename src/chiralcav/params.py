@@ -13,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ValidationError
 
 #: tolerance on gamma_L + gamma_R = 1
@@ -27,7 +29,9 @@ class SystemParams:
 
     ``gamma_R`` may be omitted, in which case it is derived as
     1 - gamma_L.  ``xi`` is stored reduced modulo 2*pi; every observable
-    of the model is additionally invariant under xi -> xi + pi.
+    of the model is additionally invariant under xi -> xi + pi.  ``xi``, and
+    ``gamma_L`` when ``gamma_R`` is derived, must be real numbers here (else
+    ValidationError); :func:`validate` reports any other non-real field.
     """
 
     n_atoms: int
@@ -40,6 +44,9 @@ class SystemParams:
     gamma_mhz: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("xi",) if self.gamma_R is not None else ("xi", "gamma_L"):
+            if not _real_number(getattr(self, name)):
+                raise ValidationError(f"{name} must be a real number")
         if self.gamma_R is None:
             object.__setattr__(self, "gamma_R", 1.0 - self.gamma_L)
         object.__setattr__(self, "xi", float(self.xi) % TWO_PI)
@@ -65,6 +72,8 @@ class DriveParams:
     unlock_delta_c: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not _real_number(self.delta) or not (self.delta_c is None or _real_number(self.delta_c)):
+            raise ValidationError("delta and delta_c must be real numbers")
         if self.delta_c is None:
             object.__setattr__(self, "delta_c", float(self.delta))
         elif self.delta_c != self.delta and not self.unlock_delta_c:
@@ -106,11 +115,43 @@ def require_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _real(value) -> bool:
+    """True for a bool, int or float scalar or array; False for None, strings,
+    complex values and ragged nestings."""
+    try:
+        return np.asarray(value).dtype.kind in "biuf"
+    except (TypeError, ValueError):  # a ragged nesting
+        return False
+
+
+def _real_number(value) -> bool:
+    """True for one real number, a numpy scalar or a 0-d array included."""
+    return isinstance(value, (int, float)) or (_real(value) and np.ndim(value) == 0)  # floats skip numpy
+
+
+def require_real(name: str, value) -> np.ndarray:
+    """``value`` as a float array; ValidationError unless it holds finite real numbers."""
+    if not _real(value):
+        raise ValidationError(f"{name} must hold real numbers")
+    array = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(array)):
+        raise ValidationError(f"{name} must be finite")
+    return array
+
+
+#: the SystemParams fields that must be finite real numbers
+_FIELDS = ("gamma_L", "gamma_R", "g", "kappa_wg", "kappa_sc", "xi")
+
+
 def validate(params: SystemParams) -> ValidationReport:
-    """Check every SystemParams invariant and report violations."""
+    """Check every SystemParams invariant and report violations; the rules
+    that compare numbers apply once every field is a real number."""
     violations: list[str] = []
     if not _integral(params.n_atoms) or params.n_atoms < 0:
         violations.append("n_atoms must be a nonnegative integer")
+    unreal = [f"{name} must be a real number" for name in _FIELDS if not _real_number(getattr(params, name))]
+    if unreal:  # the rules below compare numbers
+        return ValidationReport(ok=False, violations=(*violations, *unreal))
     if params.gamma_L < 0 or params.gamma_R < 0:
         violations.append("gamma_L and gamma_R must be >= 0")
     if abs(params.gamma_L + params.gamma_R - 1.0) > _GAMMA_SUM_TOL:
@@ -121,7 +162,7 @@ def validate(params: SystemParams) -> ValidationReport:
         violations.append("kappa_sc must be >= 0")
     if params.g < 0:
         violations.append("g must be >= 0")
-    for name in ("gamma_L", "gamma_R", "g", "kappa_wg", "kappa_sc", "xi"):
+    for name in _FIELDS:
         if not math.isfinite(getattr(params, name)):
             violations.append(f"{name} must be finite")
     # 4 g^2 / kappa is checked only once g and kappa pass their own rules

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .params import DriveParams, SystemParams, require_valid
+from .params import DriveParams, SystemParams, require_real, require_valid
 
 #: a fold point whose smallest Fabry-Perot denominator |D| is at most
 #: 1/COND_MAX takes the dark-point rule
@@ -98,11 +98,8 @@ def _require_positions(positions) -> None:
     """Raise ValidationError unless ``positions`` is None or distinct finite sites in 1-D."""
     if positions is None:
         return
-    try:
-        pos = np.asarray(positions, dtype=float)
-    except (TypeError, ValueError):  # not numbers, or a ragged nesting
-        pos = None
-    if pos is None or pos.ndim != 1 or not np.all(np.isfinite(pos)):
+    pos = require_real("positions", positions)
+    if pos.ndim != 1:
         raise ValidationError("positions must be a finite 1-D array")
     if np.unique(pos).size < pos.size:  # coincident atoms make a gain medium
         raise ValidationError("positions must be distinct")
@@ -160,36 +157,35 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def _fold(params, delta, delta_c, pos, gamma_L, gamma_R, xi, on, jet=False, prefix=None, split=False):
+def _fold(params, delta, delta_c, pos, gl, gr, xi, jet=False, prefix=None, split=False):
     """r (a_in = 1) and the smallest |D| of the fold over the sorted sites ``pos``;
     with ``jet`` also dr/d(delta) and d2r/d(delta)^2 along delta_c = delta.
 
-    ``on[..., k]`` scales the rates of site k.  ``prefix`` closes each
-    point's chain after its own first ``prefix`` sites.  ``split`` doubles
-    the rows, axis 0, at each site k: row i passes the site off by pure
-    propagation, (rho phi^2, s phi, q phi, o), the zero-rate update bit for
-    bit, and row i + 2^k takes the update; the first site ends up the top
+    The rates ``gl``, ``gr`` are per point.  ``prefix`` closes each point's
+    chain after its own first ``prefix`` sites.  ``split`` (not with ``jet``)
+    doubles the rows, axis 0, at each site k: row i passes the site off by
+    pure propagation, (rho phi^2, s phi, q phi, o), the zero-rate update bit
+    for bit, and row i + 2^k takes the update; the first site ends up the top
     bit.  The segment left of a site gives R_out = rho L + s and O = q L + o
     for the field L entering it.  The jet of x, (x', x''/2) on a leading axis,
     rides beside the order-0 lines: jet(ab) = a jet(b) + b jet(a) + (0, a' b'),
     and c = a/b has jet (jet(a) - c jet(b))/b less (0, c' b'/b).
     """
     # split rows concatenate, so they start with the shape of the whole batch
-    batch = np.broadcast_shapes(*map(np.shape, (delta, gamma_L, gamma_R, xi))) if split else 1
+    batch = np.broadcast_shapes(*map(np.shape, (delta, gl, gr, xi))) if split else 1
     nd, xi = np.ndim(delta), xi[..., None]
-    gl, gr = (np.asarray(rate)[..., None] * on for rate in (gamma_L, gamma_R))
-    cav, g = np.exp(1j * xi * pos), params.g * on
+    cav = np.exp(1j * xi * pos)
     hop = np.exp(1j * xi * (pos - np.concatenate((pos[:1], pos[:-1]))))  # from the previous site
-    sites = [hop, gl, gr, 1j * g * cav, g * np.conj(cav)]
+    sites = [hop, 1j * params.g * cav, params.g * np.conj(cav)]
     w = 1j * delta - 0.5
     rho = s = q = o = np.zeros(batch, dtype=complex)
     jw = np.array([1j, 0.0]).reshape((2,) + (1,) * nd)  # dw/d(delta) = i
-    jrho = js = jq = jo = np.zeros((2,) + o.shape, dtype=complex) if split else 0.0 * jw
+    jrho = js = jq = jo = 0.0 * jw
     wd_min = np.full(batch, np.inf)  # of |w D|: w is the same at every site
     cuts, ends = ([] if prefix is None else np.unique(prefix[prefix < pos.size]).tolist()), []
     with np.errstate(all="ignore"):  # D = 0 gives inf or nan: the dark-point rule takes it
         for k in range(pos.size):
-            phi, gl, gr, src, obs = (v[..., k] for v in sites)
+            phi, src, obs = (v[..., k] for v in sites)
             u = phi * phi * rho  # the segment's reflection seen from this site
             ugl, t = u * gl, q * phi
             wd, c = w - ugl, t * gl + obs
@@ -199,7 +195,6 @@ def _fold(params, delta, delta_c, pos, gamma_L, gamma_R, xi, on, jet=False, pref
             if jet:  # jet(out) = jet(ugl); q' = t + c sig_l and o' = o + c sig_0
                 ju = phi * phi * jrho
                 jugl, jt = ju * gl, jq * phi
-                off += (ju, phi * js, jt, jo) if split else ()
                 jwd, jc = jw - jugl, jt * gl
                 jl, jz = (ju - sig_l * jwd) / wd, (phi * js - sig_0 * jwd) / wd
                 step = jwd[0] / wd
@@ -214,8 +209,6 @@ def _fold(params, delta, delta_c, pos, gamma_L, gamma_R, xi, on, jet=False, pref
             wd_min = np.minimum(wd_min, np.abs(wd))
             if split:  # row i with site k off stays row i, with it on becomes row i + 2^k
                 rho, s, q, o, wd_min = map(np.concatenate, zip(off, (rho, s, q, o, wd_min)))
-                if jet:  # behind the jet axis
-                    jrho, js, jq, jo = (np.concatenate(x, 1) for x in zip(off[5:], (jrho, js, jq, jo)))
             if k + 1 in cuts:  # the chains that end before the last site keep their lines
                 ends.append((prefix == k + 1, o, wd_min, jo))
         for at, *lines in ends:
@@ -233,23 +226,30 @@ def _fold(params, delta, delta_c, pos, gamma_L, gamma_R, xi, on, jet=False, pref
     return folded
 
 
-def _contour_mean(params, index, delta, delta_c, gamma_L, gamma_R, xi, pos, on, prefix) -> np.ndarray:
-    """(r, dr/d(delta), d2r/d(delta)^2) at the flagged points ``index`` from the fold
-    on a circle around each, as rows of a (3, points) array.
+def _contour_mean(params, index, delta, delta_c, pos, gl, gr, xi, prefix, split) -> np.ndarray:
+    """(r, dr/d(delta), d2r/d(delta)^2) at the flagged flat ``index`` of a batch from
+    the fold on a circle around each, as rows of a (3, points) array.
 
-    The fold arguments hold one row per point (``prefix``: None or a column).
-    For passive parameters a real-axis singularity of r(delta) is removable:
-    the undamped mode has no cavity component, so it is neither driven nor
-    seen.  The trapezoidal mean over delta + eps z_k, z_k = e^{2 pi i (k + 1/2)/K},
-    with delta_c shifted alike, then converges geometrically to r.  The same
-    samples give the residue, mean eps z_k r_k, which must vanish to rounding;
-    otherwise the point raises SolverError under its flat index.  The
-    Cauchy means r' = mean r_k/(eps z_k), r'' = 2 mean r_k/(eps z_k)^2 follow.
+    The fold arguments are the batch's own: each distinct point behind ``index``
+    is folded once, and each index reads its row.  For passive parameters a
+    real-axis singularity of r(delta) is removable: the undamped mode has no
+    cavity component, so it is neither driven nor seen.  The trapezoidal mean
+    over delta + eps z_k, z_k = e^{2 pi i (k + 1/2)/K}, with delta_c shifted
+    alike, then converges geometrically to r.  The same samples give the
+    residue, mean eps z_k r_k, which must vanish to rounding; otherwise the
+    point raises SolverError under its flat index.  The Cauchy means
+    r' = mean r_k/(eps z_k), r'' = 2 mean r_k/(eps z_k)^2 follow.
     """
+    grid = np.broadcast_shapes(*map(np.shape, (delta, delta_c, gl, gr, xi, prefix)))
+    size = np.prod(grid[split:], dtype=int)  # points per row
+    points, at = np.unique(index % size, return_inverse=True)
+    d, dc, gl, gr, xi, cut = (  # a column per point, behind the split batch's row axis
+        None if v is None else np.broadcast_to(v, grid).reshape(-1)[points][(None,) * split + (..., None)]
+        for v in (delta, delta_c, gl, gr, xi, prefix)
+    )
     shift = _EPS * np.exp(2j * np.pi * (np.arange(_K) + 0.5) / _K)
-    gl, gr, x = (v[:, None] for v in (gamma_L, gamma_R, xi))
-    d, dc = delta[:, None] + shift, delta_c[:, None] + shift
-    r = _fold(params, d, dc, pos, gl, gr, x, on[:, None], prefix=prefix)[0]
+    r = _fold(params, d + shift, dc + shift, pos, gl, gr, xi, prefix=cut, split=split)[0]
+    r = r.reshape(-1, points.size, _K)[index // size, at]
     residue = np.abs(np.mean(shift * r, axis=-1))
     driven = ~(residue <= _RESIDUE_TOL * _EPS * np.max(np.abs(r), axis=-1))  # NaN is driven
     if driven.any():
@@ -274,8 +274,8 @@ def _reflection(
     Folded on arrays of the batch's ndim: a batch of one has the bits of
     the same point inside a batch.  Points with a non-finite fold or
     |D| <= 1/COND_MAX go to ``_contour_mean`` under their flat indices.
-    ``derivatives=True`` adds dr/d(delta) and d2r/d(delta)^2 along
-    delta_c = delta.  No validation: callers check once.
+    ``derivatives=True`` (not with ``subsets``) adds dr/d(delta) and
+    d2r/d(delta)^2 along delta_c = delta.  No validation: callers check once.
     """
     pos = np.sort(np.arange(params.n_atoms) if positions is None else positions).astype(float)
     gl = params.gamma_L if gamma_L is None else gamma_L
@@ -288,16 +288,12 @@ def _reflection(
     gr = params.gamma_R if gamma_L is None else 1.0 - gl
     if independent_atoms:  # gamma_L enters only the atom-atom block
         gl = gr = 0.0
-    on = np.ones(pos.size, dtype=bool)  # all coupled; the subsets come from ``split``
-    folded = _fold(params, d, dc, pos, gl, gr, x, on, derivatives, prefix, subsets)
+    fold = (d, dc, pos, gl, gr, x)
+    folded = _fold(params, *fold, derivatives, prefix, subsets)
     r, d_min, *jet = (np.broadcast_to(v, shape).flatten() for v in folded)
     index = np.flatnonzero(~np.isfinite(r) | (d_min <= 1.0 / COND_MAX))
     if index.size:
-        points = (np.broadcast_to(v, shape).reshape(-1)[index] for v in (d, dc, gl, gr, x))
-        rows = index // (r.size >> pos.size) if subsets else np.full(index.size, 2**pos.size - 1)
-        mask = (rows[:, None] >> np.arange(pos.size - 1, -1, -1)) & 1 > 0  # the row's atoms
-        cut = None if prefix is None else np.broadcast_to(prefix, shape).reshape(-1)[index, None]
-        for v, mean in zip((r, *jet), _contour_mean(params, index, *points, pos, mask, cut)):
+        for v, mean in zip((r, *jet), _contour_mean(params, index, *fold, prefix, subsets)):
             v[index] = mean
     return tuple(v.reshape(lead) for v in (r, *jet)) if derivatives else r.reshape(lead)
 
@@ -354,13 +350,14 @@ def reflectivity_batch(
     """
     require_valid(params)
     _require_positions(positions)
-    if gamma_L is not None:
-        gamma_L = np.asarray(gamma_L, dtype=float)
-        if not np.all((gamma_L >= 0.0) & (gamma_L <= 1.0)):
-            raise ValidationError("gamma_L must lie in [0, 1]")
-    for name, value in (("xi", xi), ("delta", delta)):
-        if value is not None and not np.all(np.isfinite(value)):
-            raise ValidationError(f"{name} must be finite")
+    delta = require_real("delta", delta)
+    gamma_L, xi = (None if v is None else require_real(name, v) for name, v in (("gamma_L", gamma_L), ("xi", xi)))
+    if gamma_L is not None and not np.all((gamma_L >= 0.0) & (gamma_L <= 1.0)):
+        raise ValidationError("gamma_L must lie in [0, 1]")
+    try:
+        np.broadcast_shapes(*map(np.shape, (delta, gamma_L, xi)))
+    except ValueError:
+        raise ValidationError("delta, gamma_L and xi must broadcast together") from None
     system = dict(positions=positions, independent_atoms=independent_atoms)
     return np.square(np.abs(_reflection(params, delta, gamma_L=gamma_L, xi=xi, **system)))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DipNotFoundError, ValidationError
-from .params import SystemParams, cooperativity, require_count, require_valid
+from .params import SystemParams, cooperativity, require_count, require_real, require_valid
 # ``reflectivity`` is unused here but stays a module attribute: the benchmark
 # tracer wraps spectrum.reflectivity, and its self-test removes and restores it
 from .solver import _reflection, reflectivity, reflectivity_batch  # noqa: F401
@@ -98,10 +98,9 @@ def sweep_delta(params: SystemParams, delta_min: float, delta_max: float, n_poin
 
 def sweep_2d(params_template: SystemParams, xi_grid, gamma_L_grid) -> Map2D:
     """On-resonance reflectivity at every (xi, gamma_L) grid point."""
-    xi_grid = np.asarray(xi_grid, dtype=float)
-    gamma_L_grid = np.asarray(gamma_L_grid, dtype=float)
-    if xi_grid.size == 0 or gamma_L_grid.size == 0:
-        raise ValidationError("grids must be nonempty")
+    xi_grid, gamma_L_grid = require_real("xi_grid", xi_grid), require_real("gamma_L_grid", gamma_L_grid)
+    if xi_grid.ndim != 1 or gamma_L_grid.ndim != 1 or xi_grid.size == 0 or gamma_L_grid.size == 0:
+        raise ValidationError("grids must be nonempty 1-D arrays")
     grids = dict(gamma_L=gamma_L_grid[None, :], xi=xi_grid[:, None])
     values = reflectivity_batch(params_template, 0.0, **grids)
     return Map2D(xi_grid=xi_grid, gamma_L_grid=gamma_L_grid, values=values)
@@ -251,18 +250,17 @@ def _dips(params: SystemParams, counts, n_points: int = DIP_POINTS) -> list:
     return [(delta[mine].tolist(), value[mine]) for mine in dips]
 
 
-def dip_detunings(params: SystemParams, n_coupled: int, n_points: int = DIP_POINTS, *, _depths=False):
+def dip_detunings(params: SystemParams, n_coupled: int, n_points: int = DIP_POINTS) -> list:
     """Refined dip locations of the ``n_coupled``-atom system, ascending.
 
     Dips above ``PROMINENCE_MIN`` on ``n_points`` over +-DIP_SPAN.  The
     n_coupled-atom spectrum carries n_coupled - 1 dips in the directional
     regime; for even counts this includes the on-resonance dip at delta = 0.
-    ``_depths=True`` (for planning) also returns R there, from the same fold.
     """
     n_coupled = require_count("n_coupled", n_coupled, 2)
     n_points = require_count("n_points", n_points, 2)
-    [(delta, value)] = _dips(require_valid(replace(params, n_atoms=n_coupled)), [n_coupled], n_points)
-    return (delta, value) if _depths else delta
+    [(delta, _)] = _dips(require_valid(replace(params, n_atoms=n_coupled)), [n_coupled], n_points)
+    return delta
 
 
 # ---------------------------------------------------------------------------

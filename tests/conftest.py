@@ -30,3 +30,21 @@ def dark_point_calls(monkeypatch):
 
     monkeypatch.setattr(solver, "_contour_mean", recording)
     return calls
+
+
+@pytest.fixture
+def fold_shapes(monkeypatch):
+    """The delta shape of each call of the fold, in order."""
+    import numpy as np
+
+    from chiralcav import solver
+
+    calls = []
+    fold = solver._fold
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[1]))
+        return fold(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_fold", counted)
+    return calls

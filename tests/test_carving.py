@@ -12,7 +12,6 @@ from chiralcav import (
     build_linear_system,
     carving_measurement,
     component_reflection,
-    dip_detunings,
     fidelity,
     global_rotation,
     plan_protocol,
@@ -22,6 +21,7 @@ from chiralcav import (
     run_protocol,
     solve_steady_state,
     solver,
+    spectrum,
 )
 from helpers import brute_force_carve, make_system, single_atom_r
 
@@ -244,6 +244,13 @@ class TestCarvingMeasurement:
             system = build_linear_system(sub, DriveParams(), positions=sites)
             assert abs(solve_steady_state(system, sub).r - r[i]) <= 1e-14
 
+    def test_dark_register_of_twelve_takes_two_folds(self, fold_shapes, dark_point_calls):
+        # the doubled fold, then one contour fold of the one batch point for all 4083 flagged rows
+        state = global_rotation(QubitRegister.ground(12), math.pi / 2)
+        carving_measurement(state, template(12, gamma_L=0.5, xi=0.0), 0.0)
+        assert fold_shapes == [(1,), (1, 1, solver._K)]
+        assert len(dark_point_calls[0]) == 4083
+
     def test_batch_of_one_bit_identical_inside_batch(self):
         # with every atom coupled the masked matrix is the full system itself
         params = template(4, gamma_L=0.8, xi=0.9)
@@ -284,13 +291,13 @@ class TestFidelity:
 class TestPlanProtocol:
     @pytest.mark.parametrize("gamma_L, g, xi", [*BENCH_TEMPLATES, (0.8, 20.0, 0.9)])
     def test_plan_equals_steps_from_per_count_dip_searches(self, gamma_L, g, xi):
-        # the one prefix fold against one dip_detunings search per odd count, bit for bit;
+        # the one prefix fold against one dip search per odd count, bit for bit;
         # make_system's default is the first benchmark template
         dips = {}
         for m in range(2, 13):
             params = template(m, gamma_L=gamma_L, g=g, xi=xi)
             for n in range(3, m + 1, 2):
-                dips.setdefault(n, dip_detunings(params, n, _depths=True))
+                dips.setdefault(n, spectrum._dips(params, [n])[0])
             for sign in (1, -1):
                 steps = [0.0]
                 for n in range(3, m + 1, 2):

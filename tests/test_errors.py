@@ -23,6 +23,7 @@ from chiralcav import (
     reflectivity_batch,
     relax_time_domain,
     run_protocol,
+    sweep_2d,
     sweep_delta,
     validate,
     with_features,
@@ -93,6 +94,31 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         lambda tmp: render_json(TABLE, -1),
         lambda tmp: write_table(TABLE, tmp / "demo.csv", "csv", 0),
         lambda tmp: write_table(TABLE, tmp / "demo.json", "json", -1),
+        # a complex grid must not lose its imaginary part (a ComplexWarning is an error here)
+        lambda tmp: reflectivity_batch(make_system(), None),
+        lambda tmp: reflectivity_batch(make_system(), 0.1j),
+        lambda tmp: reflectivity_batch(make_system(), [0.1, 0.2j]),
+        lambda tmp: reflectivity_batch(make_system(), 0.0, xi=0.1j),
+        lambda tmp: reflectivity_batch(make_system(), 0.0, gamma_L=0.5 + 0j),
+        lambda tmp: reflectivity_batch(make_system(), "a"),
+        lambda tmp: reflectivity_batch(make_system(), ["0.1"]),
+        lambda tmp: reflectivity_batch(make_system(), 0.0, xi=[None]),
+        lambda tmp: reflectivity_batch(make_system(), [[0.1], [0.2, 0.3]]),
+        lambda tmp: reflectivity_batch(make_system(), np.zeros(3), gamma_L=np.full(2, 0.5)),
+        lambda tmp: reflectivity_batch(make_system(), np.zeros(3), xi=np.zeros((2, 2))),
+        lambda tmp: reflectivity_batch(make_system(), 0.0, positions=[0.0, 1j]),
+        lambda tmp: sweep_2d(make_system(), [0.1j], [0.5]),
+        lambda tmp: sweep_2d(make_system(), [0.1], ["a"]),
+        lambda tmp: sweep_2d(make_system(), None, [0.5]),
+        lambda tmp: sweep_2d(make_system(), 0.1, [0.5]),
+        lambda tmp: make_system(xi=None),
+        lambda tmp: make_system(xi="a"),
+        lambda tmp: make_system(xi=0.1j),
+        lambda tmp: make_system(gamma_L="a"),
+        lambda tmp: DriveParams(delta=0.1j),
+        lambda tmp: DriveParams(delta="a"),
+        lambda tmp: DriveParams(delta=None),
+        lambda tmp: DriveParams(delta=0.1, delta_c=0.1j, unlock_delta_c=True),
     ],
     ids=[
         "spectrum-grid",
@@ -150,6 +176,30 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         "json-digits-negative",
         "write-csv-digits-0",
         "write-json-digits-negative",
+        "batch-delta-none",
+        "batch-delta-complex",
+        "batch-delta-complex-entry",
+        "batch-xi-complex",
+        "batch-gamma-l-complex",
+        "batch-delta-string",
+        "batch-delta-numeric-string",
+        "batch-xi-none-entry",
+        "batch-delta-ragged",
+        "batch-gamma-l-shape",
+        "batch-xi-shape",
+        "batch-positions-complex",
+        "map-xi-complex",
+        "map-gamma-l-string",
+        "map-xi-none",
+        "map-xi-scalar",
+        "system-xi-none",
+        "system-xi-string",
+        "system-xi-complex",
+        "system-gamma-l-string",
+        "drive-delta-complex",
+        "drive-delta-string",
+        "drive-delta-none",
+        "drive-delta-c-complex",
     ],
 )
 def test_invalid_input_raises_package_error(call, tmp_path):
@@ -191,6 +241,31 @@ def test_cooperativity_overflow_is_inf_and_reported():
 )
 def test_cooperativity_rule_only_after_the_rates_pass(overrides, violations):
     assert validate(make_system(**overrides)).violations == violations
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        (name, value)
+        for name in ("gamma_L", "gamma_R", "g", "kappa_wg", "kappa_sc")
+        for value in ("a", None, 0.1j, [1.0])
+        if (name, value) != ("gamma_R", None)  # None derives gamma_R
+    ],
+)
+def test_validate_reports_a_non_real_field(name, value):
+    params = make_system(**{"gamma_R": 0.0, name: value})
+    assert validate(params).violations == (f"{name} must be a real number",)
+
+
+def test_real_inputs_keep_their_values():
+    params = make_system(n=3, gamma_L=np.float64(0.8), g=20, xi=np.array(0.5))
+    assert validate(params).ok
+    assert (params.gamma_L, params.gamma_R, params.g) == (0.8, 1.0 - 0.8, 20)
+    drive = DriveParams(delta=np.array(0.25))
+    assert drive.delta == drive.delta_c == 0.25
+    R = reflectivity_batch(params, np.array([-1.0, 0.0, 1.0]), gamma_L=np.array([[0.0], [1.0]]))
+    same = reflectivity_batch(params, [-1, 0, 1], gamma_L=[[False], [True]])
+    assert R.view(np.uint64).tolist() == same.view(np.uint64).tolist()
 
 
 def test_integral_float_counts_behave_like_ints():

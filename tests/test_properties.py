@@ -186,14 +186,14 @@ def test_relaxation_matches_linear_solve(n, gamma_L, g, kappa_wg, kappa_sc, xi, 
 
 
 @DERANDOMIZED
-@given(systems(), st.integers(1, 3), st.integers(1, 4), st.randoms(use_true_random=False))
-def test_subset_batch_over_a_2d_grid_equals_point_calls(params, a, b, random):
-    n = params.n_atoms
-    gamma_L = np.array([random.random() for _ in range(a)])
-    deltas = np.array([random.uniform(-5.0, 5.0) for _ in range(b)])
+@given(systems(), st.lists(unit, min_size=1, max_size=3), st.lists(detuning, min_size=1, max_size=4))
+# gamma_L = 1/2, xi = 0 is dark at delta = 0, and |D| <= 1/COND_MAX within 1e-13 of it:
+# six distinct batch points, with distinct r, share one dark-point fold
+@example(make_system(n=4, gamma_L=0.5, xi=0.0), [0.5, 0.3, 0.5], [0.0, 1e-13, -2e-13])
+def test_subset_batch_over_a_2d_grid_equals_point_calls(params, gamma_L, deltas):
+    gamma_L, deltas = np.array(gamma_L), np.array(deltas)
     r = solver._reflection(params, deltas, gamma_L=gamma_L[:, None], subsets=True)
-    assert r.shape == (2**n, a, b)
-    for i in range(a):
-        for j in range(b):
-            row = solver._reflection(params, deltas[j], gamma_L=gamma_L[i], subsets=True)
-            assert bits(r[:, i, j].copy()) == bits(row)
+    assert r.shape == (2**params.n_atoms, gamma_L.size, deltas.size)
+    for i, j in np.ndindex(r.shape[1:]):
+        row = solver._reflection(params, deltas[j], gamma_L=gamma_L[i], subsets=True)
+        assert bits(r[:, i, j].copy()) == bits(row)

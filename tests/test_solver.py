@@ -576,8 +576,7 @@ class TestJet:
             gamma_L=np.linspace(0.0, 1.0, 41)[None, :],
             xi=np.linspace(0.0, 2 * math.pi, 161)[:, None],
         )
-        carving = dict(delta=0.37, positions=np.arange(6), subsets=True)
-        for batch in (sweep, dark_map, carving):
+        for batch in (sweep, dark_map):
             plain = solver._reflection(params, **batch)
             r, r1, r2 = solver._reflection(params, **batch, derivatives=True)
             assert r.shape == r1.shape == r2.shape == plain.shape

@@ -214,31 +214,18 @@ class TestBatchedRefinement:
             assert refined.shape == found.shape
             assert np.all(np.abs(refined - found) <= spectrum.REFINE_TOL)
 
-    @staticmethod
-    def count_folds(monkeypatch):
-        calls = []
-        fold = solver._fold
-
-        def counted(*args, **kwargs):
-            calls.append(np.shape(args[1]))
-            return fold(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "_fold", counted)
-        return calls
-
     @pytest.mark.parametrize("n, n_features", [(2, 3), (6, 11)])
-    def test_one_batch_call_per_search_step(self, n, n_features, monkeypatch):
+    def test_one_batch_call_per_search_step(self, n, n_features, fold_shapes):
         spec = sweep_delta(make_system(n=n), -3, 3, 4001)
-        folds = self.count_folds(monkeypatch)
+        fold_shapes.clear()
         assert len(find_features(spec)) == n_features
-        assert 0 < len(folds) <= 10
+        assert 0 < len(fold_shapes) <= 10
 
-    def test_plan_of_twelve_takes_one_sweep_and_at_most_five_folds(self, monkeypatch):
-        folds = self.count_folds(monkeypatch)
+    def test_plan_of_twelve_takes_one_sweep_and_at_most_five_folds(self, fold_shapes):
         plan = plan_protocol(12, make_system(n=12))
         assert len(plan.steps) == 6
-        assert len(folds) <= 5
-        assert sum(math.prod(shape) == 4001 for shape in folds) == 1  # one sweep for n = 3..11
+        assert len(fold_shapes) <= 5
+        assert sum(math.prod(shape) == 4001 for shape in fold_shapes) == 1  # one sweep for n = 3..11
 
 
 class TestPeaks:
