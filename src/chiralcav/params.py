@@ -45,7 +45,7 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         for name in ("xi",) if self.gamma_R is not None else ("xi", "gamma_L"):
-            if not _real_number(getattr(self, name)):
+            if not _number(getattr(self, name)):
                 raise ValidationError(f"{name} must be a real number")
         if self.gamma_R is None:
             object.__setattr__(self, "gamma_R", 1.0 - self.gamma_L)
@@ -72,7 +72,7 @@ class DriveParams:
     unlock_delta_c: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not _real_number(self.delta) or not (self.delta_c is None or _real_number(self.delta_c)):
+        if not _number(self.delta) or not (self.delta_c is None or _number(self.delta_c)):
             raise ValidationError("delta and delta_c must be real numbers")
         if self.delta_c is None:
             object.__setattr__(self, "delta_c", float(self.delta))
@@ -80,6 +80,8 @@ class DriveParams:
             raise ValidationError(
                 "delta_c is locked to delta; pass unlock_delta_c=True to decouple"
             )
+        if not (isinstance(self.a_in, complex) or _number(self.a_in, "biufc")):
+            raise ValidationError("a_in must be a number")
         if self.a_in == 0:
             raise ValidationError("a_in must be nonzero")
         for name in ("delta", "delta_c", "a_in"):
@@ -115,18 +117,19 @@ def require_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def _real(value) -> bool:
-    """True for a bool, int or float scalar or array; False for None, strings,
-    complex values and ragged nestings."""
+def _real(value, kinds: str = "biuf") -> bool:
+    """True for a scalar or array of the numpy dtype ``kinds`` (bool, int or
+    float by default); False for None, strings and ragged nestings."""
     try:
-        return np.asarray(value).dtype.kind in "biuf"
+        return np.asarray(value).dtype.kind in kinds
     except (TypeError, ValueError):  # a ragged nesting
         return False
 
 
-def _real_number(value) -> bool:
-    """True for one real number, a numpy scalar or a 0-d array included."""
-    return isinstance(value, (int, float)) or (_real(value) and np.ndim(value) == 0)  # floats skip numpy
+def _number(value, kinds: str = "biuf") -> bool:
+    """True for one number of the dtype ``kinds`` (a real one by default),
+    a numpy scalar or a 0-d array included."""
+    return isinstance(value, (int, float)) or (_real(value, kinds) and np.ndim(value) == 0)  # floats skip numpy
 
 
 def require_real(name: str, value) -> np.ndarray:
@@ -149,7 +152,7 @@ def validate(params: SystemParams) -> ValidationReport:
     violations: list[str] = []
     if not _integral(params.n_atoms) or params.n_atoms < 0:
         violations.append("n_atoms must be a nonnegative integer")
-    unreal = [f"{name} must be a real number" for name in _FIELDS if not _real_number(getattr(params, name))]
+    unreal = [f"{name} must be a real number" for name in _FIELDS if not _number(getattr(params, name))]
     if unreal:  # the rules below compare numbers
         return ValidationReport(ok=False, violations=(*violations, *unreal))
     if params.gamma_L < 0 or params.gamma_R < 0:

@@ -87,8 +87,10 @@ class Map2D:
 def sweep_delta(params: SystemParams, delta_min: float, delta_max: float, n_points: int) -> Spectrum:
     """Reflectivity on a uniform detuning grid (delta_c locked to delta)."""
     n_points = require_count("n_points", n_points, 2)
-    if not np.all(np.isfinite([delta_min, delta_max])):
-        raise ValidationError("delta_min and delta_max must be finite")
+    bounds = require_real("delta_min and delta_max", (delta_min, delta_max))
+    if bounds.shape != (2,):
+        raise ValidationError("delta_min and delta_max must be real numbers")
+    delta_min, delta_max = bounds.tolist()
     if not delta_max > delta_min:
         raise ValidationError("delta_max must exceed delta_min")
     deltas = np.linspace(delta_min, delta_max, n_points)

@@ -5,6 +5,11 @@ header lines, values formatted to a fixed number of significant digits
 (12 by default) so repeated runs are byte-identical.  Spectral features
 are appended as '# feature,kind,delta,value,width' comment rows so plain
 numeric parsers skip them while the reader recovers them.
+
+Both renderers format each distinct value of a table once and gather
+the text back to its cells: a (xi, gamma_L, R) map repeats each grid
+value many times.  The bytes are those of formatting every value on its
+own.
 """
 
 from __future__ import annotations
@@ -36,18 +41,32 @@ def fmt(value: float, digits: int = DEFAULT_DIGITS) -> str:
     return format(float(value), f".{require_count('digits', digits, 1)}g")
 
 
+def _formatted(rows, number: str, cast=str) -> list[tuple]:
+    """``cast(number % value)`` for every value of ``rows``, one tuple per row.
+
+    Each distinct value of the table is formatted once and its text is
+    gathered back to every cell that holds it.  Values are told apart by
+    their 64-bit pattern, so 0.0 and -0.0, and NaNs with different
+    payloads, each keep the text that formatting them one by one gives.
+    The table is flattened column by column, so that a map's grid
+    columns reach the sort in sorted runs.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    distinct, inverse = np.unique(rows.T.view(np.uint64), return_inverse=True)
+    texts = np.array([cast(number % v) for v in distinct.view(float).tolist()], dtype=object)
+    columns = texts[inverse.reshape(rows.shape[::-1])].tolist()
+    return list(zip(*columns)) or [()] * len(rows)  # no columns: an empty tuple per row
+
+
 def render_csv(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
-    digits = require_count("digits", digits, 1)
+    number = f"%.{require_count('digits', digits, 1)}g"  # fmt's format, checked once
     lines = [f"# {key} = {val}" for key, val in table.meta.items()]
     lines.append(",".join(table.columns))
-    rows = np.atleast_2d(np.asarray(table.rows, dtype=float))
-    # %-formatting and fmt share the float "g" formatting, bit for bit
-    line = ",".join([f"%.{digits}g"] * rows.shape[1])
-    lines.extend(line % tuple(row) for row in rows.tolist())
-    for kind, delta, value, width in table.features:
-        lines.append(
-            f"# feature,{kind},{fmt(delta, digits)},{fmt(value, digits)},{fmt(width, digits)}"
-        )
+    lines.extend(map(",".join, _formatted(table.rows, number)))
+    lines.extend(
+        f"# feature,{kind},{number % delta},{number % value},{number % width}"
+        for kind, delta, value, width in table.features
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -57,13 +76,13 @@ def render_json(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
         "name": table.name,
         "meta": dict(table.meta),
         "columns": list(table.columns),
-        "rows": [[float(number % v) for v in row] for row in np.atleast_2d(table.rows)],
+        "rows": _formatted(table.rows, number, float),
         "features": [
             {
                 "kind": kind,
-                "delta": float(fmt(delta, digits)),
-                "value": float(fmt(value, digits)),
-                "width": float(fmt(width, digits)),
+                "delta": float(number % delta),
+                "value": float(number % value),
+                "width": float(number % width),
             }
             for kind, delta, value, width in table.features
         ],

@@ -5,6 +5,7 @@ package's feature-detection and measurement code paths so tests compare
 two independent routes to the same number.
 """
 
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from chiralcav import (
     solver,
 )
 from chiralcav.spectrum import REFINE_TOL
+from chiralcav.tables import fmt
 
 
 def make_system(n=2, gamma_L=1.0, g=20.0, kappa_wg=100.0, kappa_sc=300.0, xi=0.0, **kw):
@@ -170,3 +172,38 @@ def brute_force_carve(amplitudes, r_by_count):
     herald = sum(abs(c) ** 2 for c in post.values())
     scale = herald**0.5
     return {s: c / scale for s, c in post.items()}, herald
+
+
+def render_csv_by_row(table, digits=12):
+    """The CSV text of ``table`` with one %-format per row: every value is
+    formatted, repeated or not (oracle for ``tables.render_csv``)."""
+    lines = [f"# {key} = {val}" for key, val in table.meta.items()]
+    lines.append(",".join(table.columns))
+    rows = np.atleast_2d(np.asarray(table.rows, dtype=float))
+    line = ",".join([f"%.{digits}g"] * rows.shape[1])
+    lines.extend(line % tuple(row) for row in rows.tolist())
+    for kind, delta, value, width in table.features:
+        lines.append(f"# feature,{kind},{fmt(delta, digits)},{fmt(value, digits)},{fmt(width, digits)}")
+    return "\n".join(lines) + "\n"
+
+
+def render_json_by_row(table, digits=12):
+    """The JSON text of ``table`` with every value formatted one by one
+    (oracle for ``tables.render_json``)."""
+    number = f"%.{digits}g"
+    payload = {
+        "name": table.name,
+        "meta": dict(table.meta),
+        "columns": list(table.columns),
+        "rows": [[float(number % v) for v in row] for row in np.atleast_2d(table.rows)],
+        "features": [
+            {
+                "kind": kind,
+                "delta": float(fmt(delta, digits)),
+                "value": float(fmt(value, digits)),
+                "width": float(fmt(width, digits)),
+            }
+            for kind, delta, value, width in table.features
+        ],
+    }
+    return json.dumps(payload, indent=None, sort_keys=True, separators=(",", ":")) + "\n"

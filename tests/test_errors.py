@@ -119,6 +119,11 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         lambda tmp: DriveParams(delta="a"),
         lambda tmp: DriveParams(delta=None),
         lambda tmp: DriveParams(delta=0.1, delta_c=0.1j, unlock_delta_c=True),
+        lambda tmp: DriveParams(a_in="a"),
+        lambda tmp: DriveParams(a_in=None),
+        lambda tmp: sweep_delta(make_system(), 1j, 2.0, 10),
+        lambda tmp: sweep_delta(make_system(), "0", 2.0, 10),
+        lambda tmp: sweep_delta(make_system(), [0.0], [2.0], 10),
     ],
     ids=[
         "spectrum-grid",
@@ -200,6 +205,11 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         "drive-delta-string",
         "drive-delta-none",
         "drive-delta-c-complex",
+        "drive-a-in-string",
+        "drive-a-in-none",
+        "sweep-delta-min-complex",
+        "sweep-delta-min-string",
+        "sweep-delta-bounds-arrays",
     ],
 )
 def test_invalid_input_raises_package_error(call, tmp_path):

@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from chiralcav.cli import main
 from chiralcav.tables import DataTable, fmt, parse_csv, read_table, render_csv, render_json, write_table
+from helpers import render_csv_by_row, render_json_by_row
 
 
 @pytest.fixture
@@ -66,3 +69,69 @@ def test_unknown_format_rejected(table, tmp_path):
 def test_parse_requires_header():
     with pytest.raises(ValueError):
         parse_csv("# only = meta\n")
+
+
+def _nan_with_payload(payload, sign=0):
+    return np.array([(sign << 63) | (0x7FF << 52) | payload], dtype=np.uint64).view(float)[0]
+
+
+_GRID = np.linspace(0.0, 2.0, 9)
+_SPECIAL = [
+    np.nan,
+    -np.nan,
+    _nan_with_payload(1),
+    _nan_with_payload(0x8000000000001, sign=1),
+    np.inf,
+    -np.inf,
+    5e-324,
+    -5e-324,
+    1e-310,
+    2.2250738585072014e-308,
+    np.finfo(float).max,
+    -0.0,
+    0.0,
+]
+
+#: rows of every kind the renderers must give the per-row text for
+ROWS = {
+    "repeated": np.column_stack(
+        [np.repeat(_GRID, 5), np.tile(_GRID[:5], 9), np.round(np.sin(np.arange(45.0)), 2)]
+    ),
+    "signed-zeros": np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]]),
+    "specials": np.column_stack([_SPECIAL, _SPECIAL[::-1]]),
+    "one-by-three": np.array([[0.5, -0.0, 1 / 3]]),
+    "zero-by-three": np.zeros((0, 3)),
+    "three-by-zero": np.zeros((3, 0)),
+    "1-d": np.array([1 / 3, 1 / 3, -0.0, 2e-320]),
+    "1-d-empty": np.array([]),
+    "column-slice": np.arange(24.0).reshape(4, 6)[:, ::2] / 7.0,
+}
+
+
+@pytest.mark.parametrize("rows", ROWS.values(), ids=ROWS.keys())
+def test_rendering_matches_the_per_row_renderer_at_every_digits(rows):
+    table = DataTable(
+        name="oracle",
+        columns=tuple(f"c{j}" for j in range(np.atleast_2d(rows).shape[1])),
+        rows=rows,
+        meta={"kind": "oracle"},
+        features=(("dip", -0.0, np.nan, 1 / 3), ("peak", 0.1, 5e-324, np.inf)),
+    )
+    for digits in range(1, 18):
+        assert render_csv(table, digits) == render_csv_by_row(table, digits), digits
+        assert render_json(table, digits) == render_json_by_row(table, digits), digits
+
+
+#: sha256 of ``repro fig2`` output before distinct values were formatted once
+FIG2_SHA256 = {
+    "csv": "99a4e58e91d9fdb910b0f71b688f7ba96861c7ad1ec6ce98fc6fcb49a557edf5",
+    "json": "9fbe708b01b8a6ea7cde71abdcb61ea5cf94c83cdc8562006a5cde18b3f7acc0",
+}
+
+
+@pytest.mark.parametrize("fmt_name", sorted(FIG2_SHA256))
+def test_fig2_map_bytes_are_pinned(fmt_name, tmp_path, capsys):
+    assert main(["repro", "fig2", "--format", fmt_name, "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    data = (tmp_path / f"fig2_map.{fmt_name}").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FIG2_SHA256[fmt_name]
