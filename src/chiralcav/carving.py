@@ -8,7 +8,9 @@ their original sites; renormalizing yields the carved state and the
 pre-normalization norm squared is the heralding probability.  All 2^M
 components come from one fold that doubles the batch at every site: an
 uncoupled atom keeps its site but loses every coupling, which makes it
-exactly the removed atom.  Planning folds the longest odd chain once.
+exactly the removed atom.  A protocol folds all of its planned detunings
+together, at most ``ROWS`` rows per fold, and planning folds the longest
+odd chain once.
 
 The planners prepare the equal-weight single-coupled-manifold target
 (|10...0> + |01...0> + ... + |00...1>)/sqrt(M): an on-resonance
@@ -36,6 +38,9 @@ MAX_QUBITS = 12
 
 #: heralding probability below which a measurement counts as extinguished
 EXTINCTION_THRESHOLD = 1e-12
+
+#: rows of one subset fold in :func:`run_protocol`: 2^M per planned detuning
+ROWS = 2**13
 
 
 def _register_size(m) -> int:
@@ -251,6 +256,16 @@ def plan_protocol(
     return ProtocolPlan(steps=tuple(steps), target="bell" if m == 2 else "w", m=m)
 
 
+def _subset_columns(params_template: SystemParams, m: int, steps: list):
+    """Each step's (2^m,) component amplitudes, in order, from subset folds of
+    at most ``ROWS`` rows: the columns of one fold over several detunings are
+    bit for bit the batches of one."""
+    per_fold = max(ROWS >> m, 1)
+    for i in range(0, len(steps), per_fold):
+        r = _reflection(params_template, steps[i : i + per_fold], positions=np.arange(m), subsets=True)
+        yield from r.T.copy()
+
+
 def run_protocol(
     m: int,
     params_template: SystemParams,
@@ -263,8 +278,10 @@ def run_protocol(
     Every planned detuning is probed ``repetitions_per_step`` times;
     fidelity against the W_M target is recorded after every individual
     measurement and heralding probabilities multiply across them.  The
-    component amplitudes depend only on (template, delta, M), so each
-    planned detuning is solved once and reused for its repetitions.
+    component amplitudes depend only on (template, delta, M), so the plan's
+    detunings are folded together, once each, and reused for their
+    repetitions: one subset fold carries at most ``ROWS`` >> M of them (at
+    least one), which makes one fold per protocol up to M = 10.
     """
     m = require_count("m", m, 1)
     repetitions_per_step = require_count("repetitions_per_step", repetitions_per_step, 1)
@@ -273,15 +290,14 @@ def run_protocol(
         plan = plan_protocol(m, params_template, dip_sign=dip_sign)
     elif plan.m != m:
         raise ValidationError(f"plan was made for {plan.m} atoms, not {m}")
+    columns = _subset_columns(params_template, m, [DriveParams(delta=d).delta for d in plan.steps])
     target = QubitRegister.w_state(m)
     state = global_rotation(QubitRegister.ground(m), math.pi / 2.0)
     cumulative = 1.0
     trace: list[StepRecord] = []
-    for delta in plan.steps:
-        outcome = carving_measurement(state, params_template, delta)
-        for rep in range(repetitions_per_step):
-            if rep:
-                outcome = _herald(state, outcome.per_component_r, delta)
+    for delta, r in zip(plan.steps, columns):
+        for _ in range(repetitions_per_step):
+            outcome = _herald(state, r, delta)
             state = outcome.post_state
             cumulative *= outcome.herald_probability
             trace.append(

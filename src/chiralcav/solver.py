@@ -185,30 +185,39 @@ def _fold(params, delta, delta_c, pos, gl, gr, xi, jet=False, prefix=None, split
     cuts, ends = ([] if prefix is None else np.unique(prefix[prefix < pos.size]).tolist()), []
     with np.errstate(all="ignore"):  # D = 0 gives inf or nan: the dark-point rule takes it
         for k in range(pos.size):
+            live = k + 1 < pos.size  # past the last site only o, wd_min and jo are read
             phi, src, obs = (v[..., k] for v in sites)
             u = phi * phi * rho  # the segment's reflection seen from this site
             ugl, t = u * gl, q * phi
             wd, c = w - ugl, t * gl + obs
-            sig_l, sig_0 = (1.0 + u) / wd, (src + phi * s) / wd  # sigma = sig_l L + sig_0
-            out = ugl + gr
-            off = (u, phi * s, t, o, np.minimum(wd_min, np.abs(w))) if split else ()
+            sig_0 = (src + phi * s) / wd  # sigma = sig_l L + sig_0
+            if live:
+                sig_l, out = (1.0 + u) / wd, ugl + gr
+            if split:  # the lines of the rows that pass this site off
+                off = (o, np.minimum(wd_min, np.abs(w))) + ((u, phi * s, t) if live else ())
             if jet:  # jet(out) = jet(ugl); q' = t + c sig_l and o' = o + c sig_0
                 ju = phi * phi * jrho
                 jugl, jt = ju * gl, jq * phi
                 jwd, jc = jw - jugl, jt * gl
-                jl, jz = (ju - sig_l * jwd) / wd, (phi * js - sig_0 * jwd) / wd
                 step = jwd[0] / wd
-                jl[1] -= jl[0] * step
+                jz = (phi * js - sig_0 * jwd) / wd
                 jz[1] -= jz[0] * step
-                jrho, js = ju + out * jl + sig_l * jugl, phi * js + out * jz + sig_0 * jugl
-                jq, jo = jt + c * jl + sig_l * jc, jo + c * jz + sig_0 * jc
-                for jx, ja, jb in ((jrho, jugl, jl), (js, jugl, jz), (jq, jc, jl), (jo, jc, jz)):
-                    jx[1] += ja[0] * jb[0]
-            rho, s = u + out * sig_l, phi * s + out * sig_0
-            q, o = t * (1.0 + gl * sig_l) + obs * sig_l, o + c * sig_0
-            wd_min = np.minimum(wd_min, np.abs(wd))
+                jo = jo + c * jz + sig_0 * jc
+                jo[1] += jc[0] * jz[0]
+                if live:
+                    jl = (ju - sig_l * jwd) / wd
+                    jl[1] -= jl[0] * step
+                    jrho, js = ju + out * jl + sig_l * jugl, phi * js + out * jz + sig_0 * jugl
+                    jq = jt + c * jl + sig_l * jc
+                    for jx, ja, jb in ((jrho, jugl, jl), (js, jugl, jz), (jq, jc, jl)):
+                        jx[1] += ja[0] * jb[0]
+            o, wd_min = o + c * sig_0, np.minimum(wd_min, np.abs(wd))
+            if live:
+                rho, s, q = u + out * sig_l, phi * s + out * sig_0, t * (1.0 + gl * sig_l) + obs * sig_l
             if split:  # row i with site k off stays row i, with it on becomes row i + 2^k
-                rho, s, q, o, wd_min = map(np.concatenate, zip(off, (rho, s, q, o, wd_min)))
+                o, wd_min, *kept = map(np.concatenate, zip(off, (o, wd_min, rho, s, q)))
+                if live:
+                    rho, s, q = kept
             if k + 1 in cuts:  # the chains that end before the last site keep their lines
                 ends.append((prefix == k + 1, o, wd_min, jo))
         for at, *lines in ends:

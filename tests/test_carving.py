@@ -428,22 +428,44 @@ class TestRegisterInputs:
 
 
 class TestOneSolvePerPlannedDetuning:
-    def test_one_kernel_call_per_plan_step(self, monkeypatch):
+    def test_one_kernel_call_per_protocol(self, monkeypatch):
         from chiralcav import carving
 
         calls = []
         kernel = carving._reflection
 
         def counting(*args, **kw):
-            calls.append(args[1])
+            calls.append(list(args[1]))
             return kernel(*args, **kw)
 
         plan = plan_protocol(5, template(5))
         monkeypatch.setattr(carving, "_reflection", counting)
         run_protocol(5, template(5), repetitions_per_step=3, plan=plan)
-        assert calls == list(plan.steps)
+        assert calls == [list(plan.steps)]
 
-    @pytest.mark.parametrize("m,reps", [(2, 4), (3, 3), (5, 2), (6, 3)])
+    @pytest.mark.parametrize("m, folds", [(5, [(1, 3)]), (11, [(1, 4), (1, 2)]), (12, [(1, 2)] * 3)])
+    def test_row_budget_bounds_each_subset_fold(self, m, folds, fold_shapes):
+        from chiralcav import carving
+
+        plan = plan_protocol(m, template(m))
+        fold_shapes.clear()
+        run_protocol(m, template(m), plan=plan)
+        assert fold_shapes == folds
+        assert all(shape[1] <= max(carving.ROWS >> m, 1) for shape in fold_shapes)
+
+    @pytest.mark.parametrize("m", [2, 12])
+    def test_dark_subset_fold_columns_equal_measurements(self, m, dark_point_calls):
+        # flagged rows of a (2^M, steps) batch go through the dark-point rule
+        params = template(m, gamma_L=0.5, xi=0.0)
+        deltas = [0.0, 0.37]
+        r = solver._reflection(params, np.array(deltas), positions=np.arange(m), subsets=True)
+        assert r.shape == (2**m, 2) and len(dark_point_calls) == 1
+        state = global_rotation(QubitRegister.ground(m), math.pi / 2)
+        for k, delta in enumerate(deltas):
+            column = carving_measurement(state, params, delta).per_component_r
+            assert r[:, k].tobytes() == column.tobytes()
+
+    @pytest.mark.parametrize("m,reps", [(2, 4), (3, 3), (5, 2), (6, 3), (10, 1), (11, 1), (12, 1)])
     def test_trace_equals_a_loop_of_measurements(self, m, reps):
         params = template(m, gamma_L=0.8, xi=0.4)
         result = run_protocol(m, params, repetitions_per_step=reps)
@@ -475,6 +497,18 @@ class TestOneSolvePerPlannedDetuning:
             raise AssertionError("measurement started")
 
         plan = plan_protocol(3, template(3))
-        monkeypatch.setattr(carving, "carving_measurement", no_measurement)
+        monkeypatch.setattr(carving, "_reflection", no_measurement)
         with pytest.raises(ValidationError):
             run_protocol(3, make_system(n=3, gamma_L=0.7, gamma_R=0.5), plan=plan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "0.1", None])
+    def test_invalid_plan_step_rejected_before_any_measurement(self, bad, monkeypatch):
+        from chiralcav import carving
+
+        def no_measurement(*_args, **_kw):
+            raise AssertionError("measurement started")
+
+        plan = carving.ProtocolPlan(steps=(0.0, bad), target="w", m=3)
+        monkeypatch.setattr(carving, "_reflection", no_measurement)
+        with pytest.raises(ValidationError, match="delta"):
+            run_protocol(3, template(3), plan=plan)

@@ -135,3 +135,19 @@ def test_fig2_map_bytes_are_pinned(fmt_name, tmp_path, capsys):
     capsys.readouterr()
     data = (tmp_path / f"fig2_map.{fmt_name}").read_bytes()
     assert hashlib.sha256(data).hexdigest() == FIG2_SHA256[fmt_name]
+
+
+#: sha256 of ``carve`` CSV output before a protocol folded all of its steps
+#: together; both plans cross fold boundaries (2 + 2 + 2 and 4 + 2 steps)
+CARVE_SHA256 = {
+    "--m 12": "71eb64f3565de17b047e84936183e47567f126aaf180ba56aa6aed1d0a53e3bb",
+    "--m 11 --gamma-l 0.95 --xi 0.3 --reps 2": "6722d4add072e0383ce9cfcedd1e696e0e504e690babf3bfdd653309dd9d31b7",
+}
+
+
+@pytest.mark.parametrize("args", sorted(CARVE_SHA256))
+def test_carve_bytes_are_pinned(args, tmp_path, capsys):
+    path = tmp_path / "carve.csv"
+    assert main(["carve", *args.split(), "--output", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CARVE_SHA256[args]
