@@ -10,10 +10,11 @@ general solver.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .errors import PoleError, ValidationError
-from .params import SystemParams
+from .params import SystemParams, _number
 
 
 def r_no_atoms(delta: float, kappa_wg: float, kappa_sc: float) -> complex:
@@ -69,8 +70,12 @@ class ReferenceReflectivities:
 
 def reference_values(C: float, kappa_wg: float, kappa: float) -> ReferenceReflectivities:
     """The three on-resonance reference amplitudes at cooperativity C >= 0."""
+    if not all(_number(v) and math.isfinite(v) for v in (C, kappa_wg, kappa)):
+        raise ValidationError("C, kappa_wg and kappa must be finite real numbers")
     if C < 0:
         raise ValidationError("cooperativity must be >= 0")
+    if not kappa > 0:
+        raise ValidationError("kappa must be > 0")
     base = 2.0 * kappa_wg / kappa
     return ReferenceReflectivities(
         r_ind=base / (1.0 + 2.0 * C) - 1.0,

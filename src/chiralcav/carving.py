@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolExtinguishedError, ValidationError
-from .params import DriveParams, SystemParams, require_count, require_valid
+from .params import DriveParams, SystemParams, _number, require_count, require_valid
 from .solver import _reflection, reflection_amplitude
 from .spectrum import _dips
 
@@ -163,8 +163,8 @@ def global_rotation(state: QubitRegister, theta: float, phi: float = 0.0) -> Qub
     Convention: theta = pi/2, phi = 0 maps |0> to (|0> - |1>)/sqrt(2);
     the inverse rotation is (theta -> -theta) at the same phi.
     """
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise ValidationError("rotation angles must be finite")
+    if not (_number(theta) and _number(phi) and math.isfinite(theta) and math.isfinite(phi)):
+        raise ValidationError("rotation angles must be finite real numbers")
     cos, sin = math.cos(theta / 2.0), math.sin(theta / 2.0)
     gate = np.array(
         [

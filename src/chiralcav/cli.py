@@ -34,8 +34,7 @@ OUTDIR_ENV = "CHIRALCAV_OUTDIR"
 
 _SYSTEM_OPTIONS = {
     "n_atoms": ("--n", int, 2, "number of cavity-coupled atoms"),
-    "gamma_l": ("--gamma-l", float, 1.0, "left-propagating decay rate (units of gamma)"),
-    "gamma_r": ("--gamma-r", float, None, "right-propagating decay rate (default 1 - gamma_L)"),
+    "gamma_l": ("--gamma-l", float, 1.0, "left-propagating decay rate in [0, 1]; gamma_R = 1 - gamma_L"),
     "xi": ("--xi", float, 0.0, "interatomic phase k_s d in radians"),
     "g": ("--g", float, 20.0, "atom-photon coupling (units of gamma)"),
     "kappa_wg": ("--kappa-wg", float, 100.0, "cavity decay to the waveguide"),
@@ -159,7 +158,6 @@ def _system_params(opt: dict, n_atoms: int) -> SystemParams:
     return SystemParams(
         n_atoms=n_atoms,
         gamma_L=opt["gamma_l"],
-        gamma_R=opt["gamma_r"],
         g=opt["g"],
         kappa_wg=opt["kappa_wg"],
         kappa_sc=opt["kappa_sc"],

@@ -1,8 +1,9 @@
 """Physical parameter sets for the atom-cavity system.
 
 All rates are expressed in units of the total single-atom decay rate
-gamma, so gamma = gamma_L + gamma_R = 1 internally.  The optional
-``gamma_mhz`` field is a display scale only and never enters any
+gamma = gamma_L + gamma_R = 1, so chirality has one degree of freedom:
+``gamma_L`` is the input and gamma_R = 1 - gamma_L is derived.  The
+optional ``gamma_mhz`` field is a display scale only and never enters any
 calculation.  Atoms sit on an equidistant lattice x_mu = (mu - 1) d with
 the dimensionless phase ``xi`` accumulated per lattice spacing.
 """
@@ -17,9 +18,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-#: tolerance on gamma_L + gamma_R = 1
-_GAMMA_SUM_TOL = 1e-9
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -27,11 +25,10 @@ TWO_PI = 2.0 * math.pi
 class SystemParams:
     """Rates and geometry of the atom-cavity system, in units of gamma.
 
-    ``gamma_R`` may be omitted, in which case it is derived as
-    1 - gamma_L.  ``xi`` is stored reduced modulo 2*pi; every observable
-    of the model is additionally invariant under xi -> xi + pi.  ``xi``, and
-    ``gamma_L`` when ``gamma_R`` is derived, must be real numbers here (else
-    ValidationError); :func:`validate` reports any other non-real field.
+    ``gamma_R`` is the read-only 1 - gamma_L.  ``xi`` is stored reduced
+    modulo 2*pi; every observable of the model is additionally invariant
+    under xi -> xi + pi.  ``xi`` and ``gamma_L`` must be real numbers here
+    (else ValidationError); :func:`validate` reports any other non-real field.
     """
 
     n_atoms: int
@@ -40,16 +37,18 @@ class SystemParams:
     kappa_wg: float
     kappa_sc: float
     xi: float
-    gamma_R: float | None = None
     gamma_mhz: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("xi",) if self.gamma_R is not None else ("xi", "gamma_L"):
+        for name in ("xi", "gamma_L"):
             if not _number(getattr(self, name)):
                 raise ValidationError(f"{name} must be a real number")
-        if self.gamma_R is None:
-            object.__setattr__(self, "gamma_R", 1.0 - self.gamma_L)
         object.__setattr__(self, "xi", float(self.xi) % TWO_PI)
+
+    @property
+    def gamma_R(self) -> float:
+        """Right-propagating decay rate, 1 - gamma_L."""
+        return 1.0 - self.gamma_L
 
     @property
     def kappa(self) -> float:
@@ -142,8 +141,9 @@ def require_real(name: str, value) -> np.ndarray:
     return array
 
 
-#: the SystemParams fields that must be finite real numbers
-_FIELDS = ("gamma_L", "gamma_R", "g", "kappa_wg", "kappa_sc", "xi")
+#: the SystemParams fields that must be finite real numbers (gamma_L has
+#: its own rule, which rejects a non-finite value too)
+_FIELDS = ("g", "kappa_wg", "kappa_sc", "xi")
 
 
 def validate(params: SystemParams) -> ValidationReport:
@@ -152,13 +152,13 @@ def validate(params: SystemParams) -> ValidationReport:
     violations: list[str] = []
     if not _integral(params.n_atoms) or params.n_atoms < 0:
         violations.append("n_atoms must be a nonnegative integer")
+    if params.gamma_mhz is not None and not (_number(params.gamma_mhz) and 0 < params.gamma_mhz < math.inf):
+        violations.append("gamma_mhz must be a finite positive number")
     unreal = [f"{name} must be a real number" for name in _FIELDS if not _number(getattr(params, name))]
     if unreal:  # the rules below compare numbers
         return ValidationReport(ok=False, violations=(*violations, *unreal))
-    if params.gamma_L < 0 or params.gamma_R < 0:
-        violations.append("gamma_L and gamma_R must be >= 0")
-    if abs(params.gamma_L + params.gamma_R - 1.0) > _GAMMA_SUM_TOL:
-        violations.append("gamma_L+gamma_R != 1")
+    if not 0.0 <= params.gamma_L <= 1.0:
+        violations.append("gamma_L must lie in [0, 1]")
     if not params.kappa_wg > 0:
         violations.append("kappa_wg must be > 0")
     if params.kappa_sc < 0:

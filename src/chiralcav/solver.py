@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .params import DriveParams, SystemParams, require_real, require_valid
+from .params import DriveParams, SystemParams, _number, require_real, require_valid
 
 #: a fold point whose smallest Fabry-Perot denominator |D| is at most
 #: 1/COND_MAX takes the dark-point rule
@@ -273,9 +273,9 @@ def _reflection(
     independent_atoms: bool = False, derivatives: bool = False, subsets: bool = False, prefix=None,
 ):
     """r (a_in = 1) over the broadcast shape of the detunings, ``gamma_L``, ``xi``
-    (default: from ``params``; an explicit ``gamma_L`` comes with gamma_R =
-    1 - gamma_L) and ``prefix``, each point's count of leading sorted sites:
-    one fold reads out every prefix of the chain.  ``subsets=True`` prepends
+    (default: from ``params``; gamma_R = 1 - gamma_L) and ``prefix``, each
+    point's count of leading sorted sites: one fold reads out every prefix
+    of the chain.  ``subsets=True`` prepends
     an axis over the 2^n subsets of the n sorted sites, the first site the
     top bit; an absent atom keeps its site but loses every coupling, which
     makes it exactly the removed atom.  Each site doubles the rows, so that
@@ -294,7 +294,7 @@ def _reflection(
     # every operand gets the batch's ndim: numpy multiplies a size-1 pair of
     # unequal ndims without FMA, and a batch of one would change its bits
     d, dc, gl, x = (np.asarray(v, dtype=float)[(None,) * (len(shape) - np.ndim(v))] for v in axes)
-    gr = params.gamma_R if gamma_L is None else 1.0 - gl
+    gr = 1.0 - gl
     if independent_atoms:  # gamma_L enters only the atom-atom block
         gl = gr = 0.0
     fold = (d, dc, pos, gl, gr, x)
@@ -307,10 +307,10 @@ def _reflection(
     return tuple(v.reshape(lead) for v in (r, *jet)) if derivatives else r.reshape(lead)
 
 
-def solve_steady_state(system: LinearSystem, params: SystemParams, drive=None) -> SteadyState:
+def solve_steady_state(system: LinearSystem, params: SystemParams) -> SteadyState:
     """Solve the linear system exactly and package the reflection amplitude.
 
-    a_in is the system's own, rhs[0] = -sqrt(kappa_wg) a_in; ``drive`` is not used.
+    a_in is the system's own, rhs[0] = -sqrt(kappa_wg) a_in.
     """
     require_valid(params)
     solution = _solve(system.matrix, system.rhs)
@@ -351,9 +351,8 @@ def reflectivity_batch(
 ) -> np.ndarray:
     """R over broadcastable arrays of (delta, gamma_L, xi), delta_c locked.
 
-    Sweep points are solved as one batch with results in grid order.  An
-    explicit ``gamma_L`` grid comes with gamma_R = 1 - gamma_L; otherwise
-    both rates come from ``params``.  Errors from a degenerate point name
+    Sweep points are solved as one batch with results in grid order, with
+    gamma_R = 1 - gamma_L at every point.  Errors from a degenerate point name
     its flat grid index.  R = np.square(np.abs(r)) has the same bits in a
     batch of any size (``**`` on a numpy scalar rounds through ``pow``).
     """
@@ -390,11 +389,13 @@ def relax_time_domain(
     ``drive.a_in``, so one stop rule serves every drive: the march ends
     when the state change across a doubled horizon drops below
     ``RELAX_TOL`` (relative above norm 1) while decaying; failure to
-    converge within ``t_max`` raises SolverError with the residual.
+    converge within ``t_max`` (finite, > 0) raises SolverError with the residual.
     Parameters must pass :func:`require_valid`, except that the oracle
     also takes the closed cavity kappa_wg = 0 (nothing drives it, r = -1).
     """
     require_valid(replace(params, kappa_wg=1.0) if params.kappa_wg == 0 else params)
+    if not (_number(t_max) and 0 < t_max < np.inf):
+        raise ValidationError("t_max must be a finite positive number")
     unit = replace(drive, a_in=1.0 + 0.0j)
     matrix, rhs = _drive_system(params, unit, positions, independent_atoms)
     dim = matrix.shape[0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DipNotFoundError, ValidationError
-from .params import SystemParams, cooperativity, require_count, require_real, require_valid
+from .params import SystemParams, _number, _real, cooperativity, require_count, require_real, require_valid
 # ``reflectivity`` is unused here but stays a module attribute: the benchmark
 # tracer wraps spectrum.reflectivity, and its self-test removes and restores it
 from .solver import _reflection, reflectivity, reflectivity_batch  # noqa: F401
@@ -61,7 +61,10 @@ class Spectrum:
     features: tuple[Feature, ...] = ()
 
     def __post_init__(self) -> None:
-        deltas, values = np.asarray(self.deltas, dtype=float), np.asarray(self.values, dtype=float)
+        deltas = require_real("deltas", self.deltas)
+        if not _real(self.values):  # values may be non-finite, the grid may not
+            raise ValidationError("values must hold real numbers")
+        values = np.asarray(self.values, dtype=float)
         if deltas.ndim != 1 or values.shape != deltas.shape:
             raise ValidationError("deltas and values must be 1-D arrays of equal length")
         if np.any(np.diff(deltas) <= 0):
@@ -217,8 +220,8 @@ def find_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> tup
     """
     if spec.deltas.size == 0:
         raise ValidationError("empty spectrum")
-    if not prominence_min >= 0:  # NaN fails too
-        raise ValidationError(f"prominence_min must be >= 0, got {prominence_min}")
+    if not (_number(prominence_min) and prominence_min >= 0):  # NaN fails too
+        raise ValidationError(f"prominence_min must be a real number >= 0, got {prominence_min!r}")
     require_valid(spec.params)
     found = _extrema(spec.params, spec.deltas, spec.values[None], (1.0, -1.0), prominence_min)
     _, index, sign, prominence, delta, value = found
@@ -328,7 +331,7 @@ _FIGURES = {
         ("fig3_N2_C1", replace(FIG2_PARAMS, g=10.0), {}),
         ("fig3_N1_C4", replace(FIG2_PARAMS, n_atoms=1), {}),
         ("fig3_N0", replace(FIG2_PARAMS, n_atoms=0, g=0.0), {}),
-        ("fig3_N2_C4_gL08", replace(FIG2_PARAMS, gamma_L=0.8, gamma_R=None), {}),
+        ("fig3_N2_C4_gL08", replace(FIG2_PARAMS, gamma_L=0.8), {}),
     ],
     "fig3_2": [
         (f"fig3_2_xi_{label}", replace(FIG2_PARAMS, xi=k * math.pi / 8), _REPRESENTATIVE)

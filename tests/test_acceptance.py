@@ -28,7 +28,7 @@ from chiralcav import (
     sweep_delta,
 )
 from chiralcav.tables import render_csv
-from helpers import brute_force_carve, golden_section_minimize, half_level_width, make_system
+from helpers import brute_force_carve, golden_section_minimize, half_level_width, make_system, single_atom_r
 
 
 def R_at(params, delta=0.0, **kw):
@@ -55,11 +55,11 @@ def test_criterion_2_reference_reflectivities():
     assert abs(refs.r_d) ** 2 == pytest.approx(0.94, abs=5e-3)
     assert abs(refs.r_rec) ** 2 == pytest.approx(0.81, abs=5e-3)
 
-    ind_params = make_system(gamma_L=0.0, gamma_R=0.0, xi=0.0)  # formula input only
     d_params = make_system(gamma_L=1.0, xi=math.pi / 2)
     rec_params = make_system(gamma_L=0.5, xi=math.pi / 2)
     closed = {
-        "ind": r_two_atoms(0.0, ind_params),
+        # two uncoupled atoms at xi = 0 act as one atom with g^2 -> 2 g^2
+        "ind": single_atom_r(0.0, math.sqrt(2.0) * 20.0, 100.0, 300.0),
         "d": r_two_atoms(0.0, d_params),
         "rec": r_two_atoms(0.0, rec_params),
     }

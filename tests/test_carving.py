@@ -132,7 +132,7 @@ class TestComponentReflection:
 
     def test_invalid_template_rejected(self):
         with pytest.raises(ValidationError):
-            component_reflection("01", make_system(gamma_L=0.7, gamma_R=0.5), 0.0)
+            component_reflection("01", make_system(gamma_L=1.5), 0.0)
 
 
 class TestCarvingMeasurement:
@@ -499,7 +499,7 @@ class TestOneSolvePerPlannedDetuning:
         plan = plan_protocol(3, template(3))
         monkeypatch.setattr(carving, "_reflection", no_measurement)
         with pytest.raises(ValidationError):
-            run_protocol(3, make_system(n=3, gamma_L=0.7, gamma_R=0.5), plan=plan)
+            run_protocol(3, make_system(n=3, gamma_L=1.5), plan=plan)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, "0.1", None])
     def test_invalid_plan_step_rejected_before_any_measurement(self, bad, monkeypatch):

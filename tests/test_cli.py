@@ -45,7 +45,7 @@ class TestSpectrumCommand:
 
     def test_validation_error_exit_code(self, capsys):
         code, _ = run_cli(
-            ["spectrum", "--n", "2", "--gamma-l", "0.7", "--gamma-r", "0.5"], capsys
+            ["spectrum", "--n", "2", "--gamma-l", "1.5"], capsys
         )
         assert code == 2
 
@@ -262,9 +262,9 @@ class TestValidateCommand:
         assert "ok" in out
 
     def test_violations_printed(self, capsys):
-        code, out = run_cli(["validate", "--gamma-l", "0.7", "--gamma-r", "0.5"], capsys)
+        code, out = run_cli(["validate", "--gamma-l", "1.5"], capsys)
         assert code == 2
-        assert "gamma_L+gamma_R" in out
+        assert "gamma_L must lie in [0, 1]" in out
 
 
 def assert_single_error_line(args, capsys):
@@ -319,6 +319,18 @@ class TestOptionsCheckedBeforeWork:
         config = tmp_path / "run.cfg"
         config.write_text(f"prominence = {prominence}\n")
         assert_single_error_line(["spectrum", "--config", str(config)], capsys)
+
+    @pytest.mark.parametrize("gamma_mhz", ["nan", "inf", "-3"])
+    def test_gamma_mhz_not_a_finite_positive_number(self, gamma_mhz, capsys, no_work):
+        assert_single_error_line(["spectrum", "--n", "1", f"--gamma-mhz={gamma_mhz}"], capsys)
+
+    def test_gamma_r_is_not_an_option(self, tmp_path, capsys, no_work):
+        # gamma_R = 1 - gamma_L is derived, never given
+        config = tmp_path / "run.cfg"
+        config.write_text("gamma_r = 0.5\n")
+        assert main(["spectrum", "--config", str(config)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+        assert run_cli(["spectrum", "--gamma-r", "0.5"], capsys)[0] == 2
 
     @pytest.mark.parametrize("line", ["n_atoms = abc", "points = 1.5", "g = twenty"])
     def test_config_value_that_does_not_parse(self, line, tmp_path, capsys, no_work):

@@ -124,6 +124,22 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         lambda tmp: sweep_delta(make_system(), 1j, 2.0, 10),
         lambda tmp: sweep_delta(make_system(), "0", 2.0, 10),
         lambda tmp: sweep_delta(make_system(), [0.0], [2.0], 10),
+        lambda tmp: make_system(gamma_L=None),
+        lambda tmp: make_system(gamma_L=0.1j),
+        lambda tmp: make_system(gamma_L=[1.0]),
+        lambda tmp: global_rotation(QubitRegister.ground(2), "a"),
+        lambda tmp: global_rotation(QubitRegister.ground(2), 1.0, phi=None),
+        lambda tmp: find_features(SPECTRUM, "a"),
+        lambda tmp: find_features(SPECTRUM, None),
+        lambda tmp: relax_time_domain(make_system(), DriveParams(), t_max="x"),
+        lambda tmp: relax_time_domain(make_system(), DriveParams(), t_max=math.nan),
+        lambda tmp: relax_time_domain(make_system(), DriveParams(), t_max=math.inf),
+        lambda tmp: reference_values(math.nan, 100.0, 400.0),
+        lambda tmp: reference_values("a", 100.0, 400.0),
+        lambda tmp: reference_values(4.0, 100.0, 0.0),
+        lambda tmp: Spectrum(make_system(), np.array([0.0, math.nan]), np.array([0.0, 1.0])),
+        lambda tmp: Spectrum(make_system(), "ab", np.array([0.0, 1.0])),
+        lambda tmp: Spectrum(make_system(), np.array([0.0, 1.0]), ["a", "b"]),
     ],
     ids=[
         "spectrum-grid",
@@ -210,6 +226,22 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         "sweep-delta-min-complex",
         "sweep-delta-min-string",
         "sweep-delta-bounds-arrays",
+        "system-gamma-l-none",
+        "system-gamma-l-complex",
+        "system-gamma-l-list",
+        "rotation-theta-string",
+        "rotation-phi-none",
+        "features-prominence-string",
+        "features-prominence-none",
+        "relax-t-max-string",
+        "relax-t-max-nan",
+        "relax-t-max-inf",
+        "reference-values-nan",
+        "reference-values-string",
+        "reference-values-kappa-zero",
+        "spectrum-deltas-nan",
+        "spectrum-deltas-string",
+        "spectrum-values-string",
     ],
 )
 def test_invalid_input_raises_package_error(call, tmp_path):
@@ -255,16 +287,17 @@ def test_cooperativity_rule_only_after_the_rates_pass(overrides, violations):
 
 @pytest.mark.parametrize(
     "name, value",
-    [
-        (name, value)
-        for name in ("gamma_L", "gamma_R", "g", "kappa_wg", "kappa_sc")
-        for value in ("a", None, 0.1j, [1.0])
-        if (name, value) != ("gamma_R", None)  # None derives gamma_R
-    ],
+    [(name, value) for name in ("g", "kappa_wg", "kappa_sc") for value in ("a", None, 0.1j, [1.0])],
 )
 def test_validate_reports_a_non_real_field(name, value):
-    params = make_system(**{"gamma_R": 0.0, name: value})
+    params = make_system(**{name: value})
     assert validate(params).violations == (f"{name} must be a real number",)
+
+
+@pytest.mark.parametrize("value", ["x", 0.1j, [1.0], math.nan, math.inf, -3.0, 0.0])
+def test_validate_reports_a_bad_gamma_mhz(value):
+    params = make_system(gamma_mhz=value)
+    assert validate(params).violations == ("gamma_mhz must be a finite positive number",)
 
 
 def test_real_inputs_keep_their_values():

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from chiralcav import DriveParams, ValidationError, cooperativity, validate
+from chiralcav.spectrum import FIG2_PARAMS
 from helpers import make_system
 
 
@@ -11,10 +13,10 @@ class TestValidate:
         assert validate(base_params).ok
 
     def test_gamma_sum_violation(self):
-        params = make_system(gamma_L=0.7, gamma_R=0.5)
-        report = validate(params)
-        assert not report.ok
-        assert "gamma_L+gamma_R != 1" in report.violations
+        # gamma_R = 1 - gamma_L, so gamma_L outside [0, 1] makes one rate a gain
+        for gamma_L in (1.5, -0.1, math.nan, math.inf):
+            report = validate(make_system(gamma_L=gamma_L))
+            assert report.violations == ("gamma_L must lie in [0, 1]",)
 
     def test_no_atom_baseline_is_legal(self):
         assert validate(make_system(n=0, g=0.0)).ok
@@ -30,7 +32,7 @@ class TestValidate:
     @pytest.mark.parametrize(
         "kw",
         [
-            dict(n=2, g=20.0, gamma_L=0.5, gamma_R=0.5, xi=math.pi),  # map point
+            dict(n=2, g=20.0, gamma_L=0.5, xi=math.pi),  # map point
             dict(n=2, g=20.0, kappa_wg=100.0, kappa_sc=300.0),  # C=4 map
             dict(n=2, g=50.0, kappa_wg=100.0, kappa_sc=300.0),  # C=25 curve
             dict(n=1, g=20.0, kappa_wg=100.0, kappa_sc=300.0),  # single atom
@@ -46,6 +48,16 @@ class TestValidate:
 class TestSystemParams:
     def test_gamma_r_derived(self):
         assert make_system(gamma_L=0.8).gamma_R == pytest.approx(0.2, abs=1e-15)
+
+    @pytest.mark.parametrize("gamma_L", [0, 0.5, 0.8, 1])
+    def test_replace_gamma_L_rederives_gamma_R(self, gamma_L):
+        params = replace(FIG2_PARAMS, gamma_L=gamma_L)
+        assert validate(params).ok
+        assert params.gamma_R == 1.0 - gamma_L
+
+    def test_gamma_R_is_not_an_input(self):
+        with pytest.raises(TypeError):
+            make_system(gamma_R=0.0)
 
     def test_xi_reduced_mod_two_pi(self):
         params = make_system(xi=5.0 * math.pi)

@@ -28,7 +28,7 @@ from helpers import dense_jet, make_system, single_atom_r
 
 def steady(params, delta=0.0, **kw):
     drive = DriveParams(delta=delta)
-    return solve_steady_state(build_linear_system(params, drive, **kw), params, drive)
+    return solve_steady_state(build_linear_system(params, drive, **kw), params)
 
 
 class TestSystemStructure:
@@ -105,7 +105,7 @@ class TestSolveSteadyState:
     def test_steady_state_invariants(self):
         params = make_system(n=3, xi=0.4)
         drive = DriveParams(delta=0.2)
-        state = solve_steady_state(build_linear_system(params, drive), params, drive)
+        state = solve_steady_state(build_linear_system(params, drive), params)
         assert state.r == np.sqrt(100.0) * state.a / drive.a_in - 1.0
         assert state.R == abs(state.r) ** 2
         assert state.sigma.shape == (3,)
@@ -125,7 +125,7 @@ class TestSolveSteadyState:
         params = make_system(n=3, xi=0.3)
         r_unit = steady(params, delta=0.5).r
         drive = DriveParams(delta=0.5, a_in=2.5 - 0.4j)
-        scaled = solve_steady_state(build_linear_system(params, drive), params, drive)
+        scaled = solve_steady_state(build_linear_system(params, drive), params)
         assert scaled.r == pytest.approx(r_unit, abs=1e-13)
 
     def test_unlocked_cavity_detuning_changes_the_answer(self):
@@ -163,12 +163,12 @@ class TestSolveSteadyState:
             rhs=np.array([1.0 + 0j]),
         )
         with pytest.raises(SolverError, match="inconsistent"):
-            solve_steady_state(system, params, DriveParams())
+            solve_steady_state(system, params)
 
     def test_drive_amplitude_is_read_from_the_system(self, base_params):
-        # the system is driven with a_in = 2; the drive argument says 1
+        # the system is driven with a_in = 2; r is that of the unit drive
         system = build_linear_system(base_params, DriveParams(a_in=2.0))
-        state = solve_steady_state(system, base_params, DriveParams())
+        state = solve_steady_state(system, base_params)
         assert state.r == pytest.approx(-0.5, abs=1e-12)
         assert state.r == pytest.approx(reflection_amplitude(base_params, DriveParams()), abs=1e-12)
 
@@ -185,7 +185,7 @@ class TestSolveSteadyState:
             rhs=np.array([1.0 + 0j, 1.0 + 0j]),
         )
         with pytest.raises(SolverError, match="null mode"):
-            solve_steady_state(system, params, DriveParams())
+            solve_steady_state(system, params)
 
 
 class TestValidation:
@@ -207,13 +207,13 @@ class TestValidation:
 
     def test_relaxation_of_closed_cavity_still_validates(self):
         # kappa_wg = 0 is the one limit the oracle admits beyond require_valid
-        with pytest.raises(ValidationError, match="gamma_L and gamma_R"):
+        with pytest.raises(ValidationError, match=r"gamma_L must lie in \[0, 1\]"):
             relax_time_domain(make_system(kappa_wg=0.0, kappa_sc=0.0, **self.GAIN), DriveParams())
 
     def test_solve_steady_state_rejects_invalid_params(self, base_params):
         system = build_linear_system(base_params, DriveParams())
         with pytest.raises(ValidationError):
-            solve_steady_state(system, make_system(**self.GAIN), DriveParams())
+            solve_steady_state(system, make_system(**self.GAIN))
 
     @pytest.mark.parametrize("gamma_L", [math.nan, 1.5, -0.1])
     def test_batch_gamma_L_outside_unit_interval(self, base_params, gamma_L):

@@ -137,6 +137,24 @@ def test_fig2_map_bytes_are_pinned(fmt_name, tmp_path, capsys):
     assert hashlib.sha256(data).hexdigest() == FIG2_SHA256[fmt_name]
 
 
+#: sha256 of the ``repro fig3`` files, each name and its bytes in name order,
+#: before gamma_R became 1 - gamma_L: fig3_N2_C4_gL08 is the gamma_L = 0.8 curve
+FIG3_SHA256 = {
+    "csv": "80097bdd512ad938f0f1be1e73f224c3742e59c479c0fb9c33980c682b5cef8d",
+    "json": "dd21bc523a5deb17d152861c5d74b024b5cabdaee5140996ad10e4eb9e696579",
+}
+
+
+@pytest.mark.parametrize("fmt_name", sorted(FIG3_SHA256))
+def test_fig3_spectra_bytes_are_pinned(fmt_name, tmp_path, capsys):
+    assert main(["repro", "fig3", "--format", fmt_name, "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == FIG3_SHA256[fmt_name]
+
+
 #: sha256 of ``carve`` CSV output before a protocol folded all of its steps
 #: together; both plans cross fold boundaries (2 + 2 + 2 and 4 + 2 steps)
 CARVE_SHA256 = {
