@@ -19,6 +19,8 @@ from .params import SystemParams, _number
 
 def r_no_atoms(delta: float, kappa_wg: float, kappa_sc: float) -> complex:
     """Empty-cavity reflection amplitude r = kappa_wg / (kappa/2 - i delta) - 1."""
+    if not all(_number(v) and math.isfinite(v) for v in (delta, kappa_wg, kappa_sc)):
+        raise ValidationError("delta, kappa_wg and kappa_sc must be finite real numbers")
     kappa = kappa_wg + kappa_sc
     denom = kappa / 2.0 - 1j * delta
     if denom == 0:
@@ -40,6 +42,8 @@ def r_two_atoms(delta: float, params: SystemParams) -> complex:
     rounded phase e^{2 i pi} = 1 - 2.4e-16j leaves the bracket at
     6e-17j, and the 0/0 cancels to the limit.
     """
+    if not (_number(delta) and math.isfinite(delta)):
+        raise ValidationError("delta must be a finite real number")
     d_at = 1j * delta - 0.5
     e2 = cmath.exp(2j * params.xi)
     bracket = d_at * d_at - e2 * params.gamma_L * params.gamma_R

@@ -6,15 +6,20 @@ header lines, values formatted to a fixed number of significant digits
 are appended as '# feature,kind,delta,value,width' comment rows so plain
 numeric parsers skip them while the reader recovers them.
 
-Both renderers format each distinct value of a table once and gather
-the text back to its cells: a (xi, gamma_L, R) map repeats each grid
-value many times.  The bytes are those of formatting every value on its
-own.
+Both renderers take the row texts from one path: each distinct value
+of a table is formatted once and its text is gathered back to its cells
+(a (xi, gamma_L, R) map repeats each grid value many times), and each
+row is its column texts joined by ','.  For JSON a value's text is the
+token ``json.dumps`` writes for the float read back from its %g text;
+the rows are spliced, each in brackets, into ``json.dumps`` of the rest
+of the payload at its last key, "rows".  The bytes are those of
+formatting every value on its own.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,28 +46,29 @@ def fmt(value: float, digits: int = DEFAULT_DIGITS) -> str:
     return format(float(value), f".{require_count('digits', digits, 1)}g")
 
 
-def _formatted(rows, number: str, cast=str) -> list[tuple]:
-    """``cast(number % value)`` for every value of ``rows``, one tuple per row.
+def _row_texts(rows, token) -> list[str]:
+    """The text of each row of ``rows``: ``token(value)`` of its cells, joined by ','.
 
     Each distinct value of the table is formatted once and its text is
-    gathered back to every cell that holds it.  Values are told apart by
-    their 64-bit pattern, so 0.0 and -0.0, and NaNs with different
-    payloads, each keep the text that formatting them one by one gives.
-    The table is flattened column by column, so that a map's grid
-    columns reach the sort in sorted runs.
+    gathered back to every cell that holds it, one column at a time, so
+    no per-row tuples are built.  Values are told apart by their 64-bit
+    pattern, so 0.0 and -0.0, and NaNs with different payloads, each
+    keep the text that formatting them one by one gives.  The table is
+    flattened column by column, so that a map's grid columns reach the
+    sort in sorted runs.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     distinct, inverse = np.unique(rows.T.view(np.uint64), return_inverse=True)
-    texts = np.array([cast(number % v) for v in distinct.view(float).tolist()], dtype=object)
-    columns = texts[inverse.reshape(rows.shape[::-1])].tolist()
-    return list(zip(*columns)) or [()] * len(rows)  # no columns: an empty tuple per row
+    texts = np.array([token(v) for v in distinct.view(float).tolist()], dtype=object)
+    columns = [texts[cells].tolist() for cells in inverse.reshape(rows.shape[::-1])]
+    return list(map(",".join, zip(*columns))) if columns else [""] * len(rows)  # no columns: empty lines
 
 
 def render_csv(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
     number = f"%.{require_count('digits', digits, 1)}g"  # fmt's format, checked once
     lines = [f"# {key} = {val}" for key, val in table.meta.items()]
     lines.append(",".join(table.columns))
-    lines.extend(map(",".join, _formatted(table.rows, number)))
+    lines.extend(_row_texts(table.rows, number.__mod__))
     lines.extend(
         f"# feature,{kind},{number % delta},{number % value},{number % width}"
         for kind, delta, value, width in table.features
@@ -72,11 +78,17 @@ def render_csv(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
 
 def render_json(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
     number = f"%.{require_count('digits', digits, 1)}g"  # fmt's format, checked once
+
+    def token(value: float) -> str:
+        """The JSON token of ``value`` read back from its text, as json.dumps writes it."""
+        read = float(number % value)
+        return repr(read) if math.isfinite(read) else json.dumps(read)
+
     payload = {
         "name": table.name,
         "meta": dict(table.meta),
         "columns": list(table.columns),
-        "rows": _formatted(table.rows, number, float),
+        "rows": None,
         "features": [
             {
                 "kind": kind,
@@ -87,7 +99,11 @@ def render_json(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
             for kind, delta, value, width in table.features
         ],
     }
-    return json.dumps(payload, indent=None, sort_keys=True, separators=(",", ":")) + "\n"
+    # sort_keys puts "rows" last: its null is the tail, and the row texts go there
+    head = json.dumps(payload, indent=None, sort_keys=True, separators=(",", ":"))
+    rows = _row_texts(table.rows, token)
+    body = "[[" + "],[".join(rows) + "]]" if rows else "[]"
+    return head[: -len("null}")] + body + "}\n"
 
 
 #: output format name -> renderer; the name is also the file suffix
@@ -100,6 +116,11 @@ def write_table(table: DataTable, path, fmt_name: str = "csv", digits: int = DEF
     text = RENDERERS[fmt_name](table, digits)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
+
+
+def _array(rows: list, columns) -> np.ndarray:
+    """Parsed rows as a float array; no rows give shape (0, len(columns)), not (0,)."""
+    return np.asarray(rows, dtype=float) if rows else np.zeros((0, len(columns)))
 
 
 def parse_csv(text: str, name: str = "") -> DataTable:
@@ -130,7 +151,7 @@ def parse_csv(text: str, name: str = "") -> DataTable:
     return DataTable(
         name=name,
         columns=columns,
-        rows=np.asarray(rows, dtype=float),
+        rows=_array(rows, columns),
         meta=meta,
         features=tuple(features),
     )
@@ -145,7 +166,7 @@ def read_table(path) -> DataTable:
         return DataTable(
             name=payload.get("name", name),
             columns=tuple(payload["columns"]),
-            rows=np.asarray(payload["rows"], dtype=float),
+            rows=_array(payload["rows"], payload["columns"]),
             meta={k: str(v) for k, v in payload.get("meta", {}).items()},
             features=tuple(
                 (f["kind"], f["delta"], f["value"], f["width"])

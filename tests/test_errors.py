@@ -17,6 +17,8 @@ from chiralcav import (
     find_features,
     global_rotation,
     plan_protocol,
+    r_no_atoms,
+    r_two_atoms,
     reference_values,
     reflection_amplitude,
     reflectivity,
@@ -137,6 +139,15 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         lambda tmp: Spectrum(make_system(), np.array([0.0, math.nan]), np.array([0.0, 1.0])),
         lambda tmp: Spectrum(make_system(), "ab", np.array([0.0, 1.0])),
         lambda tmp: Spectrum(make_system(), np.array([0.0, 1.0]), ["a", "b"]),
+        lambda tmp: r_no_atoms(math.nan, 100.0, 300.0),
+        lambda tmp: r_no_atoms(math.inf, 100.0, 300.0),
+        lambda tmp: r_no_atoms("a", 100.0, 300.0),
+        lambda tmp: r_no_atoms(0.0, math.nan, 300.0),
+        lambda tmp: r_no_atoms(0.0, 100.0, "a"),
+        lambda tmp: r_two_atoms(math.nan, make_system()),
+        lambda tmp: r_two_atoms(math.inf, make_system()),
+        lambda tmp: r_two_atoms("a", make_system()),
+        lambda tmp: r_two_atoms(None, make_system()),
     ],
     ids=[
         "spectrum-grid",
@@ -236,6 +247,15 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         "spectrum-deltas-nan",
         "spectrum-deltas-string",
         "spectrum-values-string",
+        "r-no-atoms-delta-nan",
+        "r-no-atoms-delta-inf",
+        "r-no-atoms-delta-string",
+        "r-no-atoms-kappa-wg-nan",
+        "r-no-atoms-kappa-sc-string",
+        "r-two-atoms-delta-nan",
+        "r-two-atoms-delta-inf",
+        "r-two-atoms-delta-string",
+        "r-two-atoms-delta-none",
     ],
 )
 def test_invalid_input_raises_package_error(call, tmp_path):

@@ -66,6 +66,18 @@ def test_unknown_format_rejected(table, tmp_path):
         write_table(table, tmp_path / "demo.xml", "xml")
 
 
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+def test_zero_row_table_round_trip(fmt_name, tmp_path):
+    table = DataTable(name="e", columns=("a", "b", "c"), rows=np.zeros((0, 3)))
+    path = tmp_path / f"e.{fmt_name}"
+    write_table(table, path, fmt_name)
+    loaded = read_table(path)
+    assert loaded.rows.shape == (0, 3)
+    render = {"csv": render_csv, "json": render_json}[fmt_name]
+    assert render(loaded) == render(table)
+    assert render_csv(parse_csv(render_csv(table))) == "a,b,c\n"
+
+
 def test_parse_requires_header():
     with pytest.raises(ValueError):
         parse_csv("# only = meta\n")
@@ -108,13 +120,22 @@ ROWS = {
 }
 
 
-@pytest.mark.parametrize("rows", ROWS.values(), ids=ROWS.keys())
-def test_rendering_matches_the_per_row_renderer_at_every_digits(rows):
+#: the JSON rows are spliced in at the tail of the dumped payload; a name
+#: and a meta value that hold that tail's text must not move them
+_SPLICE_TAIL = '"rows":null}'
+
+
+@pytest.mark.parametrize(
+    "rows, label",
+    [(rows, "oracle") for rows in ROWS.values()] + [(ROWS["repeated"], _SPLICE_TAIL)],
+    ids=[*ROWS, "rows-tail-in-name-and-meta"],
+)
+def test_rendering_matches_the_per_row_renderer_at_every_digits(rows, label):
     table = DataTable(
-        name="oracle",
+        name=label,
         columns=tuple(f"c{j}" for j in range(np.atleast_2d(rows).shape[1])),
         rows=rows,
-        meta={"kind": "oracle"},
+        meta={"kind": label, "tail": f"x {_SPLICE_TAIL}"},
         features=(("dip", -0.0, np.nan, 1 / 3), ("peak", 0.1, 5e-324, np.inf)),
     )
     for digits in range(1, 18):
@@ -169,3 +190,23 @@ def test_carve_bytes_are_pinned(args, tmp_path, capsys):
     assert main(["carve", *args.split(), "--output", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CARVE_SHA256[args]
+
+
+#: sha256 of CLI map and spectrum output before the JSON rows were spliced
+#: into the dumped payload; the N = 3 spectrum's 5 features precede its rows
+CLI_SHA256 = {
+    "map --n 3": "f2eee5e3297493c8f5383493a55f1eb50dfcd50ef35807e4a00ad74f269a3179",
+    "map --n 3 --format json": "67f4bf5776add08ffead9f3a88a4f6d1336439ab426e70085c6693de57e3d01e",
+    "spectrum --n 3 --format json": "dbf5ca9d24c735920f0b2d9cead9c63e815c8fddb6573dfeac06e62f5bbc2e0b",
+}
+
+
+@pytest.mark.parametrize("args", sorted(CLI_SHA256))
+def test_map_and_spectrum_bytes_are_pinned(args, tmp_path, capsys):
+    path = tmp_path / "out"
+    assert main([*args.split(), "--output", str(path)]) == 0
+    capsys.readouterr()
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CLI_SHA256[args]
+    if args.startswith("spectrum"):
+        assert len(json.loads(data)["features"]) == 5
