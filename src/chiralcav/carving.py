@@ -288,8 +288,12 @@ def run_protocol(
     require_valid(params_template)
     if plan is None:
         plan = plan_protocol(m, params_template, dip_sign=dip_sign)
+    elif not isinstance(plan, ProtocolPlan):
+        raise ValidationError(f"plan must be a ProtocolPlan, not {type(plan).__name__}")
     elif plan.m != m:
         raise ValidationError(f"plan was made for {plan.m} atoms, not {m}")
+    elif not len(plan.steps):  # the trace would be empty and have no final fidelity
+        raise ValidationError("plan has no steps")
     columns = _subset_columns(params_template, m, [DriveParams(delta=d).delta for d in plan.steps])
     target = QubitRegister.w_state(m)
     state = global_rotation(QubitRegister.ground(m), math.pi / 2.0)

@@ -28,6 +28,18 @@ non-finite fold or |D| <= 1/COND_MAX (D = 0: a dark state) take the dark-point
 rule ``_contour_mean``: the mean of the fold on a small circle around the
 point.  The dense one-point ``build_linear_system``, ``solve_steady_state``,
 ``relax_time_domain`` are oracles.
+
+A fold call allocates one block for all of its order-0 lines and writes
+every site update into it with ``out=``.  One allocation, because lines
+allocated one by one each fall below malloc's mmap threshold, so the heap
+grows on every call, is trimmed when it ends and faults in again on the
+next; one larger block, once freed, raises that threshold and the heap is
+kept.  No ufunc writes into one of its operands: numpy may then take
+another inner loop (on size-1 arrays ``np.multiply(s, b, out=b)`` differs
+in the last bit from ``s * b``), so each output line is distinct from the
+inputs and has the shape of the expression it replaces (the full batch at
+the first site, whose zero state makes those values exact): the bits stay.
+The block is local to the call: no state is kept between calls.
 """
 
 from __future__ import annotations
@@ -161,40 +173,64 @@ def _fold(params, delta, delta_c, pos, gl, gr, xi, jet=False, prefix=None, split
     """r (a_in = 1) and the smallest |D| of the fold over the sorted sites ``pos``;
     with ``jet`` also dr/d(delta) and d2r/d(delta)^2 along delta_c = delta.
 
-    The rates ``gl``, ``gr`` are per point.  ``prefix`` closes each point's
-    chain after its own first ``prefix`` sites.  ``split`` (not with ``jet``)
-    doubles the rows, axis 0, at each site k: row i passes the site off by
-    pure propagation, (rho phi^2, s phi, q phi, o), the zero-rate update bit
-    for bit, and row i + 2^k takes the update; the first site ends up the top
-    bit.  The segment left of a site gives R_out = rho L + s and O = q L + o
-    for the field L entering it.  The jet of x, (x', x''/2) on a leading axis,
-    rides beside the order-0 lines: jet(ab) = a jet(b) + b jet(a) + (0, a' b'),
-    and c = a/b has jet (jet(a) - c jet(b))/b less (0, c' b'/b).
+    The rates ``gl``, ``gr`` are per point.  ``prefix`` (not with ``split``)
+    closes each point's chain after its own first ``prefix`` sites.  ``split``
+    (not with ``jet``) doubles the rows, axis 0, at each site k: row i passes
+    the site off by pure propagation, (rho phi^2, s phi, q phi, o), the
+    zero-rate update bit for bit, and row i + 2^k takes the update; the first
+    site ends up the top bit.  The segment left of a site gives
+    R_out = rho L + s and O = q L + o for the field L entering it.  The jet of
+    x, (x', x''/2) on a leading axis, rides beside the order-0 lines:
+    jet(ab) = a jet(b) + b jet(a) + (0, a' b'), and c = a/b has jet
+    (jet(a) - c jet(b))/b less (0, c' b'/b).
+
+    The order-0 lines share one block, sized for the final 2^n split rows:
+    the state (rho, s, q, o) twice, read from one copy and written to the
+    other; eleven site lines (u, s phi, t, two scratch, ugl, wd, c, sig_0,
+    sig_l, out); an o per prefix cut; then the real lines (wd_min twice,
+    |w D|, a wd_min per cut).  Site k reads rows [:2^k] and writes the
+    on-rows [2^k:2^(k+1)]; split, the off-rows then take (u, s phi, t, o).
     """
-    # split rows concatenate, so they start with the shape of the whole batch
-    batch = np.broadcast_shapes(*map(np.shape, (delta, gl, gr, xi))) if split else 1
-    nd, xi = np.ndim(delta), xi[..., None]
+    n = pos.size
+    batch = np.broadcast(delta, gl, gr, xi).shape
+    shape = (2**n, *batch[1:]) if split else batch  # a split batch has one row
+    cuts = [] if prefix is None else np.unique(prefix[prefix < n]).tolist()
+    lines = 19 + len(cuts)
+    block = np.empty((lines + (len(cuts) + 4) // 2, *shape), dtype=complex)
+    state = block[:8].reshape(2, 4, *shape)  # (rho, s, q, o): site k reads state[k % 2], writes the other
+    site, kept = block[8:19], block[19:lines]
+    real = block[lines:].reshape(-1).view(float).reshape(2 * (block.shape[0] - lines), *shape)
+
+    xi = xi[..., None]
     cav = np.exp(1j * xi * pos)
     hop = np.exp(1j * xi * (pos - np.concatenate((pos[:1], pos[:-1]))))  # from the previous site
     sites = [hop, 1j * params.g * cav, params.g * np.conj(cav)]
     w = 1j * delta - 0.5
-    rho = s = q = o = np.zeros(batch, dtype=complex)
-    jw = np.array([1j, 0.0]).reshape((2,) + (1,) * nd)  # dw/d(delta) = i
+    jw = np.array([1j, 0.0]).reshape((2,) + (1,) * np.ndim(delta))  # dw/d(delta) = i
     jrho = js = jq = jo = 0.0 * jw
-    wd_min = np.full(batch, np.inf)  # of |w D|: w is the same at every site
-    cuts, ends = ([] if prefix is None else np.unique(prefix[prefix < pos.size]).tolist()), []
+    rows = slice(0, 1) if split else ...  # the rows that hold the chain so far
+    state[0][:, rows] = 0.0
+    real[0][rows] = np.inf  # wd_min, of |w D|: w is the same at every site
+    ends = []
     with np.errstate(all="ignore"):  # D = 0 gives inf or nan: the dark-point rule takes it
-        for k in range(pos.size):
-            live = k + 1 < pos.size  # past the last site only o, wd_min and jo are read
+        for k in range(n):
+            live = k + 1 < n  # past the last site only o, wd_min and jo are read
+            on = slice(rows.stop, 2 * rows.stop) if split else rows  # the rows that take the site
             phi, src, obs = (v[..., k] for v in sites)
-            u = phi * phi * rho  # the segment's reflection seen from this site
-            ugl, t = u * gl, q * phi
-            wd, c = w - ugl, t * gl + obs
-            sig_0 = (src + phi * s) / wd  # sigma = sig_l L + sig_0
+            (rho, s, q, o), nxt = state[k % 2][:, rows], state[1 - k % 2]
+            rho_on, s_on, q_on, o_on = nxt[:, on]
+            u, ps, t, a, b, ugl, wd, c, sig_0, sig_l, out = site[:, rows]
+            wd_min, wd_on, mag = real[k % 2][rows], real[1 - k % 2][on], real[2][rows]
+            np.multiply(phi * phi, rho, out=u)  # the segment's reflection seen from this site
+            np.multiply(u, gl, out=ugl)
+            np.multiply(q, phi, out=t)
+            np.multiply(phi, s, out=ps)
+            np.subtract(w, ugl, out=wd)
+            np.add(np.multiply(t, gl, out=a), obs, out=c)
+            np.divide(np.add(src, ps, out=a), wd, out=sig_0)  # sigma = sig_l L + sig_0
             if live:
-                sig_l, out = (1.0 + u) / wd, ugl + gr
-            if split:  # the lines of the rows that pass this site off
-                off = (o, np.minimum(wd_min, np.abs(w))) + ((u, phi * s, t) if live else ())
+                np.divide(np.add(1.0, u, out=a), wd, out=sig_l)
+                np.add(ugl, gr, out=out)
             if jet:  # jet(out) = jet(ugl); q' = t + c sig_l and o' = o + c sig_0
                 ju = phi * phi * jrho
                 jugl, jt = ju * gl, jq * phi
@@ -211,17 +247,27 @@ def _fold(params, delta, delta_c, pos, gl, gr, xi, jet=False, prefix=None, split
                     jq = jt + c * jl + sig_l * jc
                     for jx, ja, jb in ((jrho, jugl, jl), (js, jugl, jz), (jq, jc, jl)):
                         jx[1] += ja[0] * jb[0]
-            o, wd_min = o + c * sig_0, np.minimum(wd_min, np.abs(wd))
+            np.minimum(wd_min, np.abs(wd, out=mag), out=wd_on)
             if live:
-                rho, s, q = u + out * sig_l, phi * s + out * sig_0, t * (1.0 + gl * sig_l) + obs * sig_l
-            if split:  # row i with site k off stays row i, with it on becomes row i + 2^k
-                o, wd_min, *kept = map(np.concatenate, zip(off, (o, wd_min, rho, s, q)))
+                np.add(u, np.multiply(out, sig_l, out=a), out=rho_on)
+                np.add(ps, np.multiply(out, sig_0, out=a), out=s_on)
+                np.multiply(t, np.add(1.0, np.multiply(gl, sig_l, out=a), out=b), out=a)
+                np.add(a, np.multiply(obs, sig_l, out=b), out=q_on)
+            np.add(o, np.multiply(c, sig_0, out=a), out=o_on)
+            if split:  # row i with site k off stays row i, with it on became row i + 2^k
                 if live:
-                    rho, s, q = kept
-            if k + 1 in cuts:  # the chains that end before the last site keep their lines
-                ends.append((prefix == k + 1, o, wd_min, jo))
-        for at, *lines in ends:
-            o, wd_min, jo = (np.where(at, x, y) for x, y in zip(lines, (o, wd_min, jo)))
+                    np.copyto(nxt[:3, rows], site[:3, rows])
+                np.copyto(nxt[3, rows], o)
+                np.minimum(wd_min, np.abs(w), out=real[1 - k % 2][rows])
+                rows = slice(0, on.stop)
+            if k + 1 in cuts:  # the chains that end before the last site keep copies of their lines
+                o_end, wd_end = kept[len(ends)], real[3 + len(ends)]
+                np.copyto(o_end, o_on)
+                np.copyto(wd_end, wd_on)
+                ends.append((prefix == k + 1, o_end, wd_end, jo))
+        o, wd_min = state[n % 2, 3], real[n % 2]
+        for at, *ended in ends:
+            o, wd_min, jo = (np.where(at, x, y) for x, y in zip(ended, (o, wd_min, jo)))
         den = 1j * delta_c - params.kappa / 2.0 - 1j * o
         a = -np.sqrt(params.kappa_wg) / den
         folded = [np.sqrt(params.kappa_wg) * a - 1.0, wd_min / np.abs(w)]

@@ -185,14 +185,18 @@ def _extrema(params, deltas, values, signs, prominence_min: float, prefix=None):
     return curve, index, sign, prominence, delta, value
 
 
-def _widths(spec: Spectrum, index, level, sign) -> np.ndarray:
-    """Full widths between the crossings of ``level`` around each grid ``index``.
+def _widths(spec: Spectrum, index, delta, value, half, sign) -> np.ndarray:
+    """Full widths between the crossings of the level ``value + sign half`` around
+    each extremum at grid ``index``, refined to ``delta`` and ``value``.
 
     The sampled curve is walked outward to the first point past the
     level, or to the grid edge.  All crossings are then refined together
     on the continuous curve from the linear interpolation of the samples.
+    An edge whose inner sample is not inside the level (a feature narrower
+    than the grid) is bracketed from the refined extremum, where f = -half.
     """
     n = spec.deltas.size
+    level = value + sign * half
     right, left = np.empty_like(index), np.empty_like(index)
     for k, (i, lvl, s) in enumerate(zip(index, level, sign)):
         past = np.r_[-1, np.flatnonzero(s * (spec.values - lvl) >= 0), n]
@@ -200,9 +204,11 @@ def _widths(spec: Spectrum, index, level, sign) -> np.ndarray:
         left[k] = past[np.searchsorted(past, i) - 1]
     inside = np.concatenate([right - 1, left + 1])
     outside = np.concatenate([np.minimum(right, n - 1), np.maximum(left, 0)])
-    level, sign = np.tile(level, 2), np.tile(sign, 2)
+    level, sign, delta, half = (np.tile(v, 2) for v in (level, sign, delta, half))
     lo, hi = spec.deltas[inside], spec.deltas[outside]
     f_lo, f_hi = sign * (spec.values[inside] - level), sign * (spec.values[outside] - level)
+    narrow = ~(f_lo < 0)
+    lo, f_lo = np.where(narrow, delta, lo), np.where(narrow, -half, f_lo)
     with np.errstate(invalid="ignore"):  # a bracket cut by the grid edge has lo = hi
         start = np.where(lo == hi, lo, lo + (hi - lo) * f_lo / (f_lo - f_hi))
     upper, lower = np.split(_newton(spec.params, start, lo, hi, sign, level, 0, EDGE_TOL)[0], 2)
@@ -225,7 +231,7 @@ def find_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> tup
     require_valid(spec.params)
     found = _extrema(spec.params, spec.deltas, spec.values[None], (1.0, -1.0), prominence_min)
     _, index, sign, prominence, delta, value = found
-    width = _widths(spec, index, value + sign * prominence / 2.0, sign)
+    width = _widths(spec, index, delta, value, prominence / 2.0, sign)
     features = [
         Feature("dip" if s > 0 else "peak", *row)
         for s, *row in zip(sign, delta.tolist(), value.tolist(), width.tolist(), prominence.tolist())

@@ -7,6 +7,7 @@ import pytest
 from chiralcav import (
     ChiralCavError,
     DriveParams,
+    ProtocolPlan,
     QubitRegister,
     Spectrum,
     ValidationError,
@@ -64,6 +65,8 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         lambda tmp: plan_protocol(2.5, make_system()),
         lambda tmp: run_protocol(2.5, make_system()),
         lambda tmp: run_protocol(2, make_system(), repetitions_per_step=1.5),
+        lambda tmp: run_protocol(3, make_system(n=3), plan="x"),
+        lambda tmp: run_protocol(3, make_system(n=3), plan=ProtocolPlan(steps=(), target="w", m=3)),
         lambda tmp: sweep_delta(make_system(), -1.0, 1.0, 10.5),
         lambda tmp: dip_detunings(make_system(), 2.5),
         lambda tmp: Spectrum(make_system(), np.array([0.0, 1.0]), np.zeros(3)),
@@ -173,6 +176,8 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         "plan-m-float",
         "run-m-float",
         "run-repetitions-float",
+        "run-plan-string",
+        "run-plan-empty",
         "sweep-points-float",
         "dip-count-float",
         "spectrum-length",

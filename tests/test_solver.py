@@ -22,6 +22,7 @@ from chiralcav import (
     relax_time_domain,
     solve_steady_state,
     solver,
+    sweep_2d,
 )
 from helpers import dense_jet, make_system, single_atom_r
 
@@ -582,3 +583,62 @@ class TestJet:
             assert r.shape == r1.shape == r2.shape == plain.shape
             assert np.array_equal(r.view(np.uint64), plain.view(np.uint64))
             assert np.all(np.isfinite(r1) & np.isfinite(r2))
+
+
+def read_only(value):
+    frozen = np.array(value)
+    frozen.flags.writeable = False
+    return frozen
+
+
+class TestCallerArrays:
+    """The fold writes only into its own block: caller arrays may be read-only,
+    and no two results share memory."""
+
+    # the grid holds the dark points gamma_L = 1/2, xi = 0 and pi, delta = 0
+    AXES = (
+        np.linspace(-1.0, 1.0, 5)[:, None, None],
+        np.array([0.5, 0.8, 1.0])[None, :, None],
+        np.array([0.0, math.pi])[None, None, :],
+    )
+
+    def test_read_only_batch_axes(self):
+        params = make_system(n=3)
+        expected = reflectivity_batch(params, *self.AXES)
+        frozen = [read_only(axis) for axis in self.AXES]
+        first, second = (reflectivity_batch(params, *frozen) for _ in range(2))
+        assert bits(first) == bits(second) == bits(expected)
+        assert not np.shares_memory(first, second)
+
+    def test_read_only_map_grids(self):
+        params = make_system(n=3)
+        xi, gamma_L = np.linspace(0.0, 2 * math.pi, 9), np.linspace(0.0, 1.0, 5)
+        expected = sweep_2d(params, xi, gamma_L).values
+        first, second = (sweep_2d(params, read_only(xi), read_only(gamma_L)).values for _ in range(2))
+        assert bits(first) == bits(second) == bits(expected)
+        assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize("derivatives", [False, True])
+    def test_read_only_prefix(self, derivatives):
+        params = make_system(n=6, gamma_L=0.5)  # each prefix n >= 2 is dark at delta = 0
+        delta, counts = np.linspace(-1.0, 1.0, 5), np.arange(1, 7)[:, None]
+
+        def fold(delta, counts):
+            out = solver._reflection(params, delta, prefix=counts, derivatives=derivatives)
+            return out if derivatives else (out,)
+
+        expected = fold(delta, counts)
+        first, second = (fold(read_only(delta), read_only(counts)) for _ in range(2))
+        assert bits(np.stack(first)) == bits(np.stack(second)) == bits(np.stack(expected))
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+    def test_read_only_subset_detunings(self):
+        params = make_system(n=4, gamma_L=0.5)
+        delta = np.array([-0.3, 0.0, 0.3])
+        expected = solver._reflection(params, delta, positions=np.arange(4), subsets=True)
+        first, second = (
+            solver._reflection(params, read_only(delta), positions=read_only(np.arange(4)), subsets=True)
+            for _ in range(2)
+        )
+        assert bits(first) == bits(second) == bits(expected)
+        assert not np.shares_memory(first, second)

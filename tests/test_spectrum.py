@@ -126,6 +126,23 @@ class TestFindFeatures:
                 base_params, DriveParams(delta=dip.delta + off)
             ) >= dip.value
 
+    def test_features_narrower_than_the_grid_have_their_fine_grid_widths(self):
+        # the dip and the peak are narrower than the 1.5e-3 spacing: the grid sample at
+        # each index lies outside the half-prominence level, and both widths came out < 0
+        params = make_system(n=8, gamma_L=0.5344, xi=0.294, g=20.8)
+        features = find_features(sweep_delta(params, -3, 3, 4001))
+        assert len(features) == 14
+        assert all(feat.width > 0 for feat in features)
+        for kind, delta, width in (("dip", -0.08474, 5.032e-4), ("peak", -0.07326, 2.904e-4)):
+            (feat,) = [f for f in features if f.kind == kind and abs(f.delta - delta) < 1e-5]
+            sign = 1.0 if kind == "dip" else -1.0
+            fine = feat.delta + np.arange(-40_000, 40_001) * 1e-8
+            inside = sign * (reflectivity_batch(params, fine) - feat.value - sign * feat.prominence / 2.0) < 0
+            edges = np.flatnonzero(np.diff(inside))  # the one run of the feature
+            assert edges.size == 2
+            assert feat.width == pytest.approx(fine[edges[1]] - fine[edges[0]], rel=1e-4)
+            assert feat.width == pytest.approx(width, rel=1e-3)
+
     def test_features_sorted_and_attached(self, base_params):
         spec = with_features(sweep_delta(base_params, -3, 3, 4001))
         locations = [f.delta for f in spec.features]

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from chiralcav import solver
 from chiralcav.cli import main
 from chiralcav.tables import DataTable, fmt, parse_csv, read_table, render_csv, render_json, write_table
 from helpers import render_csv_by_row, render_json_by_row
@@ -210,3 +211,45 @@ def test_map_and_spectrum_bytes_are_pinned(args, tmp_path, capsys):
     assert hashlib.sha256(data).hexdigest() == CLI_SHA256[args]
     if args.startswith("spectrum"):
         assert len(json.loads(data)["features"]) == 5
+
+
+def fold_points(fold):
+    """``solver._fold`` one point at a time, each a batch of one of the batch's ndim
+    (a split batch keeps its rows); scalar operands stay scalars."""
+
+    def folded(params, delta, delta_c, pos, gl, gr, xi, jet=False, prefix=None, split=False):
+        operands = (delta, delta_c, gl, gr, xi, prefix)
+        shape = np.broadcast_shapes(*(np.shape(v) for v in operands if v is not None))
+        results = None
+        for index in np.ndindex(shape[split:]):
+            at = (slice(None),) * split + tuple(slice(i, i + 1) for i in index)
+            point = [v if np.ndim(v) == 0 else np.broadcast_to(v, shape)[at] for v in operands]
+            values = fold(params, *point[:2], pos, *point[2:5], jet, point[5], split)
+            if results is None:
+                results = [np.empty(np.shape(v)[:split] + shape[split:], np.result_type(v)) for v in values]
+            for result, value in zip(results, values):
+                result[(slice(None),) * split + index] = np.reshape(value, np.shape(value)[:split])
+        return results
+
+    return folded
+
+
+#: the benchmark's median carve classes (M = 5, 6) and its largest map (N = 6) at
+#: 17 digits, where a last-bit flip that 12 digits round away shows in the bytes
+FULL_PRECISION = (
+    "carve --m 6 --reps 2 --precision 17",
+    "carve --m 5 --gamma-l 0.95 --xi 0.3 --reps 3 --precision 17",
+    "map --n 6 --precision 17",
+)
+
+
+@pytest.mark.parametrize("args", FULL_PRECISION)
+def test_full_precision_bytes_of_batches_and_points_agree(args, tmp_path, capsys, monkeypatch):
+    # the fold's bits must not depend on the batch around a point: compared in one
+    # process, so the check holds on any CPU and numpy that the 12-digit pins pass on
+    batch, points = tmp_path / "batch.csv", tmp_path / "points.csv"
+    assert main([*args.split(), "--output", str(batch)]) == 0
+    monkeypatch.setattr(solver, "_fold", fold_points(solver._fold))
+    assert main([*args.split(), "--output", str(points)]) == 0
+    capsys.readouterr()
+    assert batch.read_bytes() == points.read_bytes()
