@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import PoleError, ValidationError
-from .params import SystemParams, _number
+from .params import SystemParams, _number, require_params
 
 
 def r_no_atoms(delta: float, kappa_wg: float, kappa_sc: float) -> complex:
@@ -44,6 +44,7 @@ def r_two_atoms(delta: float, params: SystemParams) -> complex:
     """
     if not (_number(delta) and math.isfinite(delta)):
         raise ValidationError("delta must be a finite real number")
+    require_params(params)
     d_at = 1j * delta - 0.5
     e2 = cmath.exp(2j * params.xi)
     bracket = d_at * d_at - e2 * params.gamma_L * params.gamma_R

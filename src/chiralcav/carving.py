@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolExtinguishedError, ValidationError
-from .params import DriveParams, SystemParams, _number, require_count, require_valid
+from .params import DriveParams, SystemParams, _number, _real, require_count, require_valid
 from .solver import _reflection, reflection_amplitude
 from .spectrum import _dips
 
@@ -74,6 +74,8 @@ class QubitRegister:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _register_size(self.m))
+        if not _real(self.amplitudes, "biufc"):  # None, strings or a ragged nesting
+            raise ValidationError("amplitudes must hold numbers")
         amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if amplitudes.shape != (2**self.m,):
             raise ValidationError("amplitude vector must have length 2**m")

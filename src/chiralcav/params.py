@@ -146,9 +146,15 @@ def require_real(name: str, value) -> np.ndarray:
 _FIELDS = ("g", "kappa_wg", "kappa_sc", "xi")
 
 
+#: the one violation of an argument that is not a SystemParams at all
+_NOT_PARAMS = "params must be a SystemParams"
+
+
 def validate(params: SystemParams) -> ValidationReport:
     """Check every SystemParams invariant and report violations; the rules
     that compare numbers apply once every field is a real number."""
+    if not isinstance(params, SystemParams):
+        return ValidationReport(ok=False, violations=(_NOT_PARAMS,))
     violations: list[str] = []
     if not _integral(params.n_atoms) or params.n_atoms < 0:
         violations.append("n_atoms must be a nonnegative integer")
@@ -176,6 +182,13 @@ def validate(params: SystemParams) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
+def require_params(params) -> SystemParams:
+    """``params``; ValidationError unless it is a SystemParams (before any field is read)."""
+    if not isinstance(params, SystemParams):
+        raise ValidationError(_NOT_PARAMS)
+    return params
+
+
 def require_valid(params: SystemParams) -> SystemParams:
     """Raise ValidationError unless ``params`` passes :func:`validate`."""
     report = validate(params)
@@ -187,7 +200,7 @@ def require_valid(params: SystemParams) -> SystemParams:
 def cooperativity(params: SystemParams) -> float:
     """Single-atom cooperativity C = 4 g^2 / (kappa * gamma), gamma = 1;
     inf where g^2 overflows."""
-    kappa = params.kappa
+    kappa = require_params(params).kappa
     if kappa <= 0:
         raise ValidationError("cooperativity requires kappa = kappa_wg + kappa_sc > 0")
     try:

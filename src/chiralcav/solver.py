@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .params import DriveParams, SystemParams, _number, require_real, require_valid
+from .params import DriveParams, SystemParams, _number, require_params, require_real, require_valid
 
 #: a fold point whose smallest Fabry-Perot denominator |D| is at most
 #: 1/COND_MAX takes the dark-point rule
@@ -82,19 +82,17 @@ class SteadyState:
 
 
 def _assemble(
-    params: SystemParams, delta: float, delta_c: float, a_in: complex = 1.0, positions=None,
-    independent_atoms: bool = False,
+    params: SystemParams, delta: float, delta_c: float, a_in: complex = 1.0, positions=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(matrix, rhs) of one drive point, M = M0 + i diag(delta_c, delta, ..., delta)."""
     pos = np.asarray(np.arange(params.n_atoms) if positions is None else positions, dtype=float)
     n = pos.size
     matrix = np.zeros((n + 1, n + 1), dtype=complex)
     sep = pos[None, :] - pos[:, None]  # sep[mu, nu] = p_nu - p_mu
-    if not independent_atoms:
-        phase = np.exp(1j * params.xi * np.abs(sep))
-        matrix[1:, 1:] = np.where(sep > 0, -params.gamma_L * phase, 0.0) + np.where(
-            sep < 0, -params.gamma_R * phase, 0.0
-        )
+    phase = np.exp(1j * params.xi * np.abs(sep))
+    matrix[1:, 1:] = np.where(sep > 0, -params.gamma_L * phase, 0.0) + np.where(
+        sep < 0, -params.gamma_R * phase, 0.0
+    )
     cav_phase = np.exp(1j * params.xi * pos)
     matrix[0, 1:] = -1j * params.g * np.conj(cav_phase)
     matrix[1:, 0] = -1j * params.g * cav_phase
@@ -117,24 +115,20 @@ def _require_positions(positions) -> None:
         raise ValidationError("positions must be distinct")
 
 
-def _drive_system(params: SystemParams, drive: DriveParams, positions, independent_atoms):
+def _drive_system(params: SystemParams, drive: DriveParams, positions):
     """(matrix, rhs) of one drive point, after checking ``positions``."""
     _require_positions(positions)
-    return _assemble(params, drive.delta, drive.delta_c, drive.a_in, positions, independent_atoms)
+    return _assemble(params, drive.delta, drive.delta_c, drive.a_in, positions)
 
 
-def build_linear_system(
-    params: SystemParams, drive: DriveParams, positions=None, independent_atoms: bool = False
-) -> LinearSystem:
+def build_linear_system(params: SystemParams, drive: DriveParams, positions=None) -> LinearSystem:
     """Steady-state system for ``params`` under ``drive``.
 
     ``positions`` selects atom sites in units of the lattice spacing
-    (default: 0 .. n_atoms-1).  ``independent_atoms=True`` zeroes the
-    atom-atom block, keeping each atom's full decay rate: the reference
-    configuration of cavity-coupled but mutually uncoupled atoms.
+    (default: 0 .. n_atoms-1).
     """
     require_valid(params)
-    return LinearSystem(*_drive_system(params, drive, positions, independent_atoms))
+    return LinearSystem(*_drive_system(params, drive, positions))
 
 
 def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -316,7 +310,7 @@ def _contour_mean(params, index, delta, delta_c, pos, gl, gr, xi, prefix, split)
 
 def _reflection(
     params: SystemParams, delta, delta_c=None, positions=None, gamma_L=None, xi=None,
-    independent_atoms: bool = False, derivatives: bool = False, subsets: bool = False, prefix=None,
+    derivatives: bool = False, subsets: bool = False, prefix=None,
 ):
     """r (a_in = 1) over the broadcast shape of the detunings, ``gamma_L``, ``xi``
     (default: from ``params``; gamma_R = 1 - gamma_L) and ``prefix``, each
@@ -340,10 +334,7 @@ def _reflection(
     # every operand gets the batch's ndim: numpy multiplies a size-1 pair of
     # unequal ndims without FMA, and a batch of one would change its bits
     d, dc, gl, x = (np.asarray(v, dtype=float)[(None,) * (len(shape) - np.ndim(v))] for v in axes)
-    gr = 1.0 - gl
-    if independent_atoms:  # gamma_L enters only the atom-atom block
-        gl = gr = 0.0
-    fold = (d, dc, pos, gl, gr, x)
+    fold = (d, dc, pos, gl, 1.0 - gl, x)
     folded = _fold(params, *fold, derivatives, prefix, subsets)
     r, d_min, *jet = (np.broadcast_to(v, shape).flatten() for v in folded)
     index = np.flatnonzero(~np.isfinite(r) | (d_min <= 1.0 / COND_MAX))
@@ -373,28 +364,21 @@ def _steady_state_from(solution: np.ndarray, params: SystemParams, a_in) -> Stea
     return SteadyState(a=a, sigma=solution[1:].copy(), r=complex(r), R=R)
 
 
-def reflectivity(
-    params: SystemParams, drive: DriveParams, positions=None, independent_atoms: bool = False
-) -> float:
+def reflectivity(params: SystemParams, drive: DriveParams, positions=None) -> float:
     """Reflectivity R = |r|^2 for a single drive point, bit for bit the
     value :func:`reflectivity_batch` gives there."""
-    r = reflection_amplitude(params, drive, positions, independent_atoms)
+    r = reflection_amplitude(params, drive, positions)
     return float(np.square(np.abs(r)))
 
 
-def reflection_amplitude(
-    params: SystemParams, drive: DriveParams, positions=None, independent_atoms: bool = False
-) -> complex:
+def reflection_amplitude(params: SystemParams, drive: DriveParams, positions=None) -> complex:
     """Complex reflection amplitude r for a single drive point: a batch of one."""
     require_valid(params)
     _require_positions(positions)
-    system = dict(positions=positions, independent_atoms=independent_atoms)
-    return complex(_reflection(params, drive.delta, drive.delta_c, **system))
+    return complex(_reflection(params, drive.delta, drive.delta_c, positions))
 
 
-def reflectivity_batch(
-    params: SystemParams, delta, gamma_L=None, xi=None, positions=None, independent_atoms: bool = False
-) -> np.ndarray:
+def reflectivity_batch(params: SystemParams, delta, gamma_L=None, xi=None, positions=None) -> np.ndarray:
     """R over broadcastable arrays of (delta, gamma_L, xi), delta_c locked.
 
     Sweep points are solved as one batch with results in grid order, with
@@ -412,13 +396,11 @@ def reflectivity_batch(
         np.broadcast_shapes(*map(np.shape, (delta, gamma_L, xi)))
     except ValueError:
         raise ValidationError("delta, gamma_L and xi must broadcast together") from None
-    system = dict(positions=positions, independent_atoms=independent_atoms)
-    return np.square(np.abs(_reflection(params, delta, gamma_L=gamma_L, xi=xi, **system)))
+    return np.square(np.abs(_reflection(params, delta, positions=positions, gamma_L=gamma_L, xi=xi)))
 
 
 def relax_time_domain(
-    params: SystemParams, drive: DriveParams, t_max: float = 1e8, positions=None,
-    independent_atoms: bool = False,
+    params: SystemParams, drive: DriveParams, t_max: float = 1e8, positions=None
 ) -> SteadyState:
     """Steady state by integrating the equations of motion from vacuum.
 
@@ -439,11 +421,11 @@ def relax_time_domain(
     Parameters must pass :func:`require_valid`, except that the oracle
     also takes the closed cavity kappa_wg = 0 (nothing drives it, r = -1).
     """
-    require_valid(replace(params, kappa_wg=1.0) if params.kappa_wg == 0 else params)
+    require_valid(replace(params, kappa_wg=1.0) if require_params(params).kappa_wg == 0 else params)
     if not (_number(t_max) and 0 < t_max < np.inf):
         raise ValidationError("t_max must be a finite positive number")
     unit = replace(drive, a_in=1.0 + 0.0j)
-    matrix, rhs = _drive_system(params, unit, positions, independent_atoms)
+    matrix, rhs = _drive_system(params, unit, positions)
     dim = matrix.shape[0]
     bound = float(np.max(np.sum(np.abs(matrix), axis=1)))  # Gershgorin bound
     h = 1.0 / bound if bound > 0 else 1.0

@@ -17,7 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DipNotFoundError, ValidationError
-from .params import SystemParams, _number, _real, cooperativity, require_count, require_real, require_valid
+from .params import (
+    SystemParams, _number, _real, cooperativity, require_count, require_params, require_real, require_valid,
+)
 # ``reflectivity`` is unused here but stays a module attribute: the benchmark
 # tracer wraps spectrum.reflectivity, and its self-test removes and restores it
 from .solver import _reflection, reflectivity, reflectivity_batch  # noqa: F401
@@ -270,7 +272,8 @@ def dip_detunings(params: SystemParams, n_coupled: int, n_points: int = DIP_POIN
     """
     n_coupled = require_count("n_coupled", n_coupled, 2)
     n_points = require_count("n_points", n_points, 2)
-    [(delta, _)] = _dips(require_valid(replace(params, n_atoms=n_coupled)), [n_coupled], n_points)
+    chain = require_valid(replace(require_params(params), n_atoms=n_coupled))
+    [(delta, _)] = _dips(chain, [n_coupled], n_points)
     return delta
 
 

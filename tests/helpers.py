@@ -7,6 +7,7 @@ two independent routes to the same number.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -58,6 +59,41 @@ def single_atom_r(delta, g, kappa_wg, kappa_sc):
     d_at = 1j * delta - 0.5
     rhs = (kappa_wg + kappa_sc) / 2.0 - 1j * delta - g**2 / d_at
     return kappa_wg / rhs - 1.0
+
+
+def exact_reflection(params, delta=0.0):
+    """r (a_in = 1, delta_c = delta) of the float ``params`` at xi in {0, pi}, exactly,
+    as a pair (Re r, Im r) of Fractions.
+
+    There every phase is +-1, so every entry of the steady-state matrix
+    M = A + iB is a complex rational, and so is r = -kappa_wg [M^-1]_00 - 1.
+    Gauss-Jordan elimination of the real system [[A, -B], [B, A]] x = e_0 in
+    ``fractions.Fraction`` gives it with no rounding.
+    """
+    sign = {0.0: 1, math.pi: -1}[params.xi]  # e^{i xi} on the lattice
+    n, g = params.n_atoms + 1, Fraction(params.g)
+    gl, gr = Fraction(params.gamma_L), Fraction(params.gamma_R)  # the solver's float rates
+    re = [[Fraction(0)] * n for _ in range(n)]
+    im = [[Fraction(0)] * n for _ in range(n)]
+    re[0][0], im[0][0] = -Fraction(params.kappa) / 2, Fraction(delta)
+    for mu in range(1, n):
+        re[mu][mu], im[mu][mu] = Fraction(-1, 2), Fraction(delta)
+        im[0][mu] = im[mu][0] = -g * sign ** (mu - 1)
+        for nu in range(1, n):  # the cascaded atom block, gamma_L towards larger sites
+            if nu != mu:
+                re[mu][nu] = -(gl if nu > mu else gr) * sign ** abs(nu - mu)
+    rows = [[*a, *(-x for x in b), Fraction(0)] for a, b in zip(re, im)]
+    rows += [[*b, *a, Fraction(0)] for a, b in zip(re, im)]
+    rows[0][-1] = Fraction(1)
+    for col in range(2 * n):
+        pivot = next(i for i in range(col, 2 * n) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                scale = row[col] / rows[col][col]
+                rows[i] = [x - scale * y for x, y in zip(row, rows[col])]
+    kappa_wg = Fraction(params.kappa_wg)
+    return -kappa_wg * rows[0][-1] / rows[0][0] - 1, -kappa_wg * rows[n][-1] / rows[n][n]
 
 
 def half_level_width(params, span, n_points=6001, baseline=None):

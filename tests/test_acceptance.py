@@ -31,8 +31,8 @@ from chiralcav.tables import render_csv
 from helpers import brute_force_carve, golden_section_minimize, half_level_width, make_system, single_atom_r
 
 
-def R_at(params, delta=0.0, **kw):
-    return reflectivity(params, DriveParams(delta=delta), **kw)
+def R_at(params, delta=0.0):
+    return reflectivity(params, DriveParams(delta=delta))
 
 
 def test_criterion_1_no_atom_baseline():
@@ -57,14 +57,16 @@ def test_criterion_2_reference_reflectivities():
 
     d_params = make_system(gamma_L=1.0, xi=math.pi / 2)
     rec_params = make_system(gamma_L=0.5, xi=math.pi / 2)
+    # two mutually uncoupled atoms are one atom with coupling g sqrt(2): each adds
+    # i g^2 / w to the cavity self-energy, whatever its site or xi
+    ind_params = make_system(n=1, g=math.sqrt(2.0) * 20.0)
     closed = {
-        # two uncoupled atoms at xi = 0 act as one atom with g^2 -> 2 g^2
-        "ind": single_atom_r(0.0, math.sqrt(2.0) * 20.0, 100.0, 300.0),
+        "ind": single_atom_r(0.0, ind_params.g, 100.0, 300.0),
         "d": r_two_atoms(0.0, d_params),
         "rec": r_two_atoms(0.0, rec_params),
     }
     solved = {
-        "ind": R_at(make_system(), independent_atoms=True),
+        "ind": R_at(ind_params),
         "d": R_at(d_params),
         "rec": R_at(rec_params),
     }

@@ -12,6 +12,7 @@ from chiralcav import (
     Spectrum,
     ValidationError,
     build_linear_system,
+    carving_measurement,
     component_reflection,
     cooperativity,
     dip_detunings,
@@ -26,6 +27,7 @@ from chiralcav import (
     reflectivity_batch,
     relax_time_domain,
     run_protocol,
+    solve_steady_state,
     sweep_2d,
     sweep_delta,
     validate,
@@ -151,6 +153,26 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         lambda tmp: r_two_atoms(math.inf, make_system()),
         lambda tmp: r_two_atoms("a", make_system()),
         lambda tmp: r_two_atoms(None, make_system()),
+        # a non-SystemParams argument is refused before any of its fields is read
+        lambda tmp: require_valid("x"),
+        lambda tmp: reflectivity_batch("x", 0.0),
+        lambda tmp: reflectivity("x", DriveParams()),
+        lambda tmp: reflection_amplitude(None, DriveParams()),
+        lambda tmp: build_linear_system("x", DriveParams()),
+        lambda tmp: solve_steady_state(build_linear_system(make_system(), DriveParams()), "x"),
+        lambda tmp: relax_time_domain("x", DriveParams()),
+        lambda tmp: sweep_delta("x", -1.0, 1.0, 10),
+        lambda tmp: sweep_2d("x", [0.0], [0.5]),
+        lambda tmp: find_features(Spectrum("x", np.array([0.0, 1.0]), np.zeros(2))),
+        lambda tmp: dip_detunings("x", 3),
+        lambda tmp: plan_protocol(3, "x"),
+        lambda tmp: run_protocol(3, "x"),
+        lambda tmp: carving_measurement(QubitRegister.ground(2), "x", 0.0),
+        lambda tmp: component_reflection("10", "x", 0.0),
+        lambda tmp: cooperativity("x"),
+        lambda tmp: r_two_atoms(0.0, "x"),
+        lambda tmp: QubitRegister(m=2, amplitudes="abcd"),
+        lambda tmp: QubitRegister(m=2, amplitudes=[[1, 0], [0]]),
     ],
     ids=[
         "spectrum-grid",
@@ -261,6 +283,25 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         "r-two-atoms-delta-inf",
         "r-two-atoms-delta-string",
         "r-two-atoms-delta-none",
+        "require-valid-not-params",
+        "batch-not-params",
+        "reflectivity-not-params",
+        "amplitude-params-none",
+        "build-not-params",
+        "solve-not-params",
+        "relax-not-params",
+        "sweep-not-params",
+        "map-not-params",
+        "features-not-params",
+        "dip-not-params",
+        "plan-not-params",
+        "run-not-params",
+        "carve-not-params",
+        "component-not-params",
+        "cooperativity-not-params",
+        "r-two-atoms-not-params",
+        "register-amplitudes-string",
+        "register-amplitudes-ragged",
     ],
 )
 def test_invalid_input_raises_package_error(call, tmp_path):
@@ -278,10 +319,16 @@ def test_invalid_input_raises_package_error(call, tmp_path):
         (dip_detunings, "span"),
         (dip_detunings, "prominence_min"),
         (with_features, "prominence_min"),
+        (build_linear_system, "independent_atoms"),
+        (reflection_amplitude, "independent_atoms"),
+        (reflectivity, "independent_atoms"),
+        (reflectivity_batch, "independent_atoms"),
+        (relax_time_domain, "independent_atoms"),
     ],
 )
 def test_no_tuning_knob(func, name):
-    # the step, tolerances and dip window are module rules, not arguments
+    # the step, tolerances and dip window are module rules, not arguments; mutually
+    # uncoupled atoms are one atom with coupling g sqrt(N), not an option
     assert name not in inspect.signature(func).parameters
 
 
@@ -315,6 +362,13 @@ def test_validate_reports_a_non_real_field(name, value):
             make_system(gamma_L=value)
     else:
         assert validate(make_system(**{name: value})).violations == (message,)
+
+
+@pytest.mark.parametrize(
+    "value", ["x", None, DriveParams(), {"g": 20.0}], ids=["string", "none", "drive", "dict"]
+)
+def test_validate_reports_a_non_params_argument(value):
+    assert validate(value).violations == ("params must be a SystemParams",)
 
 
 @pytest.mark.parametrize("value", ["x", 0.1j, [1.0], math.nan, math.inf, -3.0, 0.0])

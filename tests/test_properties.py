@@ -85,27 +85,38 @@ def test_detunings_enter_only_the_diagonal(params, delta, delta_c, mask_bits):
 
 @st.composite
 def folded_systems(draw):
-    """A system on distinct shuffled sites, a carving mask and ``independent_atoms``."""
+    """A system on distinct shuffled sites and a carving mask."""
     params = draw(systems(n_max=8))
     n = params.n_atoms
     sites = draw(st.lists(st.integers(0, 16), min_size=n, max_size=n, unique=True))
     mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return params, np.array(sites, dtype=float), np.array(mask, dtype=bool), draw(st.booleans())
+    return params, np.array(sites, dtype=float), np.array(mask, dtype=bool)
 
 
 @settings(DERANDOMIZED, max_examples=200)
 @given(folded_systems(), detuning, st.one_of(st.none(), detuning))
 def test_fold_matches_dense_oracle(system, delta, delta_c):
     # the mask's row of the subset batch against the dense solve of the coupled atoms alone
-    params, sites, mask, independent = system
-    subsets = solver._reflection(
-        params, delta, delta_c, positions=sites, independent_atoms=independent, subsets=True
-    )
+    params, sites, mask = system
+    subsets = solver._reflection(params, delta, delta_c, positions=sites, subsets=True)
     r = subsets[sum(int(b) << k for k, b in enumerate(mask[np.argsort(sites)][::-1]))]
     drive = DriveParams(delta=delta, delta_c=delta_c, unlock_delta_c=True)
     sub = replace(params, n_atoms=int(mask.sum()))
-    dense = build_linear_system(sub, drive, positions=sites[mask], independent_atoms=independent)
+    dense = build_linear_system(sub, drive, positions=sites[mask])
     assert abs(r - solve_steady_state(dense, sub).r) <= 1e-10
+
+
+@settings(DERANDOMIZED, max_examples=200)
+@given(folded_systems(), detuning, detuning)
+def test_uncoupled_atoms_are_one_atom_with_coupling_g_sqrt_n(system, delta, delta_c):
+    # with no atom-atom block each atom adds i g^2 / w to the cavity self-energy,
+    # whatever its site or xi: the N-atom matrix with that block zeroed is one atom at g sqrt(N)
+    params, sites, _ = system
+    matrix, rhs = solver._assemble(params, delta, delta_c, positions=sites)
+    matrix[1:, 1:] = np.diag(np.diag(matrix)[1:])
+    dense = math.sqrt(params.kappa_wg) * solver._solve(matrix, rhs)[0] - 1.0
+    one = replace(params, n_atoms=1, g=params.g * math.sqrt(params.n_atoms))
+    assert abs(solver._reflection(one, delta, delta_c) - dense) <= 1e-12
 
 
 @settings(DERANDOMIZED, max_examples=200)

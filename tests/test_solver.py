@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from chiralcav import (
     solver,
     sweep_2d,
 )
-from helpers import dense_jet, make_system, single_atom_r
+from helpers import dense_jet, exact_reflection, make_system, single_atom_r
 
 
 def steady(params, delta=0.0, **kw):
@@ -145,7 +146,8 @@ class TestSolveSteadyState:
         assert state.r == pytest.approx(oracle, abs=1e-13)
 
     def test_independent_atoms_reference(self):
-        value = reflectivity(make_system(), DriveParams(), independent_atoms=True)
+        # two cavity-coupled but mutually uncoupled atoms: one atom with coupling g sqrt(2)
+        value = reflectivity(make_system(n=1, g=20.0 * math.sqrt(2.0)), DriveParams())
         assert value == pytest.approx((17 / 18) ** 2, abs=1e-12)
 
     def test_dark_mode_degeneracy_resolved_to_relaxed_limit(self):
@@ -540,6 +542,45 @@ class TestNearDarkPoints:
         params = make_system(n=n, gamma_L=0.5 + 1e-5, xi=0.0)
         assert abs(steady(params).r - reflection_amplitude(params, DriveParams())) <= 1e-6
         assert dark_point_calls == []
+
+
+class TestExactOracle:
+    """r at gamma_L = 1/2 + dg, xi = 0, delta = 0 (g = 20, kappa = (100, 300))
+    against the exact rational value of ``helpers.exact_reflection``: today's
+    errors, pinned where the routes lose digits near the dark point (ROADMAP item 3)."""
+
+    @pytest.mark.parametrize("xi", [0.0, math.pi])
+    def test_oracle_is_the_dense_solve_away_from_dark_points(self, xi, rng):
+        for n in range(5):
+            params = make_system(n=n, gamma_L=rng.uniform(0, 1), g=rng.uniform(0, 40), xi=xi)
+            delta = rng.uniform(-3, 3)
+            assert abs(steady(params, delta).r - complex(*exact_reflection(params, delta))) <= 1e-12
+
+    @pytest.mark.parametrize("dg", [1e-3, 1e-5, 1e-7, 1e-8])
+    def test_odd_chain_under_the_dense_lu(self, dg):
+        params = make_system(n=3, gamma_L=0.5 + dg)
+        re, im = exact_reflection(params)
+        assert re * re + im * im == Fraction(81, 100)  # at every dg
+        assert abs(steady(params).r - complex(re, im)) <= 1e-15  # measured <= 1.1e-16
+
+    @pytest.mark.parametrize(
+        "n, dg, tol",
+        [
+            (3, 1e-3, 1e-13),  # measured 1.6e-15
+            (3, 1e-5, 1e-13),  # measured 6.1e-14
+            (2, 1e-3, 1e-11),  # measured 2.1e-12: the junction forms dg^2 from two numbers near 1/4
+            pytest.param(
+                3, 1e-7, 1e-13,
+                marks=pytest.mark.xfail(
+                    strict=True, raises=SolverError,
+                    reason="the fold reports a driven null mode on a nonsingular system (ROADMAP item 3)",
+                ),
+            ),
+        ],
+    )
+    def test_fold_against_the_exact_value(self, n, dg, tol):
+        params = make_system(n=n, gamma_L=0.5 + dg)
+        assert abs(reflection_amplitude(params, DriveParams()) - complex(*exact_reflection(params))) <= tol
 
 
 class TestJet:
