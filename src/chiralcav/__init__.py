@@ -55,7 +55,6 @@ from .spectrum import (
     find_features,
     sweep_2d,
     sweep_delta,
-    with_features,
 )
 from .tables import DataTable, read_table, write_table
 
@@ -106,6 +105,5 @@ __all__ = [
     "sweep_2d",
     "sweep_delta",
     "validate",
-    "with_features",
     "write_table",
 ]

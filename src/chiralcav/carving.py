@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolExtinguishedError, ValidationError
-from .params import DriveParams, SystemParams, _number, _real, require_count, require_valid
+from .params import DriveParams, SystemParams, _number, _real, require_count, require_params, require_valid
 from .solver import _reflection, reflection_amplitude
 from .spectrum import _dips
 
@@ -135,8 +135,12 @@ class ProtocolPlan:
     """Ordered probe detunings of a Bell/W carving sequence."""
 
     steps: tuple[float, ...]
-    target: str  # "bell" for M=2, "w" otherwise
     m: int
+
+    @property
+    def target(self) -> str:
+        """"bell" for M = 2, "w" otherwise."""
+        return "bell" if self.m == 2 else "w"
 
 
 @dataclass(frozen=True)
@@ -165,6 +169,7 @@ def global_rotation(state: QubitRegister, theta: float, phi: float = 0.0) -> Qub
     Convention: theta = pi/2, phi = 0 maps |0> to (|0> - |1>)/sqrt(2);
     the inverse rotation is (theta -> -theta) at the same phi.
     """
+    require_params(state, QubitRegister, "state")
     if not (_number(theta) and _number(phi) and math.isfinite(theta) and math.isfinite(phi)):
         raise ValidationError("rotation angles must be finite real numbers")
     cos, sin = math.cos(theta / 2.0), math.sin(theta / 2.0)
@@ -175,11 +180,10 @@ def global_rotation(state: QubitRegister, theta: float, phi: float = 0.0) -> Qub
         ],
         dtype=complex,
     )
-    psi = state.amplitudes.reshape((2,) * state.m)
-    for axis in range(state.m):
-        psi = np.tensordot(gate, psi, axes=([1], [axis]))
-        psi = np.moveaxis(psi, 0, axis)
-    return QubitRegister(m=state.m, amplitudes=psi.reshape(-1))
+    psi = state.amplitudes
+    for _ in range(state.m):  # rotate the top bit and move it to the bottom: M steps restore the order
+        psi = (gate @ psi.reshape(2, -1)).T.reshape(-1)
+    return QubitRegister(m=state.m, amplitudes=psi)
 
 
 def component_reflection(bits: str, params_template: SystemParams, delta: float) -> complex:
@@ -206,6 +210,7 @@ def carving_measurement(
     amplitude (relative phases between surviving components are
     physical); the heralding probability is the survived norm squared.
     """
+    require_params(state, QubitRegister, "state")
     require_valid(params_template)
     drive = DriveParams(delta=delta)
     r = _reflection(params_template, drive.delta, positions=np.arange(state.m), subsets=True)
@@ -229,6 +234,8 @@ def _herald(state: QubitRegister, r: np.ndarray, delta: float) -> MeasurementOut
 
 def fidelity(state: QubitRegister, target: QubitRegister) -> float:
     """Global-phase-invariant overlap |<target|state>|^2."""
+    require_params(state, QubitRegister, "state")
+    require_params(target, QubitRegister, "target")
     if state.m != target.m:
         raise ValidationError("register sizes differ")
     return float(abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
@@ -253,9 +260,7 @@ def plan_protocol(
     for dips, depths in _dips(params_template, list(range(3, m + 1, 2))):
         side = [k for k, d in enumerate(dips) if d * dip_sign > 0] or range(len(dips))
         steps.append(dips[min(side, key=lambda k: depths[k])])
-    expected = m // 2 if m % 2 == 0 else (m + 1) // 2
-    assert len(steps) == expected
-    return ProtocolPlan(steps=tuple(steps), target="bell" if m == 2 else "w", m=m)
+    return ProtocolPlan(steps=tuple(steps), m=m)
 
 
 def _subset_columns(params_template: SystemParams, m: int, steps: list):
@@ -290,9 +295,7 @@ def run_protocol(
     require_valid(params_template)
     if plan is None:
         plan = plan_protocol(m, params_template, dip_sign=dip_sign)
-    elif not isinstance(plan, ProtocolPlan):
-        raise ValidationError(f"plan must be a ProtocolPlan, not {type(plan).__name__}")
-    elif plan.m != m:
+    elif require_params(plan, ProtocolPlan, "plan").m != m:
         raise ValidationError(f"plan was made for {plan.m} atoms, not {m}")
     elif not len(plan.steps):  # the trace would be empty and have no final fidelity
         raise ValidationError("plan has no steps")

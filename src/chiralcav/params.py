@@ -10,7 +10,6 @@ the dimensionless phase ``xi`` accumulated per lattice spacing.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -58,16 +57,16 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Probe detuning delta, cavity detuning delta_c and input amplitude.
+    """Probe detuning delta and cavity detuning delta_c.
 
-    By default the cavity detuning is locked to the probe detuning
+    The model is linear in the drive, so it is driven with a_in = 1.  By
+    default the cavity detuning is locked to the probe detuning
     (delta_c = delta).  Passing an explicit ``delta_c`` different from
     ``delta`` is rejected unless ``unlock_delta_c=True``.
     """
 
     delta: float = 0.0
     delta_c: float | None = None
-    a_in: complex = 1.0 + 0.0j
     unlock_delta_c: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -79,12 +78,8 @@ class DriveParams:
             raise ValidationError(
                 "delta_c is locked to delta; pass unlock_delta_c=True to decouple"
             )
-        if not (isinstance(self.a_in, complex) or _number(self.a_in, "biufc")):
-            raise ValidationError("a_in must be a number")
-        if self.a_in == 0:
-            raise ValidationError("a_in must be nonzero")
-        for name in ("delta", "delta_c", "a_in"):
-            if not cmath.isfinite(getattr(self, name)):
+        for name in ("delta", "delta_c"):
+            if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
 
 
@@ -125,10 +120,9 @@ def _real(value, kinds: str = "biuf") -> bool:
         return False
 
 
-def _number(value, kinds: str = "biuf") -> bool:
-    """True for one number of the dtype ``kinds`` (a real one by default),
-    a numpy scalar or a 0-d array included."""
-    return isinstance(value, (int, float)) or (_real(value, kinds) and np.ndim(value) == 0)  # floats skip numpy
+def _number(value) -> bool:
+    """True for one real number, a numpy scalar or a 0-d array included."""
+    return isinstance(value, (int, float)) or (_real(value) and np.ndim(value) == 0)  # floats skip numpy
 
 
 def require_real(name: str, value) -> np.ndarray:
@@ -146,15 +140,13 @@ def require_real(name: str, value) -> np.ndarray:
 _FIELDS = ("g", "kappa_wg", "kappa_sc", "xi")
 
 
-#: the one violation of an argument that is not a SystemParams at all
-_NOT_PARAMS = "params must be a SystemParams"
-
-
 def validate(params: SystemParams) -> ValidationReport:
     """Check every SystemParams invariant and report violations; the rules
     that compare numbers apply once every field is a real number."""
-    if not isinstance(params, SystemParams):
-        return ValidationReport(ok=False, violations=(_NOT_PARAMS,))
+    try:
+        require_params(params)
+    except ValidationError as exc:
+        return ValidationReport(ok=False, violations=(str(exc),))
     violations: list[str] = []
     if not _integral(params.n_atoms) or params.n_atoms < 0:
         violations.append("n_atoms must be a nonnegative integer")
@@ -182,11 +174,11 @@ def validate(params: SystemParams) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def require_params(params) -> SystemParams:
-    """``params``; ValidationError unless it is a SystemParams (before any field is read)."""
-    if not isinstance(params, SystemParams):
-        raise ValidationError(_NOT_PARAMS)
-    return params
+def require_params(value, kind: type = SystemParams, name: str = "params"):
+    """``value``; ValidationError unless it is a ``kind`` (before any field is read)."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}")
+    return value
 
 
 def require_valid(params: SystemParams) -> SystemParams:

@@ -14,6 +14,8 @@ where p_mu are the atom positions in units of the lattice spacing
 (p_mu = mu - 1 for the equidistant array).  The reflected amplitude
 follows from the input-output boundary relation
 a_out + a_in = sqrt(kappa_wg) a, i.e. r = sqrt(kappa_wg) a / a_in - 1.
+In the weak-excitation limit v is linear in a_in and r does not depend on
+it, so the model is driven with a_in = 1: rhs[0] = -sqrt(kappa_wg).
 
 The atom block is cascaded, so each atom is a two-port scatterer on the
 waveguide: with w = i delta - 1/2, the source c = i g e^{i xi p} per unit a
@@ -82,9 +84,9 @@ class SteadyState:
 
 
 def _assemble(
-    params: SystemParams, delta: float, delta_c: float, a_in: complex = 1.0, positions=None
+    params: SystemParams, delta: float, delta_c: float, positions=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(matrix, rhs) of one drive point, M = M0 + i diag(delta_c, delta, ..., delta)."""
+    """(matrix, rhs) of one drive point at a_in = 1, M = M0 + i diag(delta_c, delta, ..., delta)."""
     pos = np.asarray(np.arange(params.n_atoms) if positions is None else positions, dtype=float)
     n = pos.size
     matrix = np.zeros((n + 1, n + 1), dtype=complex)
@@ -100,7 +102,7 @@ def _assemble(
     idx = np.arange(1, n + 1)
     matrix[idx, idx] = 1j * delta - 0.5
     rhs = np.zeros(n + 1, dtype=complex)
-    rhs[0] = -np.sqrt(params.kappa_wg) * a_in
+    rhs[0] = -np.sqrt(params.kappa_wg)
     return matrix, rhs
 
 
@@ -116,13 +118,14 @@ def _require_positions(positions) -> None:
 
 
 def _drive_system(params: SystemParams, drive: DriveParams, positions):
-    """(matrix, rhs) of one drive point, after checking ``positions``."""
+    """(matrix, rhs) of one drive point, after checking ``drive`` and ``positions``."""
+    require_params(drive, DriveParams, "drive")
     _require_positions(positions)
-    return _assemble(params, drive.delta, drive.delta_c, drive.a_in, positions)
+    return _assemble(params, drive.delta, drive.delta_c, positions)
 
 
 def build_linear_system(params: SystemParams, drive: DriveParams, positions=None) -> LinearSystem:
-    """Steady-state system for ``params`` under ``drive``.
+    """Steady-state system for ``params`` under ``drive``, at a_in = 1.
 
     ``positions`` selects atom sites in units of the lattice spacing
     (default: 0 .. n_atoms-1).
@@ -163,11 +166,11 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def _fold(params, delta, delta_c, pos, gl, gr, xi, jet=False, prefix=None, split=False):
+def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=False):
     """r (a_in = 1) and the smallest |D| of the fold over the sorted sites ``pos``;
     with ``jet`` also dr/d(delta) and d2r/d(delta)^2 along delta_c = delta.
 
-    The rates ``gl``, ``gr`` are per point.  ``prefix`` (not with ``split``)
+    The rate ``gl`` is per point, and gr = 1 - gl.  ``prefix`` (not with ``split``)
     closes each point's chain after its own first ``prefix`` sites.  ``split``
     (not with ``jet``) doubles the rows, axis 0, at each site k: row i passes
     the site off by pure propagation, (rho phi^2, s phi, q phi, o), the
@@ -186,7 +189,8 @@ def _fold(params, delta, delta_c, pos, gl, gr, xi, jet=False, prefix=None, split
     on-rows [2^k:2^(k+1)]; split, the off-rows then take (u, s phi, t, o).
     """
     n = pos.size
-    batch = np.broadcast(delta, gl, gr, xi).shape
+    gr = 1.0 - gl
+    batch = np.broadcast(delta, gl, xi).shape
     shape = (2**n, *batch[1:]) if split else batch  # a split batch has one row
     cuts = [] if prefix is None else np.unique(prefix[prefix < n]).tolist()
     lines = 19 + len(cuts)
@@ -275,7 +279,7 @@ def _fold(params, delta, delta_c, pos, gl, gr, xi, jet=False, prefix=None, split
     return folded
 
 
-def _contour_mean(params, index, delta, delta_c, pos, gl, gr, xi, prefix, split) -> np.ndarray:
+def _contour_mean(params, index, delta, delta_c, pos, gl, xi, prefix, split) -> np.ndarray:
     """(r, dr/d(delta), d2r/d(delta)^2) at the flagged flat ``index`` of a batch from
     the fold on a circle around each, as rows of a (3, points) array.
 
@@ -289,15 +293,15 @@ def _contour_mean(params, index, delta, delta_c, pos, gl, gr, xi, prefix, split)
     point raises SolverError under its flat index.  The Cauchy means
     r' = mean r_k/(eps z_k), r'' = 2 mean r_k/(eps z_k)^2 follow.
     """
-    grid = np.broadcast_shapes(*map(np.shape, (delta, delta_c, gl, gr, xi, prefix)))
+    grid = np.broadcast_shapes(*map(np.shape, (delta, delta_c, gl, xi, prefix)))
     size = np.prod(grid[split:], dtype=int)  # points per row
     points, at = np.unique(index % size, return_inverse=True)
-    d, dc, gl, gr, xi, cut = (  # a column per point, behind the split batch's row axis
+    d, dc, gl, xi, cut = (  # a column per point, behind the split batch's row axis
         None if v is None else np.broadcast_to(v, grid).reshape(-1)[points][(None,) * split + (..., None)]
-        for v in (delta, delta_c, gl, gr, xi, prefix)
+        for v in (delta, delta_c, gl, xi, prefix)
     )
     shift = _EPS * np.exp(2j * np.pi * (np.arange(_K) + 0.5) / _K)
-    r = _fold(params, d + shift, dc + shift, pos, gl, gr, xi, prefix=cut, split=split)[0]
+    r = _fold(params, d + shift, dc + shift, pos, gl, xi, prefix=cut, split=split)[0]
     r = r.reshape(-1, points.size, _K)[index // size, at]
     residue = np.abs(np.mean(shift * r, axis=-1))
     driven = ~(residue <= _RESIDUE_TOL * _EPS * np.max(np.abs(r), axis=-1))  # NaN is driven
@@ -334,7 +338,7 @@ def _reflection(
     # every operand gets the batch's ndim: numpy multiplies a size-1 pair of
     # unequal ndims without FMA, and a batch of one would change its bits
     d, dc, gl, x = (np.asarray(v, dtype=float)[(None,) * (len(shape) - np.ndim(v))] for v in axes)
-    fold = (d, dc, pos, gl, 1.0 - gl, x)
+    fold = (d, dc, pos, gl, x)
     folded = _fold(params, *fold, derivatives, prefix, subsets)
     r, d_min, *jet = (np.broadcast_to(v, shape).flatten() for v in folded)
     index = np.flatnonzero(~np.isfinite(r) | (d_min <= 1.0 / COND_MAX))
@@ -347,8 +351,10 @@ def _reflection(
 def solve_steady_state(system: LinearSystem, params: SystemParams) -> SteadyState:
     """Solve the linear system exactly and package the reflection amplitude.
 
-    a_in is the system's own, rhs[0] = -sqrt(kappa_wg) a_in.
+    The library builds systems at a_in = 1; a hand-built ``system`` keeps its
+    own drive, a_in = -rhs[0] / sqrt(kappa_wg), which must not be 0.
     """
+    require_params(system, LinearSystem, "system")
     require_valid(params)
     solution = _solve(system.matrix, system.rhs)
     a_in = -system.rhs[0] / np.sqrt(params.kappa_wg)
@@ -374,6 +380,7 @@ def reflectivity(params: SystemParams, drive: DriveParams, positions=None) -> fl
 def reflection_amplitude(params: SystemParams, drive: DriveParams, positions=None) -> complex:
     """Complex reflection amplitude r for a single drive point: a batch of one."""
     require_valid(params)
+    require_params(drive, DriveParams, "drive")
     _require_positions(positions)
     return complex(_reflection(params, drive.delta, drive.delta_c, positions))
 
@@ -413,19 +420,17 @@ def relax_time_domain(
     repeated squaring of the one-step affine map, so slowly relaxing
     (narrow-dip) parameter points cost log rather than linear time.
 
-    The unit drive a_in = 1 is marched and the state scaled by
-    ``drive.a_in``, so one stop rule serves every drive: the march ends
-    when the state change across a doubled horizon drops below
-    ``RELAX_TOL`` (relative above norm 1) while decaying; failure to
-    converge within ``t_max`` (finite, > 0) raises SolverError with the residual.
+    The unit drive a_in = 1 is marched: the march ends when the state
+    change across a doubled horizon drops below ``RELAX_TOL`` (relative
+    above norm 1) while decaying; failure to converge within ``t_max``
+    (finite, > 0) raises SolverError with the residual.
     Parameters must pass :func:`require_valid`, except that the oracle
     also takes the closed cavity kappa_wg = 0 (nothing drives it, r = -1).
     """
     require_valid(replace(params, kappa_wg=1.0) if require_params(params).kappa_wg == 0 else params)
     if not (_number(t_max) and 0 < t_max < np.inf):
         raise ValidationError("t_max must be a finite positive number")
-    unit = replace(drive, a_in=1.0 + 0.0j)
-    matrix, rhs = _drive_system(params, unit, positions)
+    matrix, rhs = _drive_system(params, drive, positions)
     dim = matrix.shape[0]
     bound = float(np.max(np.sum(np.abs(matrix), axis=1)))  # Gershgorin bound
     h = 1.0 / bound if bound > 0 else 1.0
@@ -450,7 +455,7 @@ def relax_time_domain(
         if change < RELAX_TOL * max(1.0, float(np.linalg.norm(state_next))) and (
             change <= change_prev
         ):
-            return _steady_state_from(state_next * drive.a_in, params, drive.a_in)
+            return _steady_state_from(state_next, params, 1.0)
         propagator = propagator @ propagator
         state = state_next
         change_prev = change

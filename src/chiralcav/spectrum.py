@@ -55,14 +55,14 @@ class Feature:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sampled reflectivity curve R(delta) plus detected features."""
+    """Sampled reflectivity curve R(delta); :func:`find_features` gives its features."""
 
     params: SystemParams
     deltas: np.ndarray
     values: np.ndarray
-    features: tuple[Feature, ...] = ()
 
     def __post_init__(self) -> None:
+        require_params(self.params)
         deltas = require_real("deltas", self.deltas)
         if not _real(self.values):  # values may be non-finite, the grid may not
             raise ValidationError("values must hold real numbers")
@@ -226,7 +226,7 @@ def find_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> tup
     prominence.  Assumes the grid is dense enough that adjacent features
     are separated by at least three grid points.
     """
-    if spec.deltas.size == 0:
+    if require_params(spec, Spectrum, "spec").deltas.size == 0:
         raise ValidationError("empty spectrum")
     if not (_number(prominence_min) and prominence_min >= 0):  # NaN fails too
         raise ValidationError(f"prominence_min must be a real number >= 0, got {prominence_min!r}")
@@ -241,19 +241,14 @@ def find_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> tup
     return tuple(sorted(features, key=lambda feat: feat.delta))
 
 
-def with_features(spec: Spectrum) -> Spectrum:
-    """Copy of ``spec`` with its features above ``PROMINENCE_MIN``."""
-    return replace(spec, features=find_features(spec))
-
-
-def _dips(params: SystemParams, counts, n_points: int = DIP_POINTS) -> list:
+def _dips(params: SystemParams, counts) -> list:
     """(ascending dip deltas, R there) of the ``n``-atom prefix of the chain
-    for each ``n`` in ``counts``: one fold sweeps every prefix on ``n_points``
+    for each ``n`` in ``counts``: one fold sweeps every prefix on ``DIP_POINTS``
     over +-DIP_SPAN, and one Newton batch per step refines all their dips."""
     if not counts:
         return []
     chain, counts = replace(params, n_atoms=max(counts)), np.asarray(counts)
-    deltas = np.linspace(-DIP_SPAN, DIP_SPAN, n_points)
+    deltas = np.linspace(-DIP_SPAN, DIP_SPAN, DIP_POINTS)
     values = np.square(np.abs(_reflection(chain, deltas, prefix=counts[:, None])))
     curve, *_, delta, value = _extrema(chain, deltas, values, (1.0,), PROMINENCE_MIN, counts)
     order = np.lexsort((delta, curve))  # by count, then ascending delta, ties in found order
@@ -263,17 +258,16 @@ def _dips(params: SystemParams, counts, n_points: int = DIP_POINTS) -> list:
     return [(delta[mine].tolist(), value[mine]) for mine in dips]
 
 
-def dip_detunings(params: SystemParams, n_coupled: int, n_points: int = DIP_POINTS) -> list:
+def dip_detunings(params: SystemParams, n_coupled: int) -> list:
     """Refined dip locations of the ``n_coupled``-atom system, ascending.
 
-    Dips above ``PROMINENCE_MIN`` on ``n_points`` over +-DIP_SPAN.  The
+    Dips above ``PROMINENCE_MIN`` on ``DIP_POINTS`` over +-DIP_SPAN.  The
     n_coupled-atom spectrum carries n_coupled - 1 dips in the directional
     regime; for even counts this includes the on-resonance dip at delta = 0.
     """
     n_coupled = require_count("n_coupled", n_coupled, 2)
-    n_points = require_count("n_points", n_points, 2)
     chain = require_valid(replace(require_params(params), n_atoms=n_coupled))
-    [(delta, _)] = _dips(chain, [n_coupled], n_points)
+    [(delta, _)] = _dips(chain, [n_coupled])
     return delta
 
 
@@ -352,8 +346,9 @@ _FIGURES = {
 
 def figure_data(which: str) -> list[DataTable]:
     """CSV-ready tables for one of the named reference datasets."""
-    if which not in _FIGURES:
-        raise ValidationError(f"unknown figure id {which!r}; expected one of {sorted(_FIGURES)}")
+    names = sorted(_FIGURES)
+    if which not in names:  # a list compares by ==, so an unhashable id is unknown, not a TypeError
+        raise ValidationError(f"unknown figure id {which!r}; expected one of {names}")
     tables = []
     for name, params, extra in _FIGURES[which]:
         if which == "fig2":

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .params import require_count
+from .params import require_count, require_params
 
 DEFAULT_DIGITS = 12
 
@@ -65,6 +65,7 @@ def _row_texts(rows, token) -> list[str]:
 
 
 def render_csv(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
+    require_params(table, DataTable, "table")
     number = f"%.{require_count('digits', digits, 1)}g"  # fmt's format, checked once
     lines = [f"# {key} = {val}" for key, val in table.meta.items()]
     lines.append(",".join(table.columns))
@@ -77,6 +78,7 @@ def render_csv(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
 
 
 def render_json(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
+    require_params(table, DataTable, "table")
     number = f"%.{require_count('digits', digits, 1)}g"  # fmt's format, checked once
 
     def token(value: float) -> str:

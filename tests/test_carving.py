@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -93,6 +94,17 @@ class TestGlobalRotation:
             reg = QubitRegister(m=m, amplitudes=amps)
             rotated = global_rotation(reg, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
             assert rotated.norm == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_the_kronecker_product_of_gates(self, rng):
+        # an independent route: the M-fold tensor power of the gate on the flat state
+        theta, phi = 0.7, 0.3
+        cos, sin = math.cos(theta / 2), math.sin(theta / 2)
+        gate = np.array([[cos, np.exp(-1j * phi) * sin], [-np.exp(1j * phi) * sin, cos]])
+        for m in range(1, 7):
+            amps = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
+            rotated = global_rotation(QubitRegister(m=m, amplitudes=amps), theta, phi)
+            expected = reduce(np.kron, [gate] * m) @ amps
+            assert np.allclose(rotated.amplitudes, expected, rtol=0, atol=1e-13)
 
 
 class TestComponentReflection:
@@ -508,7 +520,7 @@ class TestOneSolvePerPlannedDetuning:
         def no_measurement(*_args, **_kw):
             raise AssertionError("measurement started")
 
-        plan = carving.ProtocolPlan(steps=(0.0, bad), target="w", m=3)
+        plan = carving.ProtocolPlan(steps=(0.0, bad), m=3)
         monkeypatch.setattr(carving, "_reflection", no_measurement)
         with pytest.raises(ValidationError, match="delta"):
             run_protocol(3, template(3), plan=plan)

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -16,6 +17,8 @@ from chiralcav import (
     component_reflection,
     cooperativity,
     dip_detunings,
+    fidelity,
+    figure_data,
     find_features,
     global_rotation,
     plan_protocol,
@@ -31,7 +34,6 @@ from chiralcav import (
     sweep_2d,
     sweep_delta,
     validate,
-    with_features,
 )
 from chiralcav.params import require_valid
 from chiralcav.tables import DataTable, fmt, parse_csv, render_csv, render_json, write_table
@@ -68,7 +70,7 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         lambda tmp: run_protocol(2.5, make_system()),
         lambda tmp: run_protocol(2, make_system(), repetitions_per_step=1.5),
         lambda tmp: run_protocol(3, make_system(n=3), plan="x"),
-        lambda tmp: run_protocol(3, make_system(n=3), plan=ProtocolPlan(steps=(), target="w", m=3)),
+        lambda tmp: run_protocol(3, make_system(n=3), plan=ProtocolPlan(steps=(), m=3)),
         lambda tmp: sweep_delta(make_system(), -1.0, 1.0, 10.5),
         lambda tmp: dip_detunings(make_system(), 2.5),
         lambda tmp: Spectrum(make_system(), np.array([0.0, 1.0]), np.zeros(3)),
@@ -126,8 +128,6 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         lambda tmp: DriveParams(delta="a"),
         lambda tmp: DriveParams(delta=None),
         lambda tmp: DriveParams(delta=0.1, delta_c=0.1j, unlock_delta_c=True),
-        lambda tmp: DriveParams(a_in="a"),
-        lambda tmp: DriveParams(a_in=None),
         lambda tmp: sweep_delta(make_system(), 1j, 2.0, 10),
         lambda tmp: sweep_delta(make_system(), "0", 2.0, 10),
         lambda tmp: sweep_delta(make_system(), [0.0], [2.0], 10),
@@ -173,6 +173,22 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         lambda tmp: r_two_atoms(0.0, "x"),
         lambda tmp: QubitRegister(m=2, amplitudes="abcd"),
         lambda tmp: QubitRegister(m=2, amplitudes=[[1, 0], [0]]),
+        # a value argument of the wrong type is refused before any of its fields is read
+        lambda tmp: reflectivity(make_system(), "x"),
+        lambda tmp: reflection_amplitude(make_system(), "x"),
+        lambda tmp: build_linear_system(make_system(), "x"),
+        lambda tmp: relax_time_domain(make_system(), "x"),
+        lambda tmp: carving_measurement("x", make_system(), 0.0),
+        lambda tmp: fidelity("x", QubitRegister.ground(2)),
+        lambda tmp: fidelity(QubitRegister.ground(2), "x"),
+        lambda tmp: global_rotation("x", 1.0),
+        lambda tmp: find_features("x"),
+        lambda tmp: solve_steady_state("x", make_system()),
+        lambda tmp: render_csv("x"),
+        lambda tmp: render_json("x"),
+        lambda tmp: write_table("x", tmp / "demo.csv"),
+        lambda tmp: figure_data([]),
+        lambda tmp: Spectrum("x", np.array([0.0, 1.0]), np.zeros(2)),
     ],
     ids=[
         "spectrum-grid",
@@ -256,8 +272,6 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         "drive-delta-string",
         "drive-delta-none",
         "drive-delta-c-complex",
-        "drive-a-in-string",
-        "drive-a-in-none",
         "sweep-delta-min-complex",
         "sweep-delta-min-string",
         "sweep-delta-bounds-arrays",
@@ -302,6 +316,21 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         "r-two-atoms-not-params",
         "register-amplitudes-string",
         "register-amplitudes-ragged",
+        "reflectivity-drive-string",
+        "amplitude-drive-string",
+        "build-drive-string",
+        "relax-drive-string",
+        "carve-state-string",
+        "fidelity-state-string",
+        "fidelity-target-string",
+        "rotation-state-string",
+        "features-spectrum-string",
+        "solve-system-string",
+        "csv-table-string",
+        "json-table-string",
+        "write-table-string",
+        "figure-id-list",
+        "spectrum-not-params",
     ],
 )
 def test_invalid_input_raises_package_error(call, tmp_path):
@@ -318,7 +347,7 @@ def test_invalid_input_raises_package_error(call, tmp_path):
         (relax_time_domain, "tol"),
         (dip_detunings, "span"),
         (dip_detunings, "prominence_min"),
-        (with_features, "prominence_min"),
+        (dip_detunings, "n_points"),
         (build_linear_system, "independent_atoms"),
         (reflection_amplitude, "independent_atoms"),
         (reflectivity, "independent_atoms"),
@@ -330,6 +359,14 @@ def test_no_tuning_knob(func, name):
     # the step, tolerances and dip window are module rules, not arguments; mutually
     # uncoupled atoms are one atom with coupling g sqrt(N), not an option
     assert name not in inspect.signature(func).parameters
+
+
+@pytest.mark.parametrize(
+    "cls, name", [(DriveParams, "a_in"), (ProtocolPlan, "target"), (Spectrum, "features")]
+)
+def test_no_field_the_library_determines(cls, name):
+    # the unit drive, the register size and find_features fix these values
+    assert name not in [field.name for field in dataclasses.fields(cls)]
 
 
 def test_cooperativity_overflow_is_inf_and_reported():

@@ -87,10 +87,6 @@ class TestDriveParams:
         drive = DriveParams(delta=0.3, delta_c=0.1, unlock_delta_c=True)
         assert drive.delta_c == 0.1
 
-    def test_zero_input_rejected(self):
-        with pytest.raises(ValidationError):
-            DriveParams(delta=0.0, a_in=0.0)
-
     @pytest.mark.parametrize(
         "kw",
         [
@@ -98,8 +94,8 @@ class TestDriveParams:
             dict(delta=math.inf),
             dict(delta=0.0, delta_c=math.nan, unlock_delta_c=True),
             dict(delta=0.0, delta_c=-math.inf, unlock_delta_c=True),
-            dict(delta=0.0, a_in=complex(math.nan, 0.0)),
-            dict(delta=0.0, a_in=complex(1.0, math.inf)),
+            dict(delta=-math.inf),
+            dict(delta=0.0, delta_c=math.inf, unlock_delta_c=True),
         ],
     )
     def test_non_finite_drive_rejected(self, kw):

@@ -108,7 +108,7 @@ class TestSolveSteadyState:
         params = make_system(n=3, xi=0.4)
         drive = DriveParams(delta=0.2)
         state = solve_steady_state(build_linear_system(params, drive), params)
-        assert state.r == np.sqrt(100.0) * state.a / drive.a_in - 1.0
+        assert state.r == np.sqrt(100.0) * state.a - 1.0
         assert state.R == abs(state.r) ** 2
         assert state.sigma.shape == (3,)
 
@@ -126,8 +126,8 @@ class TestSolveSteadyState:
     def test_reflection_independent_of_input_amplitude(self):
         params = make_system(n=3, xi=0.3)
         r_unit = steady(params, delta=0.5).r
-        drive = DriveParams(delta=0.5, a_in=2.5 - 0.4j)
-        scaled = solve_steady_state(build_linear_system(params, drive), params)
+        system = build_linear_system(params, DriveParams(delta=0.5))
+        scaled = solve_steady_state(LinearSystem(system.matrix, (2.5 - 0.4j) * system.rhs), params)
         assert scaled.r == pytest.approx(r_unit, abs=1e-13)
 
     def test_unlocked_cavity_detuning_changes_the_answer(self):
@@ -170,8 +170,8 @@ class TestSolveSteadyState:
 
     def test_drive_amplitude_is_read_from_the_system(self, base_params):
         # the system is driven with a_in = 2; r is that of the unit drive
-        system = build_linear_system(base_params, DriveParams(a_in=2.0))
-        state = solve_steady_state(system, base_params)
+        system = build_linear_system(base_params, DriveParams())
+        state = solve_steady_state(LinearSystem(system.matrix, 2.0 * system.rhs), base_params)
         assert state.r == pytest.approx(-0.5, abs=1e-12)
         assert state.r == pytest.approx(reflection_amplitude(base_params, DriveParams()), abs=1e-12)
 
@@ -347,12 +347,13 @@ class TestRelaxation:
 
     @pytest.mark.parametrize("a_in", [1e-12, 1e-9, 1e-6, 1.0, 1e6, 2 - 0.4j])
     def test_independent_of_drive_amplitude(self, a_in):
+        # the unit drive relaxed, scaled by a_in, is the dense steady state driven at a_in
         params = make_system(xi=0.3)
-        drive = DriveParams(a_in=a_in)
-        ode = relax_time_domain(params, drive)
-        assert abs(ode.R - reflectivity(params, drive)) < 1e-10
         unit = relax_time_domain(params, DriveParams())
-        assert abs(ode.a / a_in - unit.a) < 1e-10 * abs(unit.a)
+        system = build_linear_system(params, DriveParams())
+        dense = solve_steady_state(LinearSystem(system.matrix, a_in * system.rhs), params)
+        assert abs(dense.R - unit.R) < 1e-10
+        assert abs(dense.a / a_in - unit.a) < 1e-10 * abs(unit.a)
 
     def test_nonconvergence_reports_residual(self):
         params = make_system(g=50.0)  # narrow dip, slow relaxation

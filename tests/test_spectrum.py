@@ -24,7 +24,6 @@ from chiralcav import (
     spectrum,
     sweep_2d,
     sweep_delta,
-    with_features,
 )
 from chiralcav.tables import render_csv
 from helpers import golden_section_minimize, golden_section_scalar, half_level_width, make_system, width_scalar
@@ -143,11 +142,20 @@ class TestFindFeatures:
             assert feat.width == pytest.approx(fine[edges[1]] - fine[edges[0]], rel=1e-4)
             assert feat.width == pytest.approx(width, rel=1e-3)
 
+    @pytest.mark.xfail(strict=True, reason="sub-grid Fano pairs sit at grid samples (ROADMAP item 5)")
+    def test_sub_grid_dips_refined_to_the_fine_grid_minima(self):
+        # spectra op 639 of the benchmark (seed 9101): each dip lies within a grid step of
+        # a peak, and the two dips are reported at the samples 0.0105 and 0.021 with widths ~3
+        params = make_system(n=4, gamma_L=0.5015139174496184, xi=3.1010199416258284, g=18.333330873236232)
+        dips = [f for f in find_features(sweep_delta(params, -3, 3, 4001)) if f.kind == "dip"]
+        for delta, value in ((0.011962, 0.7742), (0.020209, 0.38186)):
+            assert any(abs(f.delta - delta) < 1e-5 and abs(f.value - value) < 1e-4 for f in dips)
+
     def test_features_sorted_and_attached(self, base_params):
-        spec = with_features(sweep_delta(base_params, -3, 3, 4001))
-        locations = [f.delta for f in spec.features]
+        features = find_features(sweep_delta(base_params, -3, 3, 4001))
+        locations = [f.delta for f in features]
         assert locations == sorted(locations)
-        assert any(f.kind == "dip" for f in spec.features)
+        assert any(f.kind == "dip" for f in features)
 
 
 class TestBatchedRefinement:
@@ -442,7 +450,7 @@ class TestDipDetunings:
 
     def test_no_dip_reported(self):
         with pytest.raises(DipNotFoundError):
-            dip_detunings(make_system(gamma_L=0.5), 2, n_points=4000)
+            dip_detunings(make_system(gamma_L=0.5), 2)
 
 
 class TestFigureData:
