@@ -10,7 +10,10 @@ components come from one fold that doubles the batch at every site: an
 uncoupled atom keeps its site but loses every coupling, which makes it
 exactly the removed atom.  A protocol folds all of its planned detunings
 together, at most ``ROWS`` rows per fold, and planning folds the longest
-odd chain once.
+odd chain once.  At xi = 0 every phase in the fold is 1, so a component's
+amplitude depends only on how many atoms it couples: a protocol there
+folds the plan once over the coupled counts 0 .. M and carries the state
+as M + 1 class amplitudes, expanded to the 2^M components at the end.
 
 The planners prepare the equal-weight single-coupled-manifold target
 (|10...0> + |01...0> + ... + |00...1>)/sqrt(M): an on-resonance
@@ -219,17 +222,24 @@ def carving_measurement(
 
 def _herald(state: QubitRegister, r: np.ndarray, delta: float) -> MeasurementOutcome:
     """Apply the component amplitudes ``r`` and renormalize on a herald."""
-    amps = state.amplitudes * r
-    herald = float(np.sum(np.abs(amps) ** 2))
+    amps, herald = _carve(state.amplitudes, r, delta)
+    return MeasurementOutcome(
+        post_state=QubitRegister(m=state.m, amplitudes=amps), herald_probability=herald, per_component_r=r
+    )
+
+
+def _carve(amps: np.ndarray, r: np.ndarray, delta: float, weights=1.0) -> tuple[np.ndarray, float]:
+    """(renormalized ``amps`` r, heralding probability), each entry of ``amps``
+    standing for ``weights`` basis components; raises ProtocolExtinguishedError
+    below ``EXTINCTION_THRESHOLD``."""
+    amps = amps * r
+    herald = float(np.sum(weights * np.abs(amps) ** 2))
     if herald < EXTINCTION_THRESHOLD:
         raise ProtocolExtinguishedError(
             f"heralding probability {herald:.3e} below {EXTINCTION_THRESHOLD} "
             f"at delta={delta}"
         )
-    post = QubitRegister(m=state.m, amplitudes=amps / math.sqrt(herald))
-    return MeasurementOutcome(
-        post_state=post, herald_probability=herald, per_component_r=r
-    )
+    return amps / math.sqrt(herald), herald
 
 
 def fidelity(state: QubitRegister, target: QubitRegister) -> float:
@@ -287,10 +297,15 @@ def run_protocol(
     measurement and heralding probabilities multiply across them.  The
     component amplitudes depend only on (template, delta, M), so the plan's
     detunings are folded together, once each, and reused for their
-    repetitions: one subset fold carries at most ``ROWS`` >> M of them (at
-    least one), which makes one fold per protocol up to M = 10.
+    repetitions.  At xi = 0 every fold phase is 1, so a component's amplitude
+    depends only on its coupled count k: one prefix fold gives the M + 1
+    counts of every step, and the state is carried as M + 1 class amplitudes
+    c_k with weights C(M, k), the herald being sum C(M, k) |c_k r_k|^2 and the
+    fidelity M |c_1|^2; the 2^M ``final_state`` takes c_k at every component
+    of count k.  Otherwise one subset fold carries at most ``ROWS`` >> M
+    detunings (at least one), which makes one fold per protocol up to M = 10.
     """
-    m = require_count("m", m, 1)
+    m = _register_size(require_count("m", m, 1))
     repetitions_per_step = require_count("repetitions_per_step", repetitions_per_step, 1)
     require_valid(params_template)
     if plan is None:
@@ -299,28 +314,39 @@ def run_protocol(
         raise ValidationError(f"plan was made for {plan.m} atoms, not {m}")
     elif not len(plan.steps):  # the trace would be empty and have no final fidelity
         raise ValidationError("plan has no steps")
-    columns = _subset_columns(params_template, m, [DriveParams(delta=d).delta for d in plan.steps])
-    target = QubitRegister.w_state(m)
-    state = global_rotation(QubitRegister.ground(m), math.pi / 2.0)
+    steps = [DriveParams(delta=d).delta for d in plan.steps]
+    classes = params_template.xi == 0  # every fold phase is 1: carve the coupled counts 0 .. M
+    if classes:
+        counts = np.arange(m + 1)
+        columns = _reflection(params_template, steps, positions=np.arange(m), prefix=counts[:, None]).T.copy()
+        zero, one = global_rotation(QubitRegister.ground(1), math.pi / 2.0).amplitudes
+        amps = zero ** (m - counts) * one ** counts
+        weights = np.array([math.comb(m, k) for k in counts], dtype=float)
+    else:
+        columns = _subset_columns(params_template, m, steps)
+        amps = global_rotation(QubitRegister.ground(m), math.pi / 2.0).amplitudes
+        weights, target = 1.0, QubitRegister.w_state(m).amplitudes
     cumulative = 1.0
     trace: list[StepRecord] = []
     for delta, r in zip(plan.steps, columns):
         for _ in range(repetitions_per_step):
-            outcome = _herald(state, r, delta)
-            state = outcome.post_state
-            cumulative *= outcome.herald_probability
+            amps, herald = _carve(amps, r, delta, weights)
+            cumulative *= herald
+            overlap = m * abs(amps[1]) ** 2 if classes else abs(np.vdot(target, amps)) ** 2
             trace.append(
                 StepRecord(
                     step=len(trace) + 1,
                     delta=delta,
-                    herald_probability=outcome.herald_probability,
+                    herald_probability=herald,
                     cumulative_probability=cumulative,
-                    fidelity=fidelity(state, target),
+                    fidelity=float(overlap),
                 )
             )
+    if classes:  # component i has coupled count popcount(i)
+        amps = amps[[i.bit_count() for i in range(2**m)]]
     return ProtocolResult(
         plan=plan,
-        final_state=state,
+        final_state=QubitRegister(m=m, amplitudes=amps),
         cumulative_herald_probability=cumulative,
         fidelity_vs_step=tuple(rec.fidelity for rec in trace),
         trace=tuple(trace),

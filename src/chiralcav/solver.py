@@ -25,7 +25,8 @@ sees O = g sum e^{-i xi p} sigma.  ``_fold`` composes the sorted sites by the
 Redheffer star product in O(N), dividing by the Fabry-Perot denominator
 D = 1 - e^{2 i xi dp} r_left r_atom at each junction; a = -sqrt(kappa_wg) /
 (i delta_c - kappa/2 - i O).  One fold also reads out every prefix of the
-chain (planning) or every subset of its sites (carving).  Points with a
+chain (planning, and carving at xi = 0, where a subset's r depends only on
+its size) or every subset of its sites (carving).  Points with a
 non-finite fold or |D| <= 1/COND_MAX (D = 0: a dark state) take the dark-point
 rule ``_contour_mean``: the mean of the fold on a small circle around the
 point.  The dense one-point ``build_linear_system``, ``solve_steady_state``,
@@ -171,7 +172,10 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
     with ``jet`` also dr/d(delta) and d2r/d(delta)^2 along delta_c = delta.
 
     The rate ``gl`` is per point, and gr = 1 - gl.  ``prefix`` (not with ``split``)
-    closes each point's chain after its own first ``prefix`` sites.  ``split``
+    closes each point's chain after its own first ``prefix`` sites; 0 is the
+    empty chain, the bare cavity.  A fold without ``split`` whose hop phases
+    are all exactly 1 (xi = 0) reads rho, s, q and their jets where others
+    multiply them by phi^2 or phi, which gives the same values.  ``split``
     (not with ``jet``) doubles the rows, axis 0, at each site k: row i passes
     the site off by pure propagation, (rho phi^2, s phi, q phi, o), the
     zero-rate update bit for bit, and row i + 2^k takes the update; the first
@@ -184,15 +188,15 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
     The order-0 lines share one block, sized for the final 2^n split rows:
     the state (rho, s, q, o) twice, read from one copy and written to the
     other; eleven site lines (u, s phi, t, two scratch, ugl, wd, c, sig_0,
-    sig_l, out); an o per prefix cut; then the real lines (wd_min twice,
-    |w D|, a wd_min per cut).  Site k reads rows [:2^k] and writes the
+    sig_l, out); an o per prefix cut past 0; then the real lines (wd_min
+    twice, |w D|, a wd_min per such cut).  Site k reads rows [:2^k] and writes the
     on-rows [2^k:2^(k+1)]; split, the off-rows then take (u, s phi, t, o).
     """
     n = pos.size
     gr = 1.0 - gl
     batch = np.broadcast(delta, gl, xi).shape
     shape = (2**n, *batch[1:]) if split else batch  # a split batch has one row
-    cuts = [] if prefix is None else np.unique(prefix[prefix < n]).tolist()
+    cuts = [] if prefix is None else np.unique(prefix[(prefix > 0) & (prefix < n)]).tolist()
     lines = 19 + len(cuts)
     block = np.empty((lines + (len(cuts) + 4) // 2, *shape), dtype=complex)
     state = block[:8].reshape(2, 4, *shape)  # (rho, s, q, o): site k reads state[k % 2], writes the other
@@ -202,6 +206,7 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
     xi = xi[..., None]
     cav = np.exp(1j * xi * pos)
     hop = np.exp(1j * xi * (pos - np.concatenate((pos[:1], pos[:-1]))))  # from the previous site
+    unit = not split and bool(np.all(hop == 1))  # xi = 0: no phase to multiply by
     sites = [hop, 1j * params.g * cav, params.g * np.conj(cav)]
     w = 1j * delta - 0.5
     jw = np.array([1j, 0.0]).reshape((2,) + (1,) * np.ndim(delta))  # dw/d(delta) = i
@@ -219,10 +224,13 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
             rho_on, s_on, q_on, o_on = nxt[:, on]
             u, ps, t, a, b, ugl, wd, c, sig_0, sig_l, out = site[:, rows]
             wd_min, wd_on, mag = real[k % 2][rows], real[1 - k % 2][on], real[2][rows]
-            np.multiply(phi * phi, rho, out=u)  # the segment's reflection seen from this site
+            if unit:
+                u, ps, t = rho, s, q
+            else:
+                np.multiply(phi * phi, rho, out=u)  # the segment's reflection seen from this site
+                np.multiply(q, phi, out=t)
+                np.multiply(phi, s, out=ps)
             np.multiply(u, gl, out=ugl)
-            np.multiply(q, phi, out=t)
-            np.multiply(phi, s, out=ps)
             np.subtract(w, ugl, out=wd)
             np.add(np.multiply(t, gl, out=a), obs, out=c)
             np.divide(np.add(src, ps, out=a), wd, out=sig_0)  # sigma = sig_l L + sig_0
@@ -230,18 +238,18 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
                 np.divide(np.add(1.0, u, out=a), wd, out=sig_l)
                 np.add(ugl, gr, out=out)
             if jet:  # jet(out) = jet(ugl); q' = t + c sig_l and o' = o + c sig_0
-                ju = phi * phi * jrho
-                jugl, jt = ju * gl, jq * phi
+                ju, jt, jps = (jrho, jq, js) if unit else (phi * phi * jrho, jq * phi, phi * js)
+                jugl = ju * gl
                 jwd, jc = jw - jugl, jt * gl
                 step = jwd[0] / wd
-                jz = (phi * js - sig_0 * jwd) / wd
+                jz = (jps - sig_0 * jwd) / wd
                 jz[1] -= jz[0] * step
                 jo = jo + c * jz + sig_0 * jc
                 jo[1] += jc[0] * jz[0]
                 if live:
                     jl = (ju - sig_l * jwd) / wd
                     jl[1] -= jl[0] * step
-                    jrho, js = ju + out * jl + sig_l * jugl, phi * js + out * jz + sig_0 * jugl
+                    jrho, js = ju + out * jl + sig_l * jugl, jps + out * jz + sig_0 * jugl
                     jq = jt + c * jl + sig_l * jc
                     for jx, ja, jb in ((jrho, jugl, jl), (js, jugl, jz), (jq, jc, jl)):
                         jx[1] += ja[0] * jb[0]
@@ -263,6 +271,8 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
                 np.copyto(o_end, o_on)
                 np.copyto(wd_end, wd_on)
                 ends.append((prefix == k + 1, o_end, wd_end, jo))
+        if prefix is not None and 0 in prefix:  # the empty chain: no site, no junction
+            ends.append((prefix == 0, 0.0, np.inf, 0.0 * jw))
         o, wd_min = state[n % 2, 3], real[n % 2]
         for at, *ended in ends:
             o, wd_min, jo = (np.where(at, x, y) for x, y in zip(ended, (o, wd_min, jo)))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .params import require_count, require_params
+from .params import _number, require_count, require_params
 
 DEFAULT_DIGITS = 12
 
@@ -43,6 +43,8 @@ class DataTable:
 
 def fmt(value: float, digits: int = DEFAULT_DIGITS) -> str:
     """Format one float with a fixed significant-digit budget (an integer >= 1)."""
+    if not _number(value):
+        raise ValidationError(f"value must be a real number, got {value!r}")
     return format(float(value), f".{require_count('digits', digits, 1)}g")
 
 
@@ -113,7 +115,7 @@ RENDERERS = {"csv": render_csv, "json": render_json}
 
 
 def write_table(table: DataTable, path, fmt_name: str = "csv", digits: int = DEFAULT_DIGITS) -> None:
-    if fmt_name not in RENDERERS:
+    if not isinstance(fmt_name, str) or fmt_name not in RENDERERS:  # a list is unhashable
         raise ValidationError(f"unknown output format: {fmt_name!r}")
     text = RENDERERS[fmt_name](table, digits)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:

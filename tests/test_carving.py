@@ -8,6 +8,7 @@ import pytest
 from chiralcav import (
     DriveParams,
     ProtocolExtinguishedError,
+    ProtocolPlan,
     QubitRegister,
     ValidationError,
     build_linear_system,
@@ -432,6 +433,67 @@ class TestRunProtocol:
         )
 
 
+class TestCoupledCountClasses:
+    """At xi = 0 every fold phase is 1: ``run_protocol`` carves the M + 1 coupled-count classes."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 10, 12])
+    @pytest.mark.parametrize("gamma_L", [0.0, 0.5, 0.7, 1.0])
+    def test_class_amplitudes_are_the_subset_batch_by_coupled_count(
+        self, m, gamma_L, dark_point_calls, monkeypatch
+    ):
+        # delta = 0 at gamma_L = 1/2 is the dark point: both routes take the dark-point rule
+        from chiralcav import carving
+
+        folded = []
+        kernel = carving._reflection
+
+        def recording(*args, **kw):
+            folded.append(kernel(*args, **kw))
+            return folded[-1]
+
+        params = template(m, gamma_L=gamma_L)
+        plan = ProtocolPlan(steps=(0.0, 0.37, -1.2), m=m)
+        monkeypatch.setattr(carving, "_reflection", recording)
+        run_protocol(m, params, plan=plan)
+        (classes,) = folded
+        subsets = solver._reflection(params, np.array(plan.steps), positions=np.arange(m), subsets=True)
+        assert classes[[i.bit_count() for i in range(2**m)]].tobytes() == subsets.tobytes()
+        assert len(dark_point_calls) == (2 if gamma_L == 0.5 else 0)
+
+    @pytest.mark.parametrize("m,reps", [(2, 4), (3, 3), (5, 2), (6, 3), (10, 1), (12, 2)])
+    @pytest.mark.parametrize("gamma_L, g", [(1.0, 20.0), (1.0, 30.0), (0.8, 20.0)])
+    def test_trace_matches_a_loop_of_measurements(self, m, reps, gamma_L, g):
+        params = template(m, gamma_L=gamma_L, g=g)
+        result = run_protocol(m, params, repetitions_per_step=reps)
+        target = QubitRegister.w_state(m)
+        state = global_rotation(QubitRegister.ground(m), math.pi / 2)
+        cumulative = 1.0
+        expected = []
+        for delta in result.plan.steps:
+            for _ in range(reps):
+                outcome = carving_measurement(state, params, delta)
+                state = outcome.post_state
+                cumulative *= outcome.herald_probability
+                expected.append((outcome.herald_probability, cumulative, fidelity(state, target)))
+        got = [(rec.herald_probability, rec.cumulative_probability, rec.fidelity) for rec in result.trace]
+        assert [rec.delta for rec in result.trace] == [d for d in result.plan.steps for _ in range(reps)]
+        assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+        assert result.fidelity_vs_step == tuple(row[2] for row in got)
+        assert np.max(np.abs(result.final_state.amplitudes - state.amplitudes)) <= 1e-13
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_extinguished_at_the_same_measurement(self, m):
+        # g = 0 and kappa_wg = kappa_sc: at delta = 0 every component meets the bare cavity's zero
+        params = template(m, g=0.0, kappa_wg=200.0, kappa_sc=200.0)
+        state = global_rotation(QubitRegister.ground(m), math.pi / 2)
+        state = carving_measurement(state, params, 0.3).post_state
+        with pytest.raises(ProtocolExtinguishedError) as loop:
+            carving_measurement(state, params, 0.0)
+        with pytest.raises(ProtocolExtinguishedError) as run:
+            run_protocol(m, params, plan=ProtocolPlan(steps=(0.3, 0.0), m=m))
+        assert str(run.value) == str(loop.value)
+
+
 class TestRegisterInputs:
     def test_list_amplitudes_stored_as_complex_array(self):
         reg = QubitRegister(m=2, amplitudes=[1, 0, 0, 0])
@@ -457,13 +519,33 @@ class TestOneSolvePerPlannedDetuning:
 
     @pytest.mark.parametrize("m, folds", [(5, [(1, 3)]), (11, [(1, 4), (1, 2)]), (12, [(1, 2)] * 3)])
     def test_row_budget_bounds_each_subset_fold(self, m, folds, fold_shapes):
+        # off xi = 0 the phases are not 1, so the register is carved on all 2^M subsets
         from chiralcav import carving
 
-        plan = plan_protocol(m, template(m))
+        params = template(m, gamma_L=0.95, xi=0.3)
+        plan = plan_protocol(m, params)
         fold_shapes.clear()
-        run_protocol(m, template(m), plan=plan)
+        run_protocol(m, params, plan=plan)
         assert fold_shapes == folds
         assert all(shape[1] <= max(carving.ROWS >> m, 1) for shape in fold_shapes)
+
+    @pytest.mark.parametrize("m, xi", [(2, 0.0), (5, 0.0), (11, 0.0), (12, 0.0), (4, math.pi)])
+    def test_unit_phases_take_one_prefix_fold(self, m, xi, monkeypatch):
+        # at xi = 0 one fold reads the coupled counts 0 .. M of every step, no subset fold;
+        # pi-periodicity is not enough: e^{i pi} is -1 only to rounding, so xi = pi folds subsets
+        calls = []
+        fold = solver._fold
+
+        def recording(params, delta, *args):
+            calls.append((np.broadcast_shapes(np.shape(delta), np.shape(args[5])), args[6]))
+            return fold(params, delta, *args)
+
+        params = template(m, xi=xi)
+        plan = plan_protocol(m, params)
+        monkeypatch.setattr(solver, "_fold", recording)
+        run_protocol(m, params, repetitions_per_step=2, plan=plan)
+        steps = len(plan.steps)
+        assert calls == ([((m + 1, steps), False)] if xi == 0 else [((1, steps), True)])
 
     @pytest.mark.parametrize("m", [2, 12])
     def test_dark_subset_fold_columns_equal_measurements(self, m, dark_point_calls):

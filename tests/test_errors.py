@@ -103,6 +103,8 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         lambda tmp: render_json(TABLE, -1),
         lambda tmp: write_table(TABLE, tmp / "demo.csv", "csv", 0),
         lambda tmp: write_table(TABLE, tmp / "demo.json", "json", -1),
+        lambda tmp: write_table(TABLE, tmp / "demo.csv", ["csv"]),
+        lambda tmp: fmt("a"),
         # a complex grid must not lose its imaginary part (a ComplexWarning is an error here)
         lambda tmp: reflectivity_batch(make_system(), None),
         lambda tmp: reflectivity_batch(make_system(), 0.1j),
@@ -248,6 +250,8 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         "json-digits-negative",
         "write-csv-digits-0",
         "write-json-digits-negative",
+        "write-format-list",
+        "fmt-value-string",
         "batch-delta-none",
         "batch-delta-complex",
         "batch-delta-complex-entry",
