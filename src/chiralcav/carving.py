@@ -12,8 +12,8 @@ exactly the removed atom.  A protocol folds all of its planned detunings
 together, at most ``ROWS`` rows per fold, and planning folds the longest
 odd chain once.  At xi = 0 every phase in the fold is 1, so a component's
 amplitude depends only on how many atoms it couples: a protocol there
-folds the plan once over the coupled counts 0 .. M and carries the state
-as M + 1 class amplitudes, expanded to the 2^M components at the end.
+folds the plan once over the coupled counts 0 .. M and gives each
+component its count's amplitude.
 
 The planners prepare the equal-weight single-coupled-manifold target
 (|10...0> + |01...0> + ... + |00...1>)/sqrt(M): an on-resonance
@@ -228,12 +228,11 @@ def _herald(state: QubitRegister, r: np.ndarray, delta: float) -> MeasurementOut
     )
 
 
-def _carve(amps: np.ndarray, r: np.ndarray, delta: float, weights=1.0) -> tuple[np.ndarray, float]:
-    """(renormalized ``amps`` r, heralding probability), each entry of ``amps``
-    standing for ``weights`` basis components; raises ProtocolExtinguishedError
-    below ``EXTINCTION_THRESHOLD``."""
+def _carve(amps: np.ndarray, r: np.ndarray, delta: float) -> tuple[np.ndarray, float]:
+    """(renormalized ``amps`` r, heralding probability); raises
+    ProtocolExtinguishedError below ``EXTINCTION_THRESHOLD``."""
     amps = amps * r
-    herald = float(np.sum(weights * np.abs(amps) ** 2))
+    herald = float(np.sum(np.abs(amps) ** 2))
     if herald < EXTINCTION_THRESHOLD:
         raise ProtocolExtinguishedError(
             f"heralding probability {herald:.3e} below {EXTINCTION_THRESHOLD} "
@@ -283,6 +282,14 @@ def _subset_columns(params_template: SystemParams, m: int, steps: list):
         yield from r.T.copy()
 
 
+def _popcounts(m: int) -> np.ndarray:
+    """Coupled count of each basis index 0 .. 2^m - 1: the top bit adds 1 to the lower half's."""
+    counts = np.zeros(1, dtype=int)
+    for _ in range(m):
+        counts = np.concatenate((counts, counts + 1))
+    return counts
+
+
 def run_protocol(
     m: int,
     params_template: SystemParams,
@@ -298,14 +305,12 @@ def run_protocol(
     component amplitudes depend only on (template, delta, M), so the plan's
     detunings are folded together, once each, and reused for their
     repetitions.  At xi = 0 every fold phase is 1, so a component's amplitude
-    depends only on its coupled count k: one prefix fold gives the M + 1
-    counts of every step, and the state is carried as M + 1 class amplitudes
-    c_k with weights C(M, k), the herald being sum C(M, k) |c_k r_k|^2 and the
-    fidelity M |c_1|^2; the 2^M ``final_state`` takes c_k at every component
-    of count k.  Otherwise one subset fold carries at most ``ROWS`` >> M
+    depends only on its coupled count: one prefix fold over the counts 0 .. M
+    gives every step, and each component takes its count's row, bit for bit
+    the subset batch.  Otherwise one subset fold carries at most ``ROWS`` >> M
     detunings (at least one), which makes one fold per protocol up to M = 10.
     """
-    m = _register_size(require_count("m", m, 1))
+    m = _register_size(require_count("m", m, 1))  # before the 2^m popcounts
     repetitions_per_step = require_count("repetitions_per_step", repetitions_per_step, 1)
     require_valid(params_template)
     if plan is None:
@@ -315,35 +320,28 @@ def run_protocol(
     elif not len(plan.steps):  # the trace would be empty and have no final fidelity
         raise ValidationError("plan has no steps")
     steps = [DriveParams(delta=d).delta for d in plan.steps]
-    classes = params_template.xi == 0  # every fold phase is 1: carve the coupled counts 0 .. M
-    if classes:
-        counts = np.arange(m + 1)
-        columns = _reflection(params_template, steps, positions=np.arange(m), prefix=counts[:, None]).T.copy()
-        zero, one = global_rotation(QubitRegister.ground(1), math.pi / 2.0).amplitudes
-        amps = zero ** (m - counts) * one ** counts
-        weights = np.array([math.comb(m, k) for k in counts], dtype=float)
+    if params_template.xi == 0:  # every fold phase is 1: a component reflects as its coupled count
+        r = _reflection(params_template, steps, positions=np.arange(m), prefix=np.arange(m + 1)[:, None])
+        columns = r.T[:, _popcounts(m)]
     else:
         columns = _subset_columns(params_template, m, steps)
-        amps = global_rotation(QubitRegister.ground(m), math.pi / 2.0).amplitudes
-        weights, target = 1.0, QubitRegister.w_state(m).amplitudes
+    target = QubitRegister.w_state(m).amplitudes
+    amps = global_rotation(QubitRegister.ground(m), math.pi / 2.0).amplitudes
     cumulative = 1.0
     trace: list[StepRecord] = []
     for delta, r in zip(plan.steps, columns):
         for _ in range(repetitions_per_step):
-            amps, herald = _carve(amps, r, delta, weights)
+            amps, herald = _carve(amps, r, delta)
             cumulative *= herald
-            overlap = m * abs(amps[1]) ** 2 if classes else abs(np.vdot(target, amps)) ** 2
             trace.append(
                 StepRecord(
                     step=len(trace) + 1,
                     delta=delta,
                     herald_probability=herald,
                     cumulative_probability=cumulative,
-                    fidelity=float(overlap),
+                    fidelity=float(abs(np.vdot(target, amps)) ** 2),
                 )
             )
-    if classes:  # component i has coupled count popcount(i)
-        amps = amps[[i.bit_count() for i in range(2**m)]]
     return ProtocolResult(
         plan=plan,
         final_state=QubitRegister(m=m, amplitudes=amps),

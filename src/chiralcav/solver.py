@@ -173,9 +173,7 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
 
     The rate ``gl`` is per point, and gr = 1 - gl.  ``prefix`` (not with ``split``)
     closes each point's chain after its own first ``prefix`` sites; 0 is the
-    empty chain, the bare cavity.  A fold without ``split`` whose hop phases
-    are all exactly 1 (xi = 0) reads rho, s, q and their jets where others
-    multiply them by phi^2 or phi, which gives the same values.  ``split``
+    empty chain, the bare cavity.  ``split``
     (not with ``jet``) doubles the rows, axis 0, at each site k: row i passes
     the site off by pure propagation, (rho phi^2, s phi, q phi, o), the
     zero-rate update bit for bit, and row i + 2^k takes the update; the first
@@ -206,7 +204,6 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
     xi = xi[..., None]
     cav = np.exp(1j * xi * pos)
     hop = np.exp(1j * xi * (pos - np.concatenate((pos[:1], pos[:-1]))))  # from the previous site
-    unit = not split and bool(np.all(hop == 1))  # xi = 0: no phase to multiply by
     sites = [hop, 1j * params.g * cav, params.g * np.conj(cav)]
     w = 1j * delta - 0.5
     jw = np.array([1j, 0.0]).reshape((2,) + (1,) * np.ndim(delta))  # dw/d(delta) = i
@@ -224,13 +221,10 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
             rho_on, s_on, q_on, o_on = nxt[:, on]
             u, ps, t, a, b, ugl, wd, c, sig_0, sig_l, out = site[:, rows]
             wd_min, wd_on, mag = real[k % 2][rows], real[1 - k % 2][on], real[2][rows]
-            if unit:
-                u, ps, t = rho, s, q
-            else:
-                np.multiply(phi * phi, rho, out=u)  # the segment's reflection seen from this site
-                np.multiply(q, phi, out=t)
-                np.multiply(phi, s, out=ps)
+            np.multiply(phi * phi, rho, out=u)  # the segment's reflection seen from this site
             np.multiply(u, gl, out=ugl)
+            np.multiply(q, phi, out=t)
+            np.multiply(phi, s, out=ps)
             np.subtract(w, ugl, out=wd)
             np.add(np.multiply(t, gl, out=a), obs, out=c)
             np.divide(np.add(src, ps, out=a), wd, out=sig_0)  # sigma = sig_l L + sig_0
@@ -238,18 +232,18 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
                 np.divide(np.add(1.0, u, out=a), wd, out=sig_l)
                 np.add(ugl, gr, out=out)
             if jet:  # jet(out) = jet(ugl); q' = t + c sig_l and o' = o + c sig_0
-                ju, jt, jps = (jrho, jq, js) if unit else (phi * phi * jrho, jq * phi, phi * js)
-                jugl = ju * gl
+                ju = phi * phi * jrho
+                jugl, jt = ju * gl, jq * phi
                 jwd, jc = jw - jugl, jt * gl
                 step = jwd[0] / wd
-                jz = (jps - sig_0 * jwd) / wd
+                jz = (phi * js - sig_0 * jwd) / wd
                 jz[1] -= jz[0] * step
                 jo = jo + c * jz + sig_0 * jc
                 jo[1] += jc[0] * jz[0]
                 if live:
                     jl = (ju - sig_l * jwd) / wd
                     jl[1] -= jl[0] * step
-                    jrho, js = ju + out * jl + sig_l * jugl, jps + out * jz + sig_0 * jugl
+                    jrho, js = ju + out * jl + sig_l * jugl, phi * js + out * jz + sig_0 * jugl
                     jq = jt + c * jl + sig_l * jc
                     for jx, ja, jb in ((jrho, jugl, jl), (js, jugl, jz), (jq, jc, jl)):
                         jx[1] += ja[0] * jb[0]

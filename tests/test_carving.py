@@ -351,6 +351,14 @@ class TestPlanProtocol:
 
 
 class TestRunProtocol:
+    @pytest.mark.parametrize("xi", [0.0, 0.3])
+    def test_register_past_the_cap_rejected_before_any_fold(self, xi, monkeypatch):
+        from chiralcav import carving
+
+        monkeypatch.setattr(carving, "_reflection", lambda *args, **kw: pytest.fail("folded"))
+        with pytest.raises(ValidationError, match=r"^register size must be <= 12$"):
+            run_protocol(13, template(13, xi=xi), plan=ProtocolPlan(steps=(0.0,), m=13))
+
     def test_bell_single_shot(self):
         result = run_protocol(2, template())
         assert result.cumulative_herald_probability == pytest.approx(0.53, abs=1e-10)
@@ -434,7 +442,7 @@ class TestRunProtocol:
 
 
 class TestCoupledCountClasses:
-    """At xi = 0 every fold phase is 1: ``run_protocol`` carves the M + 1 coupled-count classes."""
+    """At xi = 0 every fold phase is 1: ``run_protocol`` reads each component from its coupled count."""
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8, 10, 12])
     @pytest.mark.parametrize("gamma_L", [0.0, 0.5, 0.7, 1.0])
@@ -462,7 +470,7 @@ class TestCoupledCountClasses:
 
     @pytest.mark.parametrize("m,reps", [(2, 4), (3, 3), (5, 2), (6, 3), (10, 1), (12, 2)])
     @pytest.mark.parametrize("gamma_L, g", [(1.0, 20.0), (1.0, 30.0), (0.8, 20.0)])
-    def test_trace_matches_a_loop_of_measurements(self, m, reps, gamma_L, g):
+    def test_trace_is_a_loop_of_measurements(self, m, reps, gamma_L, g):
         params = template(m, gamma_L=gamma_L, g=g)
         result = run_protocol(m, params, repetitions_per_step=reps)
         target = QubitRegister.w_state(m)
@@ -474,12 +482,11 @@ class TestCoupledCountClasses:
                 outcome = carving_measurement(state, params, delta)
                 state = outcome.post_state
                 cumulative *= outcome.herald_probability
-                expected.append((outcome.herald_probability, cumulative, fidelity(state, target)))
-        got = [(rec.herald_probability, rec.cumulative_probability, rec.fidelity) for rec in result.trace]
-        assert [rec.delta for rec in result.trace] == [d for d in result.plan.steps for _ in range(reps)]
-        assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
-        assert result.fidelity_vs_step == tuple(row[2] for row in got)
-        assert np.max(np.abs(result.final_state.amplitudes - state.amplitudes)) <= 1e-13
+                expected.append((delta, outcome.herald_probability, cumulative, fidelity(state, target)))
+        got = [(rec.delta, rec.herald_probability, rec.cumulative_probability, rec.fidelity) for rec in result.trace]
+        assert got == expected
+        assert result.fidelity_vs_step == tuple(row[3] for row in got)
+        assert result.final_state.amplitudes.tobytes() == state.amplitudes.tobytes()
 
     @pytest.mark.parametrize("m", [2, 5])
     def test_extinguished_at_the_same_measurement(self, m):
