@@ -26,7 +26,13 @@ Redheffer star product in O(N), dividing by the Fabry-Perot denominator
 D = 1 - e^{2 i xi dp} r_left r_atom at each junction; a = -sqrt(kappa_wg) /
 (i delta_c - kappa/2 - i O).  One fold also reads out every prefix of the
 chain (planning, and carving at xi = 0, where a subset's r depends only on
-its size) or every subset of its sites (carving).  Points with a
+its size) or every subset of its sites (carving).  At gamma_R = 0
+(gamma_L = 1) the chain is a pure cascade (C. W. Gardiner, PRL 70, 2269
+(1993); H. J. Carmichael, PRL 70, 2273 (1993)): no atom emits backwards, so
+the segment's reflection and offset stay exactly 0 and every D is 1.  A fold
+that is not split and has gamma_R = 0 at every point updates only the lines
+of O; the terms it skips are exact zeros, so the bits stay, and
+|w D| = |w| >= 1/2 never meets the dark-point rule.  Points with a
 non-finite fold or |D| <= 1/COND_MAX (D = 0: a dark state) take the dark-point
 rule ``_contour_mean``: the mean of the fold on a small circle around the
 point.  The dense one-point ``build_linear_system``, ``solve_steady_state``,
@@ -189,9 +195,20 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
     sig_l, out); an o per prefix cut past 0; then the real lines (wd_min
     twice, |w D|, a wd_min per such cut).  Site k reads rows [:2^k] and writes the
     on-rows [2^k:2^(k+1)]; split, the off-rows then take (u, s phi, t, o).
+
+    Not split and with gl == 1 at every point (gr = 0), the update is the
+    cascade: rho = s = 0 at every site, so u = ugl = s phi = out = 0, wd = w,
+    sig_l = 1/w and |w D| = |w|, and a site computes only t = q phi,
+    c = gl t + obs, sig_0 = src/w, q' = t (1 + gl sig_l) + obs sig_l and
+    o' = o + c sig_0.  In the jet jrho = js = 0 and jwd = jw, so jl and step
+    do not change along the chain.  sig_l, its gain 1 + gl sig_l (in the u
+    line), |w| and jl are formed once per call, by the general update's own
+    expressions.  Every term left out is an exact zero, added or multiplied,
+    so the cascade has the general update's bits.
     """
     n = pos.size
     gr = 1.0 - gl
+    cascade = not split and np.all(gl == 1.0)  # gamma_R = 0 at every point: rho, s and their jets stay 0
     batch = np.broadcast(delta, gl, xi).shape
     shape = (2**n, *batch[1:]) if split else batch  # a split batch has one row
     cuts = [] if prefix is None else np.unique(prefix[(prefix > 0) & (prefix < n)]).tolist()
@@ -213,6 +230,15 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
     real[0][rows] = np.inf  # wd_min, of |w D|: w is the same at every site
     ends = []
     with np.errstate(all="ignore"):  # D = 0 gives inf or nan: the dark-point rule takes it
+        if cascade:  # wd = w at every site: sig_l, its gain 1 + gl sig_l, |w D| = |w| and jl are per call
+            sig_l, gain, mag = site[9], site[0], real[2]  # gain takes the unused u line
+            np.divide(1.0, w, out=sig_l)
+            np.add(1.0, np.multiply(gl, sig_l, out=site[3]), out=gain)
+            np.abs(w, out=mag)
+            if jet:
+                step = jw[0] / w
+                jl = (0.0 - sig_l * jw) / w
+                jl[1] -= jl[0] * step
         for k in range(n):
             live = k + 1 < n  # past the last site only o, wd_min and jo are read
             on = slice(rows.stop, 2 * rows.stop) if split else rows  # the rows that take the site
@@ -221,37 +247,50 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
             rho_on, s_on, q_on, o_on = nxt[:, on]
             u, ps, t, a, b, ugl, wd, c, sig_0, sig_l, out = site[:, rows]
             wd_min, wd_on, mag = real[k % 2][rows], real[1 - k % 2][on], real[2][rows]
-            np.multiply(phi * phi, rho, out=u)  # the segment's reflection seen from this site
-            np.multiply(u, gl, out=ugl)
             np.multiply(q, phi, out=t)
-            np.multiply(phi, s, out=ps)
-            np.subtract(w, ugl, out=wd)
             np.add(np.multiply(t, gl, out=a), obs, out=c)
-            np.divide(np.add(src, ps, out=a), wd, out=sig_0)  # sigma = sig_l L + sig_0
-            if live:
-                np.divide(np.add(1.0, u, out=a), wd, out=sig_l)
-                np.add(ugl, gr, out=out)
+            if cascade:  # u = ugl = s phi = out = 0 and wd = w
+                np.divide(src, w, out=sig_0)  # sigma = sig_l L + sig_0
+            else:
+                np.multiply(phi * phi, rho, out=u)  # the segment's reflection seen from this site
+                np.multiply(u, gl, out=ugl)
+                np.multiply(phi, s, out=ps)
+                np.subtract(w, ugl, out=wd)
+                np.divide(np.add(src, ps, out=a), wd, out=sig_0)
+                np.abs(wd, out=mag)
+                if live:
+                    np.divide(np.add(1.0, u, out=a), wd, out=sig_l)
+                    np.add(ugl, gr, out=out)
+                    gain = np.add(1.0, np.multiply(gl, sig_l, out=a), out=b)
             if jet:  # jet(out) = jet(ugl); q' = t + c sig_l and o' = o + c sig_0
-                ju = phi * phi * jrho
-                jugl, jt = ju * gl, jq * phi
-                jwd, jc = jw - jugl, jt * gl
-                step = jwd[0] / wd
-                jz = (phi * js - sig_0 * jwd) / wd
+                jt = jq * phi
+                jc = jt * gl
+                if cascade:
+                    jz = (0.0 - sig_0 * jw) / w  # phi js - sig_0 jwd at js = 0, jwd = jw
+                else:
+                    ju = phi * phi * jrho
+                    jugl = ju * gl
+                    jwd = jw - jugl
+                    step = jwd[0] / wd
+                    jz = (phi * js - sig_0 * jwd) / wd
                 jz[1] -= jz[0] * step
                 jo = jo + c * jz + sig_0 * jc
                 jo[1] += jc[0] * jz[0]
                 if live:
-                    jl = (ju - sig_l * jwd) / wd
-                    jl[1] -= jl[0] * step
-                    jrho, js = ju + out * jl + sig_l * jugl, phi * js + out * jz + sig_0 * jugl
+                    if not cascade:
+                        jl = (ju - sig_l * jwd) / wd
+                        jl[1] -= jl[0] * step
+                        jrho, js = ju + out * jl + sig_l * jugl, phi * js + out * jz + sig_0 * jugl
+                        jrho[1] += jugl[0] * jl[0]
+                        js[1] += jugl[0] * jz[0]
                     jq = jt + c * jl + sig_l * jc
-                    for jx, ja, jb in ((jrho, jugl, jl), (js, jugl, jz), (jq, jc, jl)):
-                        jx[1] += ja[0] * jb[0]
-            np.minimum(wd_min, np.abs(wd, out=mag), out=wd_on)
+                    jq[1] += jc[0] * jl[0]
+            np.minimum(wd_min, mag, out=wd_on)
             if live:
-                np.add(u, np.multiply(out, sig_l, out=a), out=rho_on)
-                np.add(ps, np.multiply(out, sig_0, out=a), out=s_on)
-                np.multiply(t, np.add(1.0, np.multiply(gl, sig_l, out=a), out=b), out=a)
+                if not cascade:
+                    np.add(u, np.multiply(out, sig_l, out=a), out=rho_on)
+                    np.add(ps, np.multiply(out, sig_0, out=a), out=s_on)
+                np.multiply(t, gain, out=a)
                 np.add(a, np.multiply(obs, sig_l, out=b), out=q_on)
             np.add(o, np.multiply(c, sig_0, out=a), out=o_on)
             if split:  # row i with site k off stays row i, with it on became row i + 2^k

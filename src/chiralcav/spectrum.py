@@ -261,9 +261,12 @@ def _dips(params: SystemParams, counts) -> list:
 def dip_detunings(params: SystemParams, n_coupled: int) -> list:
     """Refined dip locations of the ``n_coupled``-atom system, ascending.
 
-    Dips above ``PROMINENCE_MIN`` on ``DIP_POINTS`` over +-DIP_SPAN.  The
-    n_coupled-atom spectrum carries n_coupled - 1 dips in the directional
-    regime; for even counts this includes the on-resonance dip at delta = 0.
+    The dips above ``PROMINENCE_MIN`` on ``DIP_POINTS`` over +-DIP_SPAN: a dip
+    outside that window, or below that prominence on its grid, is not
+    returned.  In the directional regime the spectrum has n_coupled - 1 dips,
+    for even counts the on-resonance dip at delta = 0 among them.  For
+    (kappa_wg, kappa_sc, g) = (100, 300, 20) this returns all 16 at
+    n_coupled = 17, but 16 of 18 at 19 and 18 of 20 at 21.
     """
     n_coupled = require_count("n_coupled", n_coupled, 2)
     chain = require_valid(replace(require_params(params), n_atoms=n_coupled))
