@@ -217,11 +217,6 @@ def carving_measurement(
     require_valid(params_template)
     drive = DriveParams(delta=delta)
     r = _reflection(params_template, drive.delta, positions=np.arange(state.m), subsets=True)
-    return _herald(state, r, delta)
-
-
-def _herald(state: QubitRegister, r: np.ndarray, delta: float) -> MeasurementOutcome:
-    """Apply the component amplitudes ``r`` and renormalize on a herald."""
     amps, herald = _carve(state.amplitudes, r, delta)
     return MeasurementOutcome(
         post_state=QubitRegister(m=state.m, amplitudes=amps), herald_probability=herald, per_component_r=r

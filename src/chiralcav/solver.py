@@ -43,11 +43,13 @@ every site update into it with ``out=``.  One allocation, because lines
 allocated one by one each fall below malloc's mmap threshold, so the heap
 grows on every call, is trimmed when it ends and faults in again on the
 next; one larger block, once freed, raises that threshold and the heap is
-kept.  No ufunc writes into one of its operands: numpy may then take
+kept.  Each line is held once, and the state is updated in place.  No
+product or quotient writes into one of its operands: numpy may then take
 another inner loop (on size-1 arrays ``np.multiply(s, b, out=b)`` differs
-in the last bit from ``s * b``), so each output line is distinct from the
-inputs and has the shape of the expression it replaces (the full batch at
-the first site, whose zero state makes those values exact): the bits stay.
+in the last bit from ``s * b`` on some CPUs), while a sum or a minimum is
+exact in any loop.  Each output line has the shape of the expression it
+replaces (the full batch at the first site, whose zero state makes those
+values exact): the bits stay.
 The block is local to the call: no state is kept between calls.
 """
 
@@ -189,12 +191,15 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
     jet(ab) = a jet(b) + b jet(a) + (0, a' b'), and c = a/b has jet
     (jet(a) - c jet(b))/b less (0, c' b'/b).
 
-    The order-0 lines share one block, sized for the final 2^n split rows:
-    the state (rho, s, q, o) twice, read from one copy and written to the
-    other; eleven site lines (u, s phi, t, two scratch, ugl, wd, c, sig_0,
-    sig_l, out); an o per prefix cut past 0; then the real lines (wd_min
-    twice, |w D|, a wd_min per such cut).  Site k reads rows [:2^k] and writes the
-    on-rows [2^k:2^(k+1)]; split, the off-rows then take (u, s phi, t, o).
+    The order-0 lines share one block, sized for the final 2^n split rows,
+    one copy each: the state (rho, s, q, o); ten site lines (u, s phi, t, two
+    scratch, ugl, wd, c, sig_0, sig_l); an o per prefix cut past 0; then the
+    real lines (wd_min, |w D|, a wd_min per such cut).  Site k reads rows
+    [:2^k] and writes the on-rows [2^k:2^(k+1)], in place when not split:
+    rho', s' and q' go into lines it has already read into u, s phi and t,
+    and o' = o + c sig_0, wd_min and out = ugl + gr (over ugl, which the jet
+    does not read) are sums or minima, exact in any inner loop.  Split, the
+    off-rows then take (u, s phi, t) and keep o.
 
     Not split and with gl == 1 at every point (gr = 0), the update is the
     cascade: rho = s = 0 at every site, so u = ugl = s phi = out = 0, wd = w,
@@ -212,10 +217,9 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
     batch = np.broadcast(delta, gl, xi).shape
     shape = (2**n, *batch[1:]) if split else batch  # a split batch has one row
     cuts = [] if prefix is None else np.unique(prefix[(prefix > 0) & (prefix < n)]).tolist()
-    lines = 19 + len(cuts)
-    block = np.empty((lines + (len(cuts) + 4) // 2, *shape), dtype=complex)
-    state = block[:8].reshape(2, 4, *shape)  # (rho, s, q, o): site k reads state[k % 2], writes the other
-    site, kept = block[8:19], block[19:lines]
+    lines = 14 + len(cuts)
+    block = np.empty((lines + (len(cuts) + 3) // 2, *shape), dtype=complex)
+    state, site, kept = block[:4], block[4:14], block[14:lines]  # state: (rho, s, q, o), updated in place
     real = block[lines:].reshape(-1).view(float).reshape(2 * (block.shape[0] - lines), *shape)
 
     xi = xi[..., None]
@@ -226,12 +230,12 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
     jw = np.array([1j, 0.0]).reshape((2,) + (1,) * np.ndim(delta))  # dw/d(delta) = i
     jrho = js = jq = jo = 0.0 * jw
     rows = slice(0, 1) if split else ...  # the rows that hold the chain so far
-    state[0][:, rows] = 0.0
+    state[:, rows] = 0.0
     real[0][rows] = np.inf  # wd_min, of |w D|: w is the same at every site
     ends = []
     with np.errstate(all="ignore"):  # D = 0 gives inf or nan: the dark-point rule takes it
         if cascade:  # wd = w at every site: sig_l, its gain 1 + gl sig_l, |w D| = |w| and jl are per call
-            sig_l, gain, mag = site[9], site[0], real[2]  # gain takes the unused u line
+            sig_l, gain, mag = site[9], site[0], real[1]  # gain takes the unused u line
             np.divide(1.0, w, out=sig_l)
             np.add(1.0, np.multiply(gl, sig_l, out=site[3]), out=gain)
             np.abs(w, out=mag)
@@ -243,10 +247,9 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
             live = k + 1 < n  # past the last site only o, wd_min and jo are read
             on = slice(rows.stop, 2 * rows.stop) if split else rows  # the rows that take the site
             phi, src, obs = (v[..., k] for v in sites)
-            (rho, s, q, o), nxt = state[k % 2][:, rows], state[1 - k % 2]
-            rho_on, s_on, q_on, o_on = nxt[:, on]
-            u, ps, t, a, b, ugl, wd, c, sig_0, sig_l, out = site[:, rows]
-            wd_min, wd_on, mag = real[k % 2][rows], real[1 - k % 2][on], real[2][rows]
+            (rho, s, q, o), (rho_on, s_on, q_on, o_on) = state[:, rows], state[:, on]
+            u, ps, t, a, b, ugl, wd, c, sig_0, sig_l = site[:, rows]
+            wd_min, wd_on, mag = real[0][rows], real[0][on], real[1][rows]
             np.multiply(q, phi, out=t)
             np.add(np.multiply(t, gl, out=a), obs, out=c)
             if cascade:  # u = ugl = s phi = out = 0 and wd = w
@@ -260,7 +263,7 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
                 np.abs(wd, out=mag)
                 if live:
                     np.divide(np.add(1.0, u, out=a), wd, out=sig_l)
-                    np.add(ugl, gr, out=out)
+                    out = np.add(ugl, gr, out=ugl)  # nothing reads ugl after this
                     gain = np.add(1.0, np.multiply(gl, sig_l, out=a), out=b)
             if jet:  # jet(out) = jet(ugl); q' = t + c sig_l and o' = o + c sig_0
                 jt = jq * phi
@@ -295,18 +298,17 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
             np.add(o, np.multiply(c, sig_0, out=a), out=o_on)
             if split:  # row i with site k off stays row i, with it on became row i + 2^k
                 if live:
-                    np.copyto(nxt[:3, rows], site[:3, rows])
-                np.copyto(nxt[3, rows], o)
-                np.minimum(wd_min, np.abs(w), out=real[1 - k % 2][rows])
+                    np.copyto(state[:3, rows], site[:3, rows])
+                np.minimum(wd_min, np.abs(w), out=wd_min)
                 rows = slice(0, on.stop)
             if k + 1 in cuts:  # the chains that end before the last site keep copies of their lines
-                o_end, wd_end = kept[len(ends)], real[3 + len(ends)]
+                o_end, wd_end = kept[len(ends)], real[2 + len(ends)]
                 np.copyto(o_end, o_on)
                 np.copyto(wd_end, wd_on)
                 ends.append((prefix == k + 1, o_end, wd_end, jo))
         if prefix is not None and 0 in prefix:  # the empty chain: no site, no junction
             ends.append((prefix == 0, 0.0, np.inf, 0.0 * jw))
-        o, wd_min = state[n % 2, 3], real[n % 2]
+        o, wd_min = state[3], real[0]
         for at, *ended in ends:
             o, wd_min, jo = (np.where(at, x, y) for x, y in zip(ended, (o, wd_min, jo)))
         den = 1j * delta_c - params.kappa / 2.0 - 1j * o

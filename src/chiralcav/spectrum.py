@@ -55,7 +55,11 @@ class Feature:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sampled reflectivity curve R(delta); :func:`find_features` gives its features."""
+    """Sampled reflectivity curve R(delta); :func:`find_features` gives its features.
+
+    ``values`` may hold NaN or inf, so that any table reads back as a
+    Spectrum; :func:`find_features` refuses such a curve.
+    """
 
     params: SystemParams
     deltas: np.ndarray
@@ -224,13 +228,17 @@ def find_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> tup
     curve; all of them are then refined together by safeguarded Newton
     on the continuous R(delta) and given their full widths at half
     prominence.  Assumes the grid is dense enough that adjacent features
-    are separated by at least three grid points.
+    are separated by at least three grid points.  A non-finite value
+    raises ValidationError naming its index: a NaN or inf sample would hide,
+    move or invent features.
     """
     if require_params(spec, Spectrum, "spec").deltas.size == 0:
         raise ValidationError("empty spectrum")
     if not (_number(prominence_min) and prominence_min >= 0):  # NaN fails too
         raise ValidationError(f"prominence_min must be a real number >= 0, got {prominence_min!r}")
     require_valid(spec.params)
+    if (bad := np.flatnonzero(~np.isfinite(spec.values))).size:
+        raise ValidationError(f"spectrum value {spec.values[bad[0]]} at index {bad[0]} is not finite")
     found = _extrema(spec.params, spec.deltas, spec.values[None], (1.0, -1.0), prominence_min)
     _, index, sign, prominence, delta, value = found
     width = _widths(spec, index, delta, value, prominence / 2.0, sign)

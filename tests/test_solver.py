@@ -15,6 +15,7 @@ from chiralcav import (
     carving_measurement,
     component_reflection,
     global_rotation,
+    plan_protocol,
     r_no_atoms,
     r_two_atoms,
     reflection_amplitude,
@@ -713,3 +714,82 @@ class TestCallerArrays:
         )
         assert bits(first) == bits(second) == bits(expected)
         assert not np.shares_memory(first, second)
+
+
+class TestBlock:
+    """The fold keeps each order-0 line once in one block: the state (rho, s, q, o),
+    the sum ugl + gr and the running minimum of |w D| are updated in place."""
+
+    # In place, numpy may take another inner loop than for a fresh output.  A sum, a
+    # difference or a minimum is exact whichever loop runs, and this checks that on the
+    # numpy at hand.  The excluded case is an in-place multiply: its last bit on size-1
+    # arrays depends on the CPU, so no product or quotient in the fold writes into one of
+    # its operands.
+    @pytest.mark.parametrize("shape", [(1,), (1, 1), (7, 1), (5, 4001)])
+    def test_in_place_sums_and_minima_have_the_bits_of_fresh_ones(self, shape, rng):
+        def draw():
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        for _ in range(300 if np.prod(shape) < 100 else 3):
+            x, y = draw(), draw()
+            for ufunc, a, b in (
+                (np.add, x, y),
+                (np.subtract, x, y),
+                (np.add, x, y.real[..., :1]),  # ugl + gr: a real, broadcast operand
+                (np.minimum, np.abs(x), np.abs(y)),
+            ):
+                fresh, line = ufunc(a, b), a.copy()
+                ufunc(line, b, out=line)
+                assert bits(line) == bits(fresh)
+        wd_min, mag = np.array([np.inf, np.nan, 0.5, np.nan]), np.array([0.7, 0.2, np.nan, np.inf])
+        fresh = np.minimum(wd_min, mag)
+        np.minimum(wd_min, mag, out=wd_min)
+        assert bits(wd_min) == bits(fresh)
+
+    SYSTEMS = [(1.0, 0.0), (0.95, 0.3), (0.5, 0.0), (0.5, math.pi), (0.8, 1.1)]
+
+    @pytest.mark.parametrize("gamma_L, xi", SYSTEMS)
+    def test_no_line_is_read_before_it_is_written(self, gamma_L, xi, monkeypatch):
+        # a NaN-filled block turns any read of an unwritten line into a NaN, which the
+        # dark-point rule then meets as a driven null mode or a changed mean
+        params = make_system(n=5, gamma_L=gamma_L, xi=xi)
+        deltas = np.linspace(-1.0, 1.0, 9)  # delta = 0 is the dark point at gamma_L = 1/2
+        calls = [
+            lambda: solver._reflection(params, deltas),
+            lambda: solver._reflection(params, 0.0),
+            lambda: solver._reflection(params, deltas, prefix=np.arange(6)[:, None]),
+            lambda: solver._reflection(params, deltas[:6], prefix=np.arange(6), derivatives=True),
+            lambda: solver._reflection(params, deltas[3:6], positions=np.arange(5), subsets=True),
+        ]
+        expected = [bits(np.array(call())) for call in calls]
+        filled, empty = [], np.empty  # the shapes of the NaN-filled arrays
+
+        def nan_empty(shape, dtype=float, *args, **kw):
+            block = empty(shape, dtype, *args, **kw)
+            if np.issubdtype(block.dtype, np.inexact):  # a NaN fill of an int array warns
+                filled.append(block.shape)
+                block.fill(np.nan)
+            return block
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+        for call, before in zip(calls, expected):
+            count = len(filled)
+            assert bits(np.array(call())) == before
+            assert len(filled) > count  # the fold's block came from the patched np.empty
+
+    def test_block_holds_each_line_once(self, monkeypatch):
+        # 4 state lines, 10 site lines, an o per prefix cut past 0, and the real lines
+        # (wd_min, |w D|, a wd_min per such cut) two to a complex line
+        blocks, empty = [], np.empty
+
+        def recording(shape, dtype=float, *args, **kw):
+            if np.dtype(dtype) == complex:
+                blocks.append(shape[0])
+            return empty(shape, dtype, *args, **kw)
+
+        monkeypatch.setattr(np, "empty", recording)
+        solver._reflection(make_system(n=5, gamma_L=0.95, xi=0.3), np.linspace(-1.0, 1.0, 9))
+        assert blocks == [15]
+        blocks.clear()
+        plan_protocol(12, make_system(n=12))  # one sweep over the chains 3, 5, .., 11
+        assert blocks[0] == 21

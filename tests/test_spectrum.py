@@ -11,6 +11,7 @@ from scipy.signal import find_peaks
 from chiralcav import (
     DipNotFoundError,
     DriveParams,
+    Spectrum,
     ValidationError,
     dip_detunings,
     figure_data,
@@ -116,6 +117,21 @@ class TestFindFeatures:
         object.__setattr__(spec, "deltas", np.array([]))
         with pytest.raises(ValueError):
             find_features(spec)
+
+    @pytest.mark.parametrize("index, value", [(100, np.nan), (200, np.nan), (150, np.inf)])
+    def test_non_finite_sample_rejected_by_index(self, monkeypatch, index, value):
+        # refined as given, the NaN at 100 hid every feature, the NaN at 200 lost the dip at
+        # delta = 0, and the inf at 150 surfaced as a driven null mode of the solver
+        spec = sweep_delta(make_system(n=2), -3, 3, 401)
+        assert [f.kind for f in find_features(spec)] == ["peak", "dip", "peak"]
+        values = spec.values.copy()
+        values[index] = value
+        bad = Spectrum(spec.params, spec.deltas, values)  # a Spectrum holds it, a table reads it back
+        folds = []
+        monkeypatch.setattr(solver, "_fold", lambda *args, **kw: folds.append(args))
+        with pytest.raises(ValidationError, match=f"at index {index} is not finite"):
+            find_features(bad)
+        assert folds == []
 
     def test_refined_dip_is_local_minimum(self, base_params):
         spec = sweep_delta(base_params, -3, 3, 4001)
