@@ -32,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolExtinguishedError, ValidationError
-from .params import DriveParams, SystemParams, _number, _real, require_count, require_params, require_valid
+from .params import (
+    DriveParams, SystemParams, _number, _real, require_count, require_params, require_real, require_valid,
+)
 from .solver import _reflection, reflection_amplitude
 from .spectrum import _dips
 
@@ -267,7 +269,7 @@ def plan_protocol(
     return ProtocolPlan(steps=tuple(steps), m=m)
 
 
-def _subset_columns(params_template: SystemParams, m: int, steps: list):
+def _subset_columns(params_template: SystemParams, m: int, steps: np.ndarray):
     """Each step's (2^m,) component amplitudes, in order, from subset folds of
     at most ``ROWS`` rows: the columns of one fold over several detunings are
     bit for bit the batches of one."""
@@ -312,9 +314,9 @@ def run_protocol(
         plan = plan_protocol(m, params_template, dip_sign=dip_sign)
     elif require_params(plan, ProtocolPlan, "plan").m != m:
         raise ValidationError(f"plan was made for {plan.m} atoms, not {m}")
-    elif not len(plan.steps):  # the trace would be empty and have no final fidelity
-        raise ValidationError("plan has no steps")
-    steps = [DriveParams(delta=d).delta for d in plan.steps]
+    steps = require_real("plan deltas", plan.steps)
+    if steps.ndim != 1 or not steps.size:  # an empty trace would have no final fidelity
+        raise ValidationError("plan steps must be a non-empty 1-D sequence")
     if params_template.xi == 0:  # every fold phase is 1: a component reflects as its coupled count
         r = _reflection(params_template, steps, positions=np.arange(m), prefix=np.arange(m + 1)[:, None])
         columns = r.T[:, _popcounts(m)]

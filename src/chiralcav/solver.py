@@ -26,7 +26,8 @@ Redheffer star product in O(N), dividing by the Fabry-Perot denominator
 D = 1 - e^{2 i xi dp} r_left r_atom at each junction; a = -sqrt(kappa_wg) /
 (i delta_c - kappa/2 - i O).  One fold also reads out every prefix of the
 chain (planning, and carving at xi = 0, where a subset's r depends only on
-its size) or every subset of its sites (carving).  At gamma_R = 0
+its size), each point closing from one end state that its count's site
+fills, or every subset of its sites (carving).  At gamma_R = 0
 (gamma_L = 1) the chain is a pure cascade (C. W. Gardiner, PRL 70, 2269
 (1993); H. J. Carmichael, PRL 70, 2273 (1993)): no atom emits backwards, so
 the segment's reflection and offset stay exactly 0 and every D is 1.  A fold
@@ -38,18 +39,19 @@ rule ``_contour_mean``: the mean of the fold on a small circle around the
 point.  The dense one-point ``build_linear_system``, ``solve_steady_state``,
 ``relax_time_domain`` are oracles.
 
-A fold call allocates one block for all of its order-0 lines and writes
-every site update into it with ``out=``.  One allocation, because lines
-allocated one by one each fall below malloc's mmap threshold, so the heap
-grows on every call, is trimmed when it ends and faults in again on the
-next; one larger block, once freed, raises that threshold and the heap is
-kept.  Each line is held once, and the state is updated in place.  No
-product or quotient writes into one of its operands: numpy may then take
-another inner loop (on size-1 arrays ``np.multiply(s, b, out=b)`` differs
-in the last bit from ``s * b`` on some CPUs), while a sum or a minimum is
-exact in any loop.  Each output line has the shape of the expression it
-replaces (the full batch at the first site, whose zero state makes those
-values exact): the bits stay.
+A fold call allocates one block of 15 complex lines for all of its order-0
+lines and writes every site update into it with ``out=``; a prefix fold's
+end state, which has the prefix's shape, sits outside it.  One allocation,
+because lines allocated one by one each fall below malloc's mmap
+threshold, so the heap grows on every call, is trimmed when it ends and
+faults in again on the next; one larger block, once freed, raises that
+threshold and the heap is kept.  Each line is held once, and the state is
+updated in place.  No product or quotient writes into one of its operands:
+numpy may then take another inner loop (on size-1 arrays
+``np.multiply(s, b, out=b)`` differs in the last bit from ``s * b`` on
+some CPUs), while a sum or a minimum is exact in any loop.  Each output
+line has the shape of the expression it replaces (the full batch at the
+first site, whose zero state makes those values exact): the bits stay.
 The block is local to the call: no state is kept between calls.
 """
 
@@ -180,21 +182,23 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
     with ``jet`` also dr/d(delta) and d2r/d(delta)^2 along delta_c = delta.
 
     The rate ``gl`` is per point, and gr = 1 - gl.  ``prefix`` (not with ``split``)
-    closes each point's chain after its own first ``prefix`` sites; 0 is the
-    empty chain, the bare cavity.  ``split``
-    (not with ``jet``) doubles the rows, axis 0, at each site k: row i passes
-    the site off by pure propagation, (rho phi^2, s phi, q phi, o), the
-    zero-rate update bit for bit, and row i + 2^k takes the update; the first
-    site ends up the top bit.  The segment left of a site gives
+    closes each point's chain after its own first ``prefix`` sites, 0 to n:
+    its end state (o, wd_min and the jet jo), shaped as the batch broadcast
+    with ``prefix``, starts as the empty chain (0, inf, 0), the bare cavity,
+    and the points of count k + 1 copy their lines into it after site k.
+    ``split`` (not with ``jet``) doubles the rows, axis 0, at each site k:
+    row i passes the site off by pure propagation, (rho phi^2, s phi, q phi,
+    o), the zero-rate update bit for bit, and row i + 2^k takes the update;
+    the first site ends up the top bit.  The segment left of a site gives
     R_out = rho L + s and O = q L + o for the field L entering it.  The jet of
     x, (x', x''/2) on a leading axis, rides beside the order-0 lines:
     jet(ab) = a jet(b) + b jet(a) + (0, a' b'), and c = a/b has jet
     (jet(a) - c jet(b))/b less (0, c' b'/b).
 
-    The order-0 lines share one block, sized for the final 2^n split rows,
-    one copy each: the state (rho, s, q, o); ten site lines (u, s phi, t, two
-    scratch, ugl, wd, c, sig_0, sig_l); an o per prefix cut past 0; then the
-    real lines (wd_min, |w D|, a wd_min per such cut).  Site k reads rows
+    The order-0 lines share one block of 15 complex lines, sized for the
+    final 2^n split rows, one copy each: the state (rho, s, q, o); ten site
+    lines (u, s phi, t, two scratch, ugl, wd, c, sig_0, sig_l); and one line
+    that holds the real lines (wd_min, |w D|).  Site k reads rows
     [:2^k] and writes the on-rows [2^k:2^(k+1)], in place when not split:
     rho', s' and q' go into lines it has already read into u, s phi and t,
     and o' = o + c sig_0, wd_min and out = ugl + gr (over ugl, which the jet
@@ -216,11 +220,9 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
     cascade = not split and np.all(gl == 1.0)  # gamma_R = 0 at every point: rho, s and their jets stay 0
     batch = np.broadcast(delta, gl, xi).shape
     shape = (2**n, *batch[1:]) if split else batch  # a split batch has one row
-    cuts = [] if prefix is None else np.unique(prefix[(prefix > 0) & (prefix < n)]).tolist()
-    lines = 14 + len(cuts)
-    block = np.empty((lines + (len(cuts) + 3) // 2, *shape), dtype=complex)
-    state, site, kept = block[:4], block[4:14], block[14:lines]  # state: (rho, s, q, o), updated in place
-    real = block[lines:].reshape(-1).view(float).reshape(2 * (block.shape[0] - lines), *shape)
+    block = np.empty((15, *shape), dtype=complex)
+    state, site = block[:4], block[4:14]  # state: (rho, s, q, o), updated in place
+    real = block[14].reshape(-1).view(float).reshape(2, *shape)  # (wd_min, |w D|)
 
     xi = xi[..., None]
     cav = np.exp(1j * xi * pos)
@@ -232,7 +234,12 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
     rows = slice(0, 1) if split else ...  # the rows that hold the chain so far
     state[:, rows] = 0.0
     real[0][rows] = np.inf  # wd_min, of |w D|: w is the same at every site
-    ends = []
+    if prefix is None:  # every chain ends at the last site
+        cuts, o_end, wd_end = (), state[3], real[0]
+    else:  # each point's chain ends at its own count; all start as the empty chain
+        cuts, end = np.unique(prefix).tolist(), np.broadcast_shapes(batch, np.shape(prefix))
+        o_end, wd_end = np.zeros(end, dtype=complex), np.full(end, np.inf)
+        jo_end = np.zeros((2, *end), dtype=complex) if jet else None
     with np.errstate(all="ignore"):  # D = 0 gives inf or nan: the dark-point rule takes it
         if cascade:  # wd = w at every site: sig_l, its gain 1 + gl sig_l, |w D| = |w| and jl are per call
             sig_l, gain, mag = site[9], site[0], real[1]  # gain takes the unused u line
@@ -301,21 +308,17 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
                     np.copyto(state[:3, rows], site[:3, rows])
                 np.minimum(wd_min, np.abs(w), out=wd_min)
                 rows = slice(0, on.stop)
-            if k + 1 in cuts:  # the chains that end before the last site keep copies of their lines
-                o_end, wd_end = kept[len(ends)], real[2 + len(ends)]
-                np.copyto(o_end, o_on)
-                np.copyto(wd_end, wd_on)
-                ends.append((prefix == k + 1, o_end, wd_end, jo))
-        if prefix is not None and 0 in prefix:  # the empty chain: no site, no junction
-            ends.append((prefix == 0, 0.0, np.inf, 0.0 * jw))
-        o, wd_min = state[3], real[0]
-        for at, *ended in ends:
-            o, wd_min, jo = (np.where(at, x, y) for x, y in zip(ended, (o, wd_min, jo)))
-        den = 1j * delta_c - params.kappa / 2.0 - 1j * o
+            if k + 1 in cuts:  # the chains of k + 1 sites end here
+                at = prefix == k + 1
+                np.copyto(o_end, o_on, where=at)
+                np.copyto(wd_end, wd_on, where=at)
+                if jet:
+                    np.copyto(jo_end, jo, where=at)
+        den = 1j * delta_c - params.kappa / 2.0 - 1j * o_end
         a = -np.sqrt(params.kappa_wg) / den
-        folded = [np.sqrt(params.kappa_wg) * a - 1.0, wd_min / np.abs(w)]
+        folded = [np.sqrt(params.kappa_wg) * a - 1.0, wd_end / np.abs(w)]
         if jet:
-            jden = jw - 1j * jo
+            jden = jw - 1j * (jo if prefix is None else jo_end)
             ja = -a * jden / den
             ja[1] -= ja[0] * jden[0] / den
             folded += [np.sqrt(params.kappa_wg) * ja[0], 2.0 * np.sqrt(params.kappa_wg) * ja[1]]

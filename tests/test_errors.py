@@ -71,6 +71,9 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         lambda tmp: run_protocol(2, make_system(), repetitions_per_step=1.5),
         lambda tmp: run_protocol(3, make_system(n=3), plan="x"),
         lambda tmp: run_protocol(3, make_system(n=3), plan=ProtocolPlan(steps=(), m=3)),
+        lambda tmp: run_protocol(3, make_system(n=3), plan=ProtocolPlan(steps=None, m=3)),
+        lambda tmp: run_protocol(3, make_system(n=3), plan=ProtocolPlan(steps=5, m=3)),
+        lambda tmp: run_protocol(3, make_system(n=3), plan=ProtocolPlan(steps=iter((0.0,)), m=3)),
         lambda tmp: sweep_delta(make_system(), -1.0, 1.0, 10.5),
         lambda tmp: dip_detunings(make_system(), 2.5),
         lambda tmp: Spectrum(make_system(), np.array([0.0, 1.0]), np.zeros(3)),
@@ -218,6 +221,9 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         "run-repetitions-float",
         "run-plan-string",
         "run-plan-empty",
+        "run-plan-steps-none",
+        "run-plan-steps-scalar",
+        "run-plan-steps-iterator",
         "sweep-points-float",
         "dip-count-float",
         "spectrum-length",

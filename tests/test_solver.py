@@ -630,14 +630,16 @@ class TestJet:
     @pytest.mark.parametrize("xi", [0.0, 0.3])
     @pytest.mark.parametrize("derivatives", [False, True])
     def test_empty_prefix_is_the_bare_cavity(self, xi, derivatives):
-        # cut 0 closes no site: each point reads the fold of an empty chain
+        # each point reads the plain fold of its own first prefix sites: count 0 closes no
+        # site (the bare cavity), count 6 closes at the last site
         params = make_system(n=6, gamma_L=0.7, xi=xi)
         deltas = np.linspace(-2.0, 2.0, 41)
         prefix = np.arange(41) % 7
-        cut = solver._reflection(params, deltas, prefix=prefix, derivatives=derivatives)
-        bare = solver._reflection(params, deltas, positions=np.array([]), derivatives=derivatives)
-        at = prefix == 0
-        assert bits(np.array(cut)[..., at].copy()) == bits(np.array(bare)[..., at].copy())
+        cut = np.array(solver._reflection(params, deltas, prefix=prefix, derivatives=derivatives))
+        for count in range(7):
+            plain = solver._reflection(params, deltas, positions=np.arange(count), derivatives=derivatives)
+            at = prefix == count
+            assert bits(cut[..., at].copy()) == bits(np.array(plain)[..., at].copy())
 
 
 class TestCascade:
@@ -778,8 +780,8 @@ class TestBlock:
             assert len(filled) > count  # the fold's block came from the patched np.empty
 
     def test_block_holds_each_line_once(self, monkeypatch):
-        # 4 state lines, 10 site lines, an o per prefix cut past 0, and the real lines
-        # (wd_min, |w D|, a wd_min per such cut) two to a complex line
+        # 4 state lines, 10 site lines and the real lines (wd_min, |w D|) two to a complex
+        # line; a prefix fold's end state has the prefix's shape and sits outside the block
         blocks, empty = [], np.empty
 
         def recording(shape, dtype=float, *args, **kw):
@@ -788,8 +790,12 @@ class TestBlock:
             return empty(shape, dtype, *args, **kw)
 
         monkeypatch.setattr(np, "empty", recording)
-        solver._reflection(make_system(n=5, gamma_L=0.95, xi=0.3), np.linspace(-1.0, 1.0, 9))
+        params, deltas = make_system(n=5, gamma_L=0.95, xi=0.3), np.linspace(-1.0, 1.0, 9)
+        solver._reflection(params, deltas)
         assert blocks == [15]
         blocks.clear()
-        plan_protocol(12, make_system(n=12))  # one sweep over the chains 3, 5, .., 11
-        assert blocks[0] == 21
+        solver._reflection(params, deltas, prefix=np.arange(9) % 6, derivatives=True)  # a Newton step
+        assert blocks == [15]
+        blocks.clear()
+        plan_protocol(12, make_system(n=12))  # one sweep over the chains 3, 5, .., 11, then Newton steps
+        assert blocks and set(blocks) == {15}
