@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in tables._read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

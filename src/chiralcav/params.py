@@ -11,7 +11,7 @@ the dimensionless phase ``xi`` accumulated per lattice spacing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,41 +57,29 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class DriveParams:
-    """Probe detuning delta and cavity detuning delta_c.
+    """Probe detuning delta; the cavity is locked to the probe (delta_c = delta).
 
-    The model is linear in the drive, so it is driven with a_in = 1.  By
-    default the cavity detuning is locked to the probe detuning
-    (delta_c = delta).  Passing an explicit ``delta_c`` different from
-    ``delta`` is rejected unless ``unlock_delta_c=True``.
+    The model is linear in the drive, so it is driven with a_in = 1.
     """
 
     delta: float = 0.0
-    delta_c: float | None = None
-    unlock_delta_c: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not _number(self.delta) or not (self.delta_c is None or _number(self.delta_c)):
-            raise ValidationError("delta and delta_c must be real numbers")
-        if self.delta_c is None:
-            object.__setattr__(self, "delta_c", float(self.delta))
-        elif self.delta_c != self.delta and not self.unlock_delta_c:
-            raise ValidationError(
-                "delta_c is locked to delta; pass unlock_delta_c=True to decouple"
-            )
-        for name in ("delta", "delta_c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
+        if not (_number(self.delta) and math.isfinite(self.delta)):
+            raise ValidationError("delta must be finite and real")
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of :func:`validate`: ok or a list of violated invariants."""
+    """Outcome of :func:`validate`: the violated invariants; ``ok`` when there are none."""
 
-    ok: bool
     violations: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
-        return self.ok
+        """True when no invariant is violated."""
+        return not self.violations
+
+    ok = property(__bool__)
 
 
 def _integral(value) -> bool:
@@ -146,7 +134,7 @@ def validate(params: SystemParams) -> ValidationReport:
     try:
         require_params(params)
     except ValidationError as exc:
-        return ValidationReport(ok=False, violations=(str(exc),))
+        return ValidationReport((str(exc),))
     violations: list[str] = []
     if not _integral(params.n_atoms) or params.n_atoms < 0:
         violations.append("n_atoms must be a nonnegative integer")
@@ -154,7 +142,7 @@ def validate(params: SystemParams) -> ValidationReport:
         violations.append("gamma_mhz must be a finite positive number")
     unreal = [f"{name} must be a real number" for name in _FIELDS if not _number(getattr(params, name))]
     if unreal:  # the rules below compare numbers
-        return ValidationReport(ok=False, violations=(*violations, *unreal))
+        return ValidationReport((*violations, *unreal))
     if not 0.0 <= params.gamma_L <= 1.0:
         violations.append("gamma_L must lie in [0, 1]")
     if not params.kappa_wg > 0:
@@ -171,7 +159,7 @@ def validate(params: SystemParams) -> ValidationReport:
     cavity = (params.g, params.kappa_wg, params.kappa_sc)
     if own_rules and all(map(math.isfinite, cavity)) and not math.isfinite(cooperativity(params)):
         violations.append("4 g^2 / kappa must be finite")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def require_params(value, kind: type = SystemParams, name: str = "params"):

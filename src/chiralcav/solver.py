@@ -3,7 +3,7 @@
 The expectation-value amplitudes v = (a, sigma_1 ... sigma_N) obey the
 linear system  M v = rhs  with
 
-    row 0 :  (i delta_c - kappa/2) a - i g sum_mu e^{-i xi p_mu} sigma_mu
+    row 0 :  (i delta - kappa/2) a - i g sum_mu e^{-i xi p_mu} sigma_mu
              = -sqrt(kappa_wg) a_in
     row mu:  (i delta - 1/2) sigma_mu
              - gamma_L sum_{nu > mu} e^{i xi (p_nu - p_mu)} sigma_nu
@@ -11,7 +11,8 @@ linear system  M v = rhs  with
              - i g e^{+i xi p_mu} a  =  0
 
 where p_mu are the atom positions in units of the lattice spacing
-(p_mu = mu - 1 for the equidistant array).  The reflected amplitude
+(p_mu = mu - 1 for the equidistant array).  The cavity is locked to the
+probe (delta_c = delta), so M = M0 + i delta I.  The reflected amplitude
 follows from the input-output boundary relation
 a_out + a_in = sqrt(kappa_wg) a, i.e. r = sqrt(kappa_wg) a / a_in - 1.
 In the weak-excitation limit v is linear in a_in and r does not depend on
@@ -24,7 +25,7 @@ R_out = R_in + gamma_R sigma and L_out = L_in + gamma_L sigma; the cavity
 sees O = g sum e^{-i xi p} sigma.  ``_fold`` composes the sorted sites by the
 Redheffer star product in O(N), dividing by the Fabry-Perot denominator
 D = 1 - e^{2 i xi dp} r_left r_atom at each junction; a = -sqrt(kappa_wg) /
-(i delta_c - kappa/2 - i O).  One fold also reads out every prefix of the
+(i delta - kappa/2 - i O).  One fold also reads out every prefix of the
 chain (planning, and carving at xi = 0, where a subset's r depends only on
 its size), each point closing from one end state that its count's site
 fills, or every subset of its sites (carving).  At gamma_R = 0
@@ -91,13 +92,15 @@ class SteadyState:
     a: complex
     sigma: np.ndarray
     r: complex
-    R: float
+
+    @property
+    def R(self) -> float:
+        """Reflectivity |r|^2, the formula of reflectivity bit for bit."""
+        return float(np.square(np.abs(self.r)))
 
 
-def _assemble(
-    params: SystemParams, delta: float, delta_c: float, positions=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(matrix, rhs) of one drive point at a_in = 1, M = M0 + i diag(delta_c, delta, ..., delta)."""
+def _assemble(params: SystemParams, delta: float, positions=None) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, rhs) of one drive point at a_in = 1, M = M0 + i delta I."""
     pos = np.asarray(np.arange(params.n_atoms) if positions is None else positions, dtype=float)
     n = pos.size
     matrix = np.zeros((n + 1, n + 1), dtype=complex)
@@ -109,9 +112,8 @@ def _assemble(
     cav_phase = np.exp(1j * params.xi * pos)
     matrix[0, 1:] = -1j * params.g * np.conj(cav_phase)
     matrix[1:, 0] = -1j * params.g * cav_phase
-    matrix[0, 0] = 1j * delta_c - params.kappa / 2.0
-    idx = np.arange(1, n + 1)
-    matrix[idx, idx] = 1j * delta - 0.5
+    idx = np.arange(n + 1)  # delta enters the cavity and every atom alike
+    matrix[idx, idx] = 1j * delta - np.where(idx == 0, params.kappa / 2.0, 0.5)
     rhs = np.zeros(n + 1, dtype=complex)
     rhs[0] = -np.sqrt(params.kappa_wg)
     return matrix, rhs
@@ -128,11 +130,11 @@ def _require_positions(positions) -> None:
         raise ValidationError("positions must be distinct")
 
 
-def _drive_system(params: SystemParams, drive: DriveParams, positions):
-    """(matrix, rhs) of one drive point, after checking ``drive`` and ``positions``."""
+def _drive_delta(drive: DriveParams, positions) -> float:
+    """``drive.delta``, all that a drive sets, after checking ``drive`` and ``positions``."""
     require_params(drive, DriveParams, "drive")
     _require_positions(positions)
-    return _assemble(params, drive.delta, drive.delta_c, positions)
+    return drive.delta
 
 
 def build_linear_system(params: SystemParams, drive: DriveParams, positions=None) -> LinearSystem:
@@ -142,7 +144,7 @@ def build_linear_system(params: SystemParams, drive: DriveParams, positions=None
     (default: 0 .. n_atoms-1).
     """
     require_valid(params)
-    return LinearSystem(*_drive_system(params, drive, positions))
+    return LinearSystem(*_assemble(params, _drive_delta(drive, positions), positions))
 
 
 def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -177,9 +179,9 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=False):
+def _fold(params, delta, pos, gl, xi, jet=False, prefix=None, split=False):
     """r (a_in = 1) and the smallest |D| of the fold over the sorted sites ``pos``;
-    with ``jet`` also dr/d(delta) and d2r/d(delta)^2 along delta_c = delta.
+    with ``jet`` also dr/d(delta) and d2r/d(delta)^2.
 
     The rate ``gl`` is per point, and gr = 1 - gl.  ``prefix`` (not with ``split``)
     closes each point's chain after its own first ``prefix`` sites, 0 to n:
@@ -314,7 +316,7 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
                 np.copyto(wd_end, wd_on, where=at)
                 if jet:
                     np.copyto(jo_end, jo, where=at)
-        den = 1j * delta_c - params.kappa / 2.0 - 1j * o_end
+        den = 1j * delta - params.kappa / 2.0 - 1j * o_end
         a = -np.sqrt(params.kappa_wg) / den
         folded = [np.sqrt(params.kappa_wg) * a - 1.0, wd_end / np.abs(w)]
         if jet:
@@ -327,7 +329,7 @@ def _fold(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=Fal
     return folded
 
 
-def _contour_mean(params, index, delta, delta_c, pos, gl, xi, prefix, split) -> np.ndarray:
+def _contour_mean(params, index, delta, pos, gl, xi, prefix, split) -> np.ndarray:
     """(r, dr/d(delta), d2r/d(delta)^2) at the flagged flat ``index`` of a batch from
     the fold on a circle around each, as rows of a (3, points) array.
 
@@ -335,21 +337,21 @@ def _contour_mean(params, index, delta, delta_c, pos, gl, xi, prefix, split) -> 
     is folded once, and each index reads its row.  For passive parameters a
     real-axis singularity of r(delta) is removable: the undamped mode has no
     cavity component, so it is neither driven nor seen.  The trapezoidal mean
-    over delta + eps z_k, z_k = e^{2 pi i (k + 1/2)/K}, with delta_c shifted
-    alike, then converges geometrically to r.  The same samples give the
-    residue, mean eps z_k r_k, which must vanish to rounding; otherwise the
-    point raises SolverError under its flat index.  The Cauchy means
-    r' = mean r_k/(eps z_k), r'' = 2 mean r_k/(eps z_k)^2 follow.
+    over delta + eps z_k, z_k = e^{2 pi i (k + 1/2)/K}, then converges
+    geometrically to r.  The same samples give the residue, mean eps z_k r_k,
+    which must vanish to rounding; otherwise the point raises SolverError
+    under its flat index.  The Cauchy means r' = mean r_k/(eps z_k),
+    r'' = 2 mean r_k/(eps z_k)^2 follow.
     """
-    grid = np.broadcast_shapes(*map(np.shape, (delta, delta_c, gl, xi, prefix)))
+    grid = np.broadcast_shapes(*map(np.shape, (delta, gl, xi, prefix)))
     size = np.prod(grid[split:], dtype=int)  # points per row
     points, at = np.unique(index % size, return_inverse=True)
-    d, dc, gl, xi, cut = (  # a column per point, behind the split batch's row axis
+    d, gl, xi, cut = (  # a column per point, behind the split batch's row axis
         None if v is None else np.broadcast_to(v, grid).reshape(-1)[points][(None,) * split + (..., None)]
-        for v in (delta, delta_c, gl, xi, prefix)
+        for v in (delta, gl, xi, prefix)
     )
     shift = _EPS * np.exp(2j * np.pi * (np.arange(_K) + 0.5) / _K)
-    r = _fold(params, d + shift, dc + shift, pos, gl, xi, prefix=cut, split=split)[0]
+    r = _fold(params, d + shift, pos, gl, xi, prefix=cut, split=split)[0]
     r = r.reshape(-1, points.size, _K)[index // size, at]
     residue = np.abs(np.mean(shift * r, axis=-1))
     driven = ~(residue <= _RESIDUE_TOL * _EPS * np.max(np.abs(r), axis=-1))  # NaN is driven
@@ -361,10 +363,10 @@ def _contour_mean(params, index, delta, delta_c, pos, gl, xi, prefix, split) -> 
 
 
 def _reflection(
-    params: SystemParams, delta, delta_c=None, positions=None, gamma_L=None, xi=None,
+    params: SystemParams, delta, *, positions=None, gamma_L=None, xi=None,
     derivatives: bool = False, subsets: bool = False, prefix=None,
 ):
-    """r (a_in = 1) over the broadcast shape of the detunings, ``gamma_L``, ``xi``
+    """r (a_in = 1) over the broadcast shape of ``delta``, ``gamma_L``, ``xi``
     (default: from ``params``; gamma_R = 1 - gamma_L) and ``prefix``, each
     point's count of leading sorted sites: one fold reads out every prefix
     of the chain.  ``subsets=True`` prepends
@@ -376,17 +378,16 @@ def _reflection(
     the same point inside a batch.  Points with a non-finite fold or
     |D| <= 1/COND_MAX go to ``_contour_mean`` under their flat indices.
     ``derivatives=True`` (not with ``subsets``) adds dr/d(delta) and
-    d2r/d(delta)^2 along delta_c = delta.  No validation: callers check once.
+    d2r/d(delta)^2.  No validation: callers check once.
     """
     pos = np.sort(np.arange(params.n_atoms) if positions is None else positions).astype(float)
-    gl = params.gamma_L if gamma_L is None else gamma_L
-    axes = [delta, delta if delta_c is None else delta_c, gl, params.xi if xi is None else xi]
+    axes = [delta, params.gamma_L if gamma_L is None else gamma_L, params.xi if xi is None else xi]
     lead = (2**pos.size,) * subsets + np.broadcast_shapes(*map(np.shape, (*axes, prefix)))
     shape = lead or (1,)
     # every operand gets the batch's ndim: numpy multiplies a size-1 pair of
     # unequal ndims without FMA, and a batch of one would change its bits
-    d, dc, gl, x = (np.asarray(v, dtype=float)[(None,) * (len(shape) - np.ndim(v))] for v in axes)
-    fold = (d, dc, pos, gl, x)
+    d, gl, x = (np.asarray(v, dtype=float)[(None,) * (len(shape) - np.ndim(v))] for v in axes)
+    fold = (d, pos, gl, x)
     folded = _fold(params, *fold, derivatives, prefix, subsets)
     r, d_min, *jet = (np.broadcast_to(v, shape).flatten() for v in folded)
     index = np.flatnonzero(~np.isfinite(r) | (d_min <= 1.0 / COND_MAX))
@@ -414,8 +415,7 @@ def solve_steady_state(system: LinearSystem, params: SystemParams) -> SteadyStat
 def _steady_state_from(solution: np.ndarray, params: SystemParams, a_in) -> SteadyState:
     a = complex(solution[0])
     r = np.sqrt(params.kappa_wg) * a / a_in - 1.0
-    R = float(np.square(np.abs(r)))  # the formula of reflectivity, bit for bit
-    return SteadyState(a=a, sigma=solution[1:].copy(), r=complex(r), R=R)
+    return SteadyState(a=a, sigma=solution[1:].copy(), r=complex(r))
 
 
 def reflectivity(params: SystemParams, drive: DriveParams, positions=None) -> float:
@@ -428,9 +428,7 @@ def reflectivity(params: SystemParams, drive: DriveParams, positions=None) -> fl
 def reflection_amplitude(params: SystemParams, drive: DriveParams, positions=None) -> complex:
     """Complex reflection amplitude r for a single drive point: a batch of one."""
     require_valid(params)
-    require_params(drive, DriveParams, "drive")
-    _require_positions(positions)
-    return complex(_reflection(params, drive.delta, drive.delta_c, positions))
+    return complex(_reflection(params, _drive_delta(drive, positions), positions=positions))
 
 
 def reflectivity_batch(params: SystemParams, delta, gamma_L=None, xi=None, positions=None) -> np.ndarray:
@@ -478,7 +476,7 @@ def relax_time_domain(
     require_valid(replace(params, kappa_wg=1.0) if require_params(params).kappa_wg == 0 else params)
     if not (_number(t_max) and 0 < t_max < np.inf):
         raise ValidationError("t_max must be a finite positive number")
-    matrix, rhs = _drive_system(params, drive, positions)
+    matrix, rhs = _assemble(params, _drive_delta(drive, positions), positions)
     dim = matrix.shape[0]
     bound = float(np.max(np.sum(np.abs(matrix), axis=1)))  # Gershgorin bound
     h = 1.0 / bound if bound > 0 else 1.0

@@ -127,21 +127,39 @@ def _array(rows: list, columns) -> np.ndarray:
     return np.asarray(rows, dtype=float) if rows else np.zeros((0, len(columns)))
 
 
+def _floats(values, width: int, where: str) -> list[float]:
+    """``values`` as ``width`` floats; ValidationError naming ``where`` otherwise."""
+    try:
+        return [float(v) for _, v in zip(range(width), values, strict=True)]
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: {values!r} is not {width} numbers") from None
+
+
+def _read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``; ValidationError naming a file that is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+
+
 def parse_csv(text: str, name: str = "") -> DataTable:
-    """Invert :func:`render_csv` (to the emitted precision)."""
+    """Invert :func:`render_csv` (to the emitted precision); ValidationError
+    names the line of a row or feature row that does not parse."""
     meta: dict[str, str] = {}
     features: list[tuple[str, float, float, float]] = []
     columns: tuple[str, ...] | None = None
     rows: list[list[float]] = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("feature,"):
-                _, kind, d, v, w = body.split(",")
-                features.append((kind, float(d), float(v), float(w)))
+                _, kind, *values = body.split(",")
+                features.append((kind, *_floats(values, 3, f"feature line {number}")))
             elif "=" in body:
                 key, _, val = body.partition("=")
                 meta[key.strip()] = val.strip()
@@ -149,7 +167,7 @@ def parse_csv(text: str, name: str = "") -> DataTable:
         if columns is None:
             columns = tuple(line.split(","))
         else:
-            rows.append([float(tok) for tok in line.split(",")])
+            rows.append(_floats(line.split(","), len(columns), f"line {number}"))
     if columns is None:
         raise ValidationError("CSV text contains no header row")
     return DataTable(
@@ -162,19 +180,25 @@ def parse_csv(text: str, name: str = "") -> DataTable:
 
 
 def read_table(path) -> DataTable:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    """Read a table that :func:`write_table` wrote; ValidationError names the
+    file, and the line, row or key, of one that does not parse."""
+    text = _read_text(path)
     name = str(path).rsplit("/", 1)[-1]
-    if name.endswith(".json"):
+    if not name.endswith(".json"):
+        return parse_csv(text, name=name.removesuffix(".csv"))
+    try:
         payload = json.loads(text)
+        columns = tuple(payload["columns"])
+        rows = [_floats(row, len(columns), f"{name} row {k}") for k, row in enumerate(payload["rows"])]
         return DataTable(
             name=payload.get("name", name),
-            columns=tuple(payload["columns"]),
-            rows=_array(payload["rows"], payload["columns"]),
+            columns=columns,
+            rows=_array(rows, columns),
             meta={k: str(v) for k, v in payload.get("meta", {}).items()},
             features=tuple(
                 (f["kind"], f["delta"], f["value"], f["width"])
                 for f in payload.get("features", [])
             ),
         )
-    return parse_csv(text, name=name.removesuffix(".csv"))
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:  # it names the line, the key or the type
+        raise ValidationError(f"{name} is not a JSON table: {type(exc).__name__} {exc}") from None

@@ -42,9 +42,9 @@ def fold_shapes(monkeypatch):
     calls = []
     fold = solver._fold
 
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[1]))
-        return fold(*args, **kwargs)
+    def counted(params, delta, *args, **kwargs):
+        calls.append(np.shape(delta))
+        return fold(params, delta, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_fold", counted)
     return calls

@@ -515,9 +515,9 @@ class TestOneSolvePerPlannedDetuning:
         calls = []
         kernel = carving._reflection
 
-        def counting(*args, **kw):
-            calls.append(list(args[1]))
-            return kernel(*args, **kw)
+        def counting(params, delta, **kw):
+            calls.append(list(delta))
+            return kernel(params, delta, **kw)
 
         plan = plan_protocol(5, template(5))
         monkeypatch.setattr(carving, "_reflection", counting)
@@ -543,9 +543,9 @@ class TestOneSolvePerPlannedDetuning:
         calls = []
         fold = solver._fold
 
-        def recording(params, delta, *args):
-            calls.append((np.broadcast_shapes(np.shape(delta), np.shape(args[5])), args[6]))
-            return fold(params, delta, *args)
+        def recording(params, delta, pos, gl, xi, jet=False, prefix=None, split=False):
+            calls.append((np.broadcast_shapes(np.shape(delta), np.shape(prefix)), split))
+            return fold(params, delta, pos, gl, xi, jet, prefix, split)
 
         params = template(m, xi=xi)
         plan = plan_protocol(m, params)

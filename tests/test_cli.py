@@ -338,6 +338,15 @@ class TestOptionsCheckedBeforeWork:
         config.write_text(line + "\n")
         assert_single_error_line(["spectrum", "--config", str(config)], capsys)
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys, no_work):
+        # a Latin-1 comment: the byte 0xb5 does not start a UTF-8 sequence
+        config = tmp_path / "run.cfg"
+        config.write_bytes("n_atoms = 3  # 5 \u00b5m apart\n".encode("latin-1"))
+        assert main(["spectrum", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(config) in err
+
     @pytest.mark.parametrize("command", ["spectrum", "map", "carve"])
     def test_output_in_missing_directory(self, command, tmp_path, capsys, no_work):
         path = tmp_path / "missing" / "x.csv"

@@ -11,7 +11,9 @@ from chiralcav import (
     ProtocolPlan,
     QubitRegister,
     Spectrum,
+    SteadyState,
     ValidationError,
+    ValidationReport,
     build_linear_system,
     carving_measurement,
     component_reflection,
@@ -36,11 +38,22 @@ from chiralcav import (
     validate,
 )
 from chiralcav.params import require_valid
-from chiralcav.tables import DataTable, fmt, parse_csv, render_csv, render_json, write_table
+from chiralcav.tables import DataTable, fmt, parse_csv, read_table, render_csv, render_json, write_table
 from helpers import make_system
 
 TABLE = DataTable(name="demo", columns=("x",), rows=np.zeros((1, 1)))
 SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
+
+
+def read_back(tmp, name, text):
+    """read_table of ``text`` (str or bytes) in the file ``name``, which is removed
+    again: the table's test checks that no file is left behind."""
+    path = tmp / name
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    try:
+        return read_table(path)
+    finally:
+        path.unlink()
 
 
 @pytest.mark.parametrize(
@@ -51,6 +64,15 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         lambda tmp: reference_values(C=-1.0, kappa_wg=100.0, kappa=400.0),
         lambda tmp: write_table(TABLE, tmp / "demo.xml", "xml"),
         lambda tmp: parse_csv("# only = meta\n"),
+        lambda tmp: parse_csv("a,b\n1,x\n"),
+        lambda tmp: parse_csv("a\n1\n# feature,dip,0.5,0.1\n"),
+        lambda tmp: parse_csv("a,b\n1,2\n3,4,5\n"),
+        lambda tmp: parse_csv("a,b\n1\n"),
+        lambda tmp: read_back(tmp, "demo.json", '{"name": "demo", "rows": [[1.0]]}'),
+        lambda tmp: read_back(tmp, "demo.json", "a,b\n1,2\n"),
+        lambda tmp: read_back(tmp, "demo.json", "[1, 2]"),
+        lambda tmp: read_back(tmp, "demo.json", '{"columns": ["a", "b"], "rows": [[1.0, 2.0], [3.0]]}'),
+        lambda tmp: read_back(tmp, "demo.csv", b"# note = \xb5m\na\n1\n"),
         lambda tmp: QubitRegister(m=2, amplitudes=[1, 0, 0]),
         lambda tmp: QubitRegister(m=2, amplitudes=[1, 0, np.nan, 0]),
         lambda tmp: QubitRegister(m=1, amplitudes=[1, np.inf]),
@@ -132,7 +154,6 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         lambda tmp: DriveParams(delta=0.1j),
         lambda tmp: DriveParams(delta="a"),
         lambda tmp: DriveParams(delta=None),
-        lambda tmp: DriveParams(delta=0.1, delta_c=0.1j, unlock_delta_c=True),
         lambda tmp: sweep_delta(make_system(), 1j, 2.0, 10),
         lambda tmp: sweep_delta(make_system(), "0", 2.0, 10),
         lambda tmp: sweep_delta(make_system(), [0.0], [2.0], 10),
@@ -201,6 +222,15 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         "reference-values",
         "write-format",
         "parse-header",
+        "csv-cell-not-a-number",
+        "csv-feature-3-fields",
+        "csv-ragged",
+        "csv-row-short",
+        "json-no-columns",
+        "json-not-json",
+        "json-not-an-object",
+        "json-ragged",
+        "table-not-utf8",
         "register-list-length",
         "register-nan",
         "register-inf",
@@ -281,7 +311,6 @@ SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
         "drive-delta-complex",
         "drive-delta-string",
         "drive-delta-none",
-        "drive-delta-c-complex",
         "sweep-delta-min-complex",
         "sweep-delta-min-string",
         "sweep-delta-bounds-arrays",
@@ -372,10 +401,20 @@ def test_no_tuning_knob(func, name):
 
 
 @pytest.mark.parametrize(
-    "cls, name", [(DriveParams, "a_in"), (ProtocolPlan, "target"), (Spectrum, "features")]
+    "cls, name",
+    [
+        (DriveParams, "a_in"),
+        (DriveParams, "delta_c"),
+        (DriveParams, "unlock_delta_c"),
+        (ProtocolPlan, "target"),
+        (Spectrum, "features"),
+        (ValidationReport, "ok"),
+        (SteadyState, "R"),
+    ],
 )
 def test_no_field_the_library_determines(cls, name):
-    # the unit drive, the register size and find_features fix these values
+    # the unit drive, the cavity lock, the register size, find_features, the
+    # violations and r fix these values
     assert name not in [field.name for field in dataclasses.fields(cls)]
 
 
@@ -429,7 +468,7 @@ def test_real_inputs_keep_their_values():
     assert validate(params).ok
     assert (params.gamma_L, params.gamma_R, params.g) == (0.8, 1.0 - 0.8, 20)
     drive = DriveParams(delta=np.array(0.25))
-    assert drive.delta == drive.delta_c == 0.25
+    assert drive.delta == 0.25
     R = reflectivity_batch(params, np.array([-1.0, 0.0, 1.0]), gamma_L=np.array([[0.0], [1.0]]))
     same = reflectivity_batch(params, [-1, 0, 1], gamma_L=[[False], [True]])
     assert R.view(np.uint64).tolist() == same.view(np.uint64).tolist()

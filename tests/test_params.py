@@ -74,30 +74,7 @@ class TestSystemParams:
 
 
 class TestDriveParams:
-    def test_default_locks_cavity_detuning(self):
-        drive = DriveParams(delta=0.7)
-        assert drive.delta_c == 0.7
-
-    def test_explicit_equal_detuning_ok(self):
-        assert DriveParams(delta=0.3, delta_c=0.3).delta_c == 0.3
-
-    def test_decoupling_requires_flag(self):
-        with pytest.raises(ValidationError):
-            DriveParams(delta=0.3, delta_c=0.1)
-        drive = DriveParams(delta=0.3, delta_c=0.1, unlock_delta_c=True)
-        assert drive.delta_c == 0.1
-
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            dict(delta=math.nan),
-            dict(delta=math.inf),
-            dict(delta=0.0, delta_c=math.nan, unlock_delta_c=True),
-            dict(delta=0.0, delta_c=-math.inf, unlock_delta_c=True),
-            dict(delta=-math.inf),
-            dict(delta=0.0, delta_c=math.inf, unlock_delta_c=True),
-        ],
-    )
+    @pytest.mark.parametrize("kw", [dict(delta=math.nan), dict(delta=math.inf), dict(delta=-math.inf)])
     def test_non_finite_drive_rejected(self, kw):
         with pytest.raises(ValidationError, match="must be finite"):
             DriveParams(**kw)

@@ -72,14 +72,14 @@ def test_pi_periodicity_in_xi(params, delta):
 
 
 @DERANDOMIZED
-@given(systems(), detuning, detuning, st.integers(0, 2**6 - 1))
-def test_detunings_enter_only_the_diagonal(params, delta, delta_c, mask_bits):
+@given(systems(), detuning, st.integers(0, 2**6 - 1))
+def test_detunings_enter_only_the_diagonal(params, delta, mask_bits):
     # the dense oracle of a carving mask: the coupled atoms on their sites
     sites = [k for k in range(params.n_atoms) if (mask_bits >> k) & 1]
     sub = replace(params, n_atoms=len(sites))
-    base, _ = solver._assemble(sub, 0.0, 0.0, positions=sites)
-    shifted, _ = solver._assemble(sub, delta, delta_c, positions=sites)
-    expected = np.diag(np.array([1j * delta_c] + [1j * delta] * len(sites)))
+    base, _ = solver._assemble(sub, 0.0, positions=sites)
+    shifted, _ = solver._assemble(sub, delta, positions=sites)
+    expected = np.diag(np.full(len(sites) + 1, 1j * delta))
     assert np.array_equal(shifted - base, expected)
 
 
@@ -94,29 +94,29 @@ def folded_systems(draw):
 
 
 @settings(DERANDOMIZED, max_examples=200)
-@given(folded_systems(), detuning, st.one_of(st.none(), detuning))
-def test_fold_matches_dense_oracle(system, delta, delta_c):
+@given(folded_systems(), detuning)
+def test_fold_matches_dense_oracle(system, delta):
     # the mask's row of the subset batch against the dense solve of the coupled atoms alone
     params, sites, mask = system
-    subsets = solver._reflection(params, delta, delta_c, positions=sites, subsets=True)
+    subsets = solver._reflection(params, delta, positions=sites, subsets=True)
     r = subsets[sum(int(b) << k for k, b in enumerate(mask[np.argsort(sites)][::-1]))]
-    drive = DriveParams(delta=delta, delta_c=delta_c, unlock_delta_c=True)
+    drive = DriveParams(delta=delta)
     sub = replace(params, n_atoms=int(mask.sum()))
     dense = build_linear_system(sub, drive, positions=sites[mask])
     assert abs(r - solve_steady_state(dense, sub).r) <= 1e-10
 
 
 @settings(DERANDOMIZED, max_examples=200)
-@given(folded_systems(), detuning, detuning)
-def test_uncoupled_atoms_are_one_atom_with_coupling_g_sqrt_n(system, delta, delta_c):
+@given(folded_systems(), detuning)
+def test_uncoupled_atoms_are_one_atom_with_coupling_g_sqrt_n(system, delta):
     # with no atom-atom block each atom adds i g^2 / w to the cavity self-energy,
     # whatever its site or xi: the N-atom matrix with that block zeroed is one atom at g sqrt(N)
     params, sites, _ = system
-    matrix, rhs = solver._assemble(params, delta, delta_c, positions=sites)
+    matrix, rhs = solver._assemble(params, delta, positions=sites)
     matrix[1:, 1:] = np.diag(np.diag(matrix)[1:])
     dense = math.sqrt(params.kappa_wg) * solver._solve(matrix, rhs)[0] - 1.0
     one = replace(params, n_atoms=1, g=params.g * math.sqrt(params.n_atoms))
-    assert abs(solver._reflection(one, delta, delta_c) - dense) <= 1e-12
+    assert abs(solver._reflection(one, delta) - dense) <= 1e-12
 
 
 @settings(DERANDOMIZED, max_examples=200)
@@ -124,7 +124,7 @@ def test_uncoupled_atoms_are_one_atom_with_coupling_g_sqrt_n(system, delta, delt
 # gamma_L = 1 at every point takes the cascaded update; xi = 0.7 keeps the phases off 1
 @example(make_system(n=8, gamma_L=1.0, xi=0.7), 0.3)
 def test_jet_matches_dense_oracle(params, delta):
-    # dr/d(delta) and d2r/d(delta)^2 along delta_c = delta against two more dense solves
+    # dr/d(delta) and d2r/d(delta)^2 against two more dense solves
     r, r1, r2 = solver._reflection(params, delta, derivatives=True)
     _, e1, e2 = dense_jet(params, delta)
     assert bits(r) == bits(solver._reflection(params, delta))

@@ -217,14 +217,15 @@ def fold_points(fold):
     """``solver._fold`` one point at a time, each a batch of one of the batch's ndim
     (a split batch keeps its rows); scalar operands stay scalars."""
 
-    def folded(params, delta, delta_c, pos, gl, xi, jet=False, prefix=None, split=False):
-        operands = (delta, delta_c, gl, xi, prefix)
+    def folded(params, delta, pos, gl, xi, jet=False, prefix=None, split=False):
+        operands = (delta, gl, xi, prefix)
         shape = np.broadcast_shapes(*(np.shape(v) for v in operands if v is not None))
         results = None
         for index in np.ndindex(shape[split:]):
             at = (slice(None),) * split + tuple(slice(i, i + 1) for i in index)
             point = [v if np.ndim(v) == 0 else np.broadcast_to(v, shape)[at] for v in operands]
-            values = fold(params, *point[:2], pos, *point[2:4], jet, point[4], split)
+            delta_k, gl_k, xi_k, prefix_k = point
+            values = fold(params, delta_k, pos, gl_k, xi_k, jet, prefix_k, split)
             if results is None:
                 results = [np.empty(np.shape(v)[:split] + shape[split:], np.result_type(v)) for v in values]
             for result, value in zip(results, values):
