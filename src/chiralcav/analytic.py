@@ -17,10 +17,19 @@ from .errors import PoleError, ValidationError
 from .params import SystemParams, _number, require_params
 
 
+def _require_passive(kappa_wg, kappa_sc) -> None:
+    """ValidationError unless both cavity rates are real numbers >= 0: a negative
+    rate is gain.  Zero rates are legal, so that the closed forms reach their poles."""
+    if not all(_number(v) and v >= 0 for v in (kappa_wg, kappa_sc)):  # NaN fails too
+        raise ValidationError("kappa_wg and kappa_sc must be real numbers >= 0")
+
+
 def r_no_atoms(delta: float, kappa_wg: float, kappa_sc: float) -> complex:
-    """Empty-cavity reflection amplitude r = kappa_wg / (kappa/2 - i delta) - 1."""
+    """Empty-cavity reflection amplitude r = kappa_wg / (kappa/2 - i delta) - 1,
+    for kappa_wg, kappa_sc >= 0."""
     if not all(_number(v) and math.isfinite(v) for v in (delta, kappa_wg, kappa_sc)):
         raise ValidationError("delta, kappa_wg and kappa_sc must be finite real numbers")
+    _require_passive(kappa_wg, kappa_sc)
     kappa = kappa_wg + kappa_sc
     denom = kappa / 2.0 - 1j * delta
     if denom == 0:
@@ -29,7 +38,8 @@ def r_no_atoms(delta: float, kappa_wg: float, kappa_sc: float) -> complex:
 
 
 def r_two_atoms(delta: float, params: SystemParams) -> complex:
-    """Two-atom chiral reflection amplitude in closed form.
+    """Two-atom chiral reflection amplitude in closed form, for
+    ``params.n_atoms`` = 2 and kappa_wg, kappa_sc >= 0.
 
     Solves  kappa_wg / (r + 1) = (kappa/2 - i delta)
               - g^2 [2 (i delta - 1/2) + (e^{2 i xi} gamma_L + gamma_R)]
@@ -44,7 +54,9 @@ def r_two_atoms(delta: float, params: SystemParams) -> complex:
     """
     if not (_number(delta) and math.isfinite(delta)):
         raise ValidationError("delta must be a finite real number")
-    require_params(params)
+    if require_params(params).n_atoms != 2:
+        raise ValidationError(f"r_two_atoms takes n_atoms = 2, not {params.n_atoms!r}")
+    _require_passive(params.kappa_wg, params.kappa_sc)
     d_at = 1j * delta - 0.5
     e2 = cmath.exp(2j * params.xi)
     bracket = d_at * d_at - e2 * params.gamma_L * params.gamma_R

@@ -35,7 +35,7 @@ from .errors import ProtocolExtinguishedError, ValidationError
 from .params import (
     DriveParams, SystemParams, _number, _real, require_count, require_params, require_real, require_valid,
 )
-from .solver import _reflection, reflection_amplitude
+from .solver import _reflection
 from .spectrum import _dips
 
 #: dense 2^M state vectors only; the protocol targets small registers
@@ -201,9 +201,9 @@ def component_reflection(bits: str, params_template: SystemParams, delta: float)
     the doubled batch that :func:`carving_measurement` solves.
     """
     sites = [i for i, b in enumerate(_require_bits(bits)) if b == "1"]
-    return reflection_amplitude(
-        params_template, DriveParams(delta=delta), positions=np.array(sites, dtype=float)
-    )
+    drive = DriveParams(delta=delta)
+    require_valid(params_template)
+    return complex(_reflection(params_template, drive.delta, positions=np.array(sites, dtype=float)))
 
 
 def carving_measurement(

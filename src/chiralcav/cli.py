@@ -39,7 +39,6 @@ _SYSTEM_OPTIONS = {
     "g": ("--g", float, 20.0, "atom-photon coupling (units of gamma)"),
     "kappa_wg": ("--kappa-wg", float, 100.0, "cavity decay to the waveguide"),
     "kappa_sc": ("--kappa-sc", float, 300.0, "cavity scattering loss"),
-    "gamma_mhz": ("--gamma-mhz", float, None, "optional display scale for gamma"),
 }
 
 _OUTPUT_OPTIONS = {
@@ -56,7 +55,6 @@ _COMMAND_OPTIONS: dict[str, dict[str, tuple[str, type, object, str]]] = {
         "delta_min": ("--delta-min", float, -3.0, "lower edge of the detuning grid"),
         "delta_max": ("--delta-max", float, 3.0, "upper edge of the detuning grid"),
         "points": ("--points", int, spectrum.DIP_POINTS, "number of grid points"),
-        "prominence": ("--prominence", float, spectrum.PROMINENCE_MIN, "feature prominence threshold"),
     },
     "map": {
         **_SYSTEM_OPTIONS,
@@ -137,8 +135,6 @@ def _merge_options(args: argparse.Namespace, command: str) -> dict:
     for key in ("delta_min", "delta_max", "xi_min", "xi_max", "gamma_l_min", "gamma_l_max"):
         if key in merged and not math.isfinite(merged[key]):
             raise ValidationError(f"{key} must be finite")
-    if "prominence" in merged and not merged["prominence"] >= 0:  # NaN fails too
-        raise ValidationError("prominence must be >= 0")
     # paths: the output file's directory must exist; repro creates its
     # outdir, so the nearest existing ancestor must be a directory
     if merged.get("output"):
@@ -162,7 +158,6 @@ def _system_params(opt: dict, n_atoms: int) -> SystemParams:
         kappa_wg=opt["kappa_wg"],
         kappa_sc=opt["kappa_sc"],
         xi=opt["xi"],
-        gamma_mhz=opt["gamma_mhz"],
     )
 
 
@@ -188,7 +183,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     opt = _merge_options(args, "spectrum")
     params = require_valid(_system_params(opt, opt["n_atoms"]))
     spec = spectrum.sweep_delta(params, opt["delta_min"], opt["delta_max"], opt["points"])
-    features = spectrum.find_features(spec, opt["prominence"])
+    features = spectrum.find_features(spec)
     _emit(spectrum.spectrum_table(spec, "spectrum", "spectrum", features), opt)
     return 0
 

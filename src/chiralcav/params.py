@@ -2,10 +2,10 @@
 
 All rates are expressed in units of the total single-atom decay rate
 gamma = gamma_L + gamma_R = 1, so chirality has one degree of freedom:
-``gamma_L`` is the input and gamma_R = 1 - gamma_L is derived.  The
-optional ``gamma_mhz`` field is a display scale only and never enters any
-calculation.  Atoms sit on an equidistant lattice x_mu = (mu - 1) d with
-the dimensionless phase ``xi`` accumulated per lattice spacing.
+``gamma_L`` is the input and gamma_R = 1 - gamma_L is derived, and no
+physical scale of gamma is stored.  Atoms sit on an equidistant lattice
+x_mu = (mu - 1) d with the dimensionless phase ``xi`` accumulated per
+lattice spacing.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class SystemParams:
     kappa_wg: float
     kappa_sc: float
     xi: float
-    gamma_mhz: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("xi", "gamma_L"):
@@ -138,8 +137,6 @@ def validate(params: SystemParams) -> ValidationReport:
     violations: list[str] = []
     if not _integral(params.n_atoms) or params.n_atoms < 0:
         violations.append("n_atoms must be a nonnegative integer")
-    if params.gamma_mhz is not None and not (_number(params.gamma_mhz) and 0 < params.gamma_mhz < math.inf):
-        violations.append("gamma_mhz must be a finite positive number")
     unreal = [f"{name} must be a real number" for name in _FIELDS if not _number(getattr(params, name))]
     if unreal:  # the rules below compare numbers
         return ValidationReport((*violations, *unreal))

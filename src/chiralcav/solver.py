@@ -63,7 +63,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SolverError, ValidationError
-from .params import DriveParams, SystemParams, _number, require_params, require_real, require_valid
+from .params import DriveParams, SystemParams, require_params, require_real, require_valid
 
 #: a fold point whose smallest Fabry-Perot denominator |D| is at most
 #: 1/COND_MAX takes the dark-point rule
@@ -73,8 +73,9 @@ COND_MAX = 1e12
 #: on |residue| / (eps max |r_k|), far above rounding and far below a pole
 _K, _EPS, _RESIDUE_TOL = 8, 1e-3, 1e-14
 
-#: relative state change across a doubled horizon at which relaxation stops
-RELAX_TOL = 1e-9
+#: relative state change across a doubled horizon at which relaxation stops,
+#: and the horizon (units of 1/gamma) past which it raises SolverError
+RELAX_TOL, RELAX_T_MAX = 1e-9, 1e8
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def _require_positions(positions) -> None:
         raise ValidationError("positions must be distinct")
 
 
-def _drive_delta(drive: DriveParams, positions) -> float:
+def _drive_delta(drive: DriveParams, positions=None) -> float:
     """``drive.delta``, all that a drive sets, after checking ``drive`` and ``positions``."""
     require_params(drive, DriveParams, "drive")
     _require_positions(positions)
@@ -418,20 +419,20 @@ def _steady_state_from(solution: np.ndarray, params: SystemParams, a_in) -> Stea
     return SteadyState(a=a, sigma=solution[1:].copy(), r=complex(r))
 
 
-def reflectivity(params: SystemParams, drive: DriveParams, positions=None) -> float:
+def reflectivity(params: SystemParams, drive: DriveParams) -> float:
     """Reflectivity R = |r|^2 for a single drive point, bit for bit the
     value :func:`reflectivity_batch` gives there."""
-    r = reflection_amplitude(params, drive, positions)
+    r = reflection_amplitude(params, drive)
     return float(np.square(np.abs(r)))
 
 
-def reflection_amplitude(params: SystemParams, drive: DriveParams, positions=None) -> complex:
+def reflection_amplitude(params: SystemParams, drive: DriveParams) -> complex:
     """Complex reflection amplitude r for a single drive point: a batch of one."""
     require_valid(params)
-    return complex(_reflection(params, _drive_delta(drive, positions), positions=positions))
+    return complex(_reflection(params, _drive_delta(drive)))
 
 
-def reflectivity_batch(params: SystemParams, delta, gamma_L=None, xi=None, positions=None) -> np.ndarray:
+def reflectivity_batch(params: SystemParams, delta, gamma_L=None, xi=None) -> np.ndarray:
     """R over broadcastable arrays of (delta, gamma_L, xi), delta_c locked.
 
     Sweep points are solved as one batch with results in grid order, with
@@ -440,7 +441,6 @@ def reflectivity_batch(params: SystemParams, delta, gamma_L=None, xi=None, posit
     batch of any size (``**`` on a numpy scalar rounds through ``pow``).
     """
     require_valid(params)
-    _require_positions(positions)
     delta = require_real("delta", delta)
     gamma_L, xi = (None if v is None else require_real(name, v) for name, v in (("gamma_L", gamma_L), ("xi", xi)))
     if gamma_L is not None and not np.all((gamma_L >= 0.0) & (gamma_L <= 1.0)):
@@ -449,12 +449,10 @@ def reflectivity_batch(params: SystemParams, delta, gamma_L=None, xi=None, posit
         np.broadcast_shapes(*map(np.shape, (delta, gamma_L, xi)))
     except ValueError:
         raise ValidationError("delta, gamma_L and xi must broadcast together") from None
-    return np.square(np.abs(_reflection(params, delta, positions=positions, gamma_L=gamma_L, xi=xi)))
+    return np.square(np.abs(_reflection(params, delta, gamma_L=gamma_L, xi=xi)))
 
 
-def relax_time_domain(
-    params: SystemParams, drive: DriveParams, t_max: float = 1e8, positions=None
-) -> SteadyState:
+def relax_time_domain(params: SystemParams, drive: DriveParams, *, positions=None) -> SteadyState:
     """Steady state by integrating the equations of motion from vacuum.
 
     Verification oracle independent of the linear-algebra solve path:
@@ -468,14 +466,13 @@ def relax_time_domain(
 
     The unit drive a_in = 1 is marched: the march ends when the state
     change across a doubled horizon drops below ``RELAX_TOL`` (relative
-    above norm 1) while decaying; failure to converge within ``t_max``
-    (finite, > 0) raises SolverError with the residual.
+    above norm 1) while decaying; failure to converge within ``RELAX_T_MAX``
+    raises SolverError with the residual.  ``positions`` selects atom sites
+    as in :func:`build_linear_system`.
     Parameters must pass :func:`require_valid`, except that the oracle
     also takes the closed cavity kappa_wg = 0 (nothing drives it, r = -1).
     """
     require_valid(replace(params, kappa_wg=1.0) if require_params(params).kappa_wg == 0 else params)
-    if not (_number(t_max) and 0 < t_max < np.inf):
-        raise ValidationError("t_max must be a finite positive number")
     matrix, rhs = _assemble(params, _drive_delta(drive, positions), positions)
     dim = matrix.shape[0]
     bound = float(np.max(np.sum(np.abs(matrix), axis=1)))  # Gershgorin bound
@@ -495,7 +492,7 @@ def relax_time_domain(
     state = offset  # state after one step from v = 0
     horizon = h
     change_prev = np.inf
-    while horizon <= t_max:
+    while horizon <= RELAX_T_MAX:
         state_next = propagator @ state + state  # state after 2*horizon
         change = float(np.linalg.norm(state_next - state))
         if change < RELAX_TOL * max(1.0, float(np.linalg.norm(state_next))) and (
@@ -508,7 +505,7 @@ def relax_time_domain(
         horizon *= 2.0
     residual = np.linalg.norm(matrix @ state - rhs)
     raise SolverError(
-        f"relaxation did not converge within t_max={t_max:g} "
+        f"relaxation did not converge within RELAX_T_MAX={RELAX_T_MAX:g} "
         f"(state change {change_prev:.3e}, residual {residual:.3e}) "
         f"for params={params}, drive={drive}"
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DipNotFoundError, ValidationError
 from .params import (
-    SystemParams, _number, _real, cooperativity, require_count, require_params, require_real, require_valid,
+    SystemParams, _real, cooperativity, require_count, require_params, require_real, require_valid,
 )
 # ``reflectivity`` is unused here but stays a module attribute: the benchmark
 # tracer wraps spectrum.reflectivity, and its self-test removes and restores it
@@ -30,8 +30,8 @@ from .tables import DataTable, fmt
 DIP_SPAN = 3.0
 DIP_POINTS = 4001
 
-#: default minimum prominence in R separating real interference dips
-#: from floating-point ripple
+#: minimum prominence in R separating real interference dips from
+#: floating-point ripple
 PROMINENCE_MIN = 1e-3
 
 #: |delta| tolerance of the extremum refinement, units of gamma: a Newton
@@ -172,11 +172,11 @@ def _newton(params, x, lo, hi, sign, level, order: int, tol: float, prefix=None)
     return x, R
 
 
-def _extrema(params, deltas, values, signs, prominence_min: float, prefix=None):
+def _extrema(params, deltas, values, signs, prefix=None):
     """Dips (sign +1) and peaks (sign -1) of each sampled curve ``values[j]`` (of the
     ``prefix[j]``-site chain, if given), in the order of (j, ``signs``), refined together
     on the continuous curves: (curve, index, sign, prominence, delta, value) arrays."""
-    found = [(j, s, *_peaks(-s * row, prominence_min)) for j, row in enumerate(values) for s in signs]
+    found = [(j, s, *_peaks(-s * row, PROMINENCE_MIN)) for j, row in enumerate(values) for s in signs]
     curve, sign, index, prominence = (
         np.concatenate([np.broadcast_to(f[i], f[2].shape) for f in found]) for i in range(4)
     )
@@ -221,8 +221,8 @@ def _widths(spec: Spectrum, index, delta, value, half, sign) -> np.ndarray:
     return upper - lower
 
 
-def find_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> tuple[Feature, ...]:
-    """Locate and refine all dips and peaks above ``prominence_min`` >= 0.
+def find_features(spec: Spectrum) -> tuple[Feature, ...]:
+    """Locate and refine all dips and peaks above ``PROMINENCE_MIN``.
 
     Grid candidates come from topographic prominence on the sampled
     curve; all of them are then refined together by safeguarded Newton
@@ -234,12 +234,10 @@ def find_features(spec: Spectrum, prominence_min: float = PROMINENCE_MIN) -> tup
     """
     if require_params(spec, Spectrum, "spec").deltas.size == 0:
         raise ValidationError("empty spectrum")
-    if not (_number(prominence_min) and prominence_min >= 0):  # NaN fails too
-        raise ValidationError(f"prominence_min must be a real number >= 0, got {prominence_min!r}")
     require_valid(spec.params)
     if (bad := np.flatnonzero(~np.isfinite(spec.values))).size:
         raise ValidationError(f"spectrum value {spec.values[bad[0]]} at index {bad[0]} is not finite")
-    found = _extrema(spec.params, spec.deltas, spec.values[None], (1.0, -1.0), prominence_min)
+    found = _extrema(spec.params, spec.deltas, spec.values[None], (1.0, -1.0))
     _, index, sign, prominence, delta, value = found
     width = _widths(spec, index, delta, value, prominence / 2.0, sign)
     features = [
@@ -258,7 +256,7 @@ def _dips(params: SystemParams, counts) -> list:
     chain, counts = replace(params, n_atoms=max(counts)), np.asarray(counts)
     deltas = np.linspace(-DIP_SPAN, DIP_SPAN, DIP_POINTS)
     values = np.square(np.abs(_reflection(chain, deltas, prefix=counts[:, None])))
-    curve, *_, delta, value = _extrema(chain, deltas, values, (1.0,), PROMINENCE_MIN, counts)
+    curve, *_, delta, value = _extrema(chain, deltas, values, (1.0,), counts)
     order = np.lexsort((delta, curve))  # by count, then ascending delta, ties in found order
     dips = np.split(order, np.searchsorted(curve[order], np.arange(1, counts.size)))
     if missing := [n for n, mine in zip(counts.tolist(), dips) if not mine.size]:
@@ -299,8 +297,6 @@ def table_meta(params: SystemParams, dataset: str, curve: str, **extra) -> dict[
         "xi": fmt(params.xi),
         "cooperativity": fmt(cooperativity(params)) if params.kappa > 0 else "nan",
     }
-    if params.gamma_mhz is not None:
-        meta["gamma_mhz"] = fmt(params.gamma_mhz)
     meta.update({k: str(v) for k, v in extra.items()})
     return meta
 

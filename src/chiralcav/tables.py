@@ -48,7 +48,16 @@ def fmt(value: float, digits: int = DEFAULT_DIGITS) -> str:
     return format(float(value), f".{require_count('digits', digits, 1)}g")
 
 
-def _row_texts(rows, token) -> list[str]:
+def _rows(table: DataTable) -> np.ndarray:
+    """``table.rows`` as a 2-D float array; ValidationError unless each row has
+    one cell per column, so that the rendered text reads back."""
+    rows = np.atleast_2d(np.asarray(table.rows, dtype=float))
+    if rows.ndim != 2 or rows.shape[1] != len(table.columns):
+        raise ValidationError(f"table {table.name!r}: rows of shape {rows.shape} under {len(table.columns)} columns")
+    return rows
+
+
+def _row_texts(rows: np.ndarray, token) -> list[str]:
     """The text of each row of ``rows``: ``token(value)`` of its cells, joined by ','.
 
     Each distinct value of the table is formatted once and its text is
@@ -59,7 +68,6 @@ def _row_texts(rows, token) -> list[str]:
     flattened column by column, so that a map's grid columns reach the
     sort in sorted runs.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
     distinct, inverse = np.unique(rows.T.view(np.uint64), return_inverse=True)
     texts = np.array([token(v) for v in distinct.view(float).tolist()], dtype=object)
     columns = [texts[cells].tolist() for cells in inverse.reshape(rows.shape[::-1])]
@@ -67,11 +75,11 @@ def _row_texts(rows, token) -> list[str]:
 
 
 def render_csv(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
-    require_params(table, DataTable, "table")
+    rows = _rows(require_params(table, DataTable, "table"))
     number = f"%.{require_count('digits', digits, 1)}g"  # fmt's format, checked once
     lines = [f"# {key} = {val}" for key, val in table.meta.items()]
     lines.append(",".join(table.columns))
-    lines.extend(_row_texts(table.rows, number.__mod__))
+    lines.extend(_row_texts(rows, number.__mod__))
     lines.extend(
         f"# feature,{kind},{number % delta},{number % value},{number % width}"
         for kind, delta, value, width in table.features
@@ -80,7 +88,7 @@ def render_csv(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
 
 
 def render_json(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
-    require_params(table, DataTable, "table")
+    rows = _rows(require_params(table, DataTable, "table"))
     number = f"%.{require_count('digits', digits, 1)}g"  # fmt's format, checked once
 
     def token(value: float) -> str:
@@ -105,8 +113,8 @@ def render_json(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
     }
     # sort_keys puts "rows" last: its null is the tail, and the row texts go there
     head = json.dumps(payload, indent=None, sort_keys=True, separators=(",", ":"))
-    rows = _row_texts(table.rows, token)
-    body = "[[" + "],[".join(rows) + "]]" if rows else "[]"
+    texts = _row_texts(rows, token)
+    body = "[[" + "],[".join(texts) + "]]" if texts else "[]"
     return head[: -len("null}")] + body + "}\n"
 
 
@@ -131,7 +139,7 @@ def _floats(values, width: int, where: str) -> list[float]:
     """``values`` as ``width`` floats; ValidationError naming ``where`` otherwise."""
     try:
         return [float(v) for _, v in zip(range(width), values, strict=True)]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # a JSON integer can overflow a float
         raise ValidationError(f"{where}: {values!r} is not {width} numbers") from None
 
 
@@ -179,26 +187,50 @@ def parse_csv(text: str, name: str = "") -> DataTable:
     )
 
 
+def _json_numbers(values, width: int, where: str) -> list[float]:
+    """``values`` as ``width`` floats; ValidationError naming ``where`` unless
+    it is a JSON list of numbers (not strings, which ``float`` would read)."""
+    if not (isinstance(values, list) and all(map(_number, values))):
+        raise ValidationError(f"{where}: {values!r} is not {width} numbers")
+    return _floats(values, width, where)
+
+
+def _json_table(payload, name: str) -> DataTable:
+    """The table of a parsed JSON ``payload``; ValidationError naming ``name``
+    and the key, row or feature that does not fit."""
+    if not (isinstance(payload, dict) and "columns" in payload and "rows" in payload):
+        raise ValidationError(f"{name} is not a JSON table: an object with 'columns' and 'rows'")
+    for key, kind in (("columns", list), ("rows", list), ("meta", dict), ("features", list)):
+        if not isinstance(payload.setdefault(key, kind()), kind):
+            raise ValidationError(f"{name} key {key!r}: {payload[key]!r} is not a JSON {kind.__name__}")
+    columns = tuple(payload["columns"])
+    if not all(isinstance(c, str) for c in columns):
+        raise ValidationError(f"{name} key 'columns': {payload['columns']!r} is not a list of strings")
+    rows = [_json_numbers(row, len(columns), f"{name} row {k}") for k, row in enumerate(payload["rows"])]
+    features = []
+    for k, f in enumerate(payload["features"]):
+        if not (isinstance(f, dict) and isinstance(f.get("kind"), str)):
+            raise ValidationError(f"{name} feature {k}: {f!r} has no kind")
+        values = [f.get(key) for key in ("delta", "value", "width")]
+        features.append((f["kind"], *_json_numbers(values, 3, f"{name} feature {k}")))
+    return DataTable(
+        name=payload.get("name", name),
+        columns=columns,
+        rows=_array(rows, columns),
+        meta={k: str(v) for k, v in payload["meta"].items()},
+        features=tuple(features),
+    )
+
+
 def read_table(path) -> DataTable:
     """Read a table that :func:`write_table` wrote; ValidationError names the
-    file, and the line, row or key, of one that does not parse."""
+    file, and the line, row, feature or key, of one that does not parse."""
     text = _read_text(path)
     name = str(path).rsplit("/", 1)[-1]
     if not name.endswith(".json"):
         return parse_csv(text, name=name.removesuffix(".csv"))
     try:
         payload = json.loads(text)
-        columns = tuple(payload["columns"])
-        rows = [_floats(row, len(columns), f"{name} row {k}") for k, row in enumerate(payload["rows"])]
-        return DataTable(
-            name=payload.get("name", name),
-            columns=columns,
-            rows=_array(rows, columns),
-            meta={k: str(v) for k, v in payload.get("meta", {}).items()},
-            features=tuple(
-                (f["kind"], f["delta"], f["value"], f["width"])
-                for f in payload.get("features", [])
-            ),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:  # it names the line, the key or the type
-        raise ValidationError(f"{name} is not a JSON table: {type(exc).__name__} {exc}") from None
+    except json.JSONDecodeError as exc:  # it names the line and column
+        raise ValidationError(f"{name} is not a JSON table: {exc}") from None
+    return _json_table(payload, name)

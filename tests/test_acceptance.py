@@ -6,6 +6,8 @@ hand bookkeeping, golden-section refinement, time-domain relaxation).
 """
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,3 +286,15 @@ def test_criterion_9_figure_reproduction():
             locations = sorted(parsed.rows[dips, 0])
             assert locations == pytest.approx([-0.2886, +0.2886], abs=0.05)
     print("ACCEPTANCE 9 PASS: figure datasets deterministic and re-parse consistently")
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    """The README's library quick start runs unedited and prints what its comments say."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert float(lines[0]) == pytest.approx(0.25, abs=1e-12)  # the bare-cavity value on resonance
+    assert [line.split()[0] for line in lines[1:-1]] == ["peak", "dip", "peak"]
+    final_fidelity, herald = map(float, lines[-1].split())
+    assert final_fidelity > 0.99 and 0.0 < herald < 1.0

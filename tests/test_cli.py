@@ -313,16 +313,14 @@ class TestOptionsCheckedBeforeWork:
     def test_precision_below_one(self, precision, capsys, no_work):
         assert_single_error_line(["spectrum", "--precision", precision], capsys)
 
-    @pytest.mark.parametrize("prominence", ["nan", "-1e-3"])
-    def test_prominence_not_a_nonnegative_number(self, prominence, tmp_path, capsys, no_work):
-        assert_single_error_line(["spectrum", f"--prominence={prominence}"], capsys)
+    @pytest.mark.parametrize("key, flag", [("prominence", "--prominence"), ("gamma_mhz", "--gamma-mhz")])
+    def test_threshold_and_unit_are_not_options(self, key, flag, tmp_path, capsys, no_work):
+        # the feature threshold is the module rule PROMINENCE_MIN, and gamma = 1 the one unit
         config = tmp_path / "run.cfg"
-        config.write_text(f"prominence = {prominence}\n")
-        assert_single_error_line(["spectrum", "--config", str(config)], capsys)
-
-    @pytest.mark.parametrize("gamma_mhz", ["nan", "inf", "-3"])
-    def test_gamma_mhz_not_a_finite_positive_number(self, gamma_mhz, capsys, no_work):
-        assert_single_error_line(["spectrum", "--n", "1", f"--gamma-mhz={gamma_mhz}"], capsys)
+        config.write_text(f"{key} = 1\n")
+        assert main(["spectrum", "--config", str(config)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+        assert run_cli(["spectrum", flag, "1"], capsys)[0] == 2
 
     def test_gamma_r_is_not_an_option(self, tmp_path, capsys, no_work):
         # gamma_R = 1 - gamma_L is derived, never given

@@ -12,6 +12,7 @@ from chiralcav import (
     QubitRegister,
     Spectrum,
     SteadyState,
+    SystemParams,
     ValidationError,
     ValidationReport,
     build_linear_system,
@@ -42,7 +43,10 @@ from chiralcav.tables import DataTable, fmt, parse_csv, read_table, render_csv, 
 from helpers import make_system
 
 TABLE = DataTable(name="demo", columns=("x",), rows=np.zeros((1, 1)))
-SPECTRUM = sweep_delta(make_system(), -3.0, 3.0, 401)
+WIDE = DataTable("x", ("a", "b"), np.array([[1.0, 2.0, 3.0]]))
+JSON_FEATURE = (
+    '{"columns": ["a"], "rows": [[1.0]], "features": [{"kind": "dip", "delta": 0.5, "value": 0.1, "width": 0.2}]}'
+)
 
 
 def read_back(tmp, name, text):
@@ -79,12 +83,10 @@ def read_back(tmp, name, text):
         lambda tmp: QubitRegister(m=2, amplitudes=np.zeros(4)).normalized(),
         lambda tmp: global_rotation(QubitRegister.ground(2), np.nan),
         lambda tmp: global_rotation(QubitRegister.ground(2), 1.0, phi=np.inf),
-        lambda tmp: reflectivity_batch(make_system(), np.zeros(3), positions=[0, np.inf]),
         lambda tmp: build_linear_system(make_system(), DriveParams(), positions=[0, np.nan]),
-        lambda tmp: reflection_amplitude(make_system(), DriveParams(), positions=[[0, 1]]),
-        lambda tmp: reflectivity(make_system(), DriveParams(), positions=[0, np.nan]),
+        lambda tmp: build_linear_system(make_system(), DriveParams(), positions=[[0, 1]]),
         lambda tmp: relax_time_domain(make_system(), DriveParams(), positions=[0, np.inf]),
-        lambda tmp: reflectivity(make_system(), DriveParams(), positions=["a", "b"]),
+        lambda tmp: build_linear_system(make_system(), DriveParams(), positions=["a", "b"]),
         lambda tmp: require_valid(make_system(g=1e155)),
         lambda tmp: reflectivity_batch(make_system(g=1e155), 0.0),
         lambda tmp: require_valid(make_system(n=math.nan)),
@@ -101,8 +103,6 @@ def read_back(tmp, name, text):
         lambda tmp: Spectrum(make_system(), np.array([0.0, 1.0]), np.zeros(3)),
         lambda tmp: Spectrum(make_system(), np.linspace(0.0, 1.0, 3), np.zeros((3, 1))),
         lambda tmp: Spectrum(make_system(), np.array([[0.0, 1.0, 2.0]]), np.zeros((1, 3))),
-        lambda tmp: reflectivity(make_system(n=3), DriveParams(), positions=[0, 0, 1]),
-        lambda tmp: reflectivity_batch(make_system(n=3), 0.0, positions=[0, 0, 1]),
         lambda tmp: build_linear_system(make_system(n=3), DriveParams(), positions=[0, 0, 1]),
         lambda tmp: relax_time_domain(make_system(n=3), DriveParams(), positions=[0, 0, 1]),
         lambda tmp: component_reflection((1, 0, 1), make_system(n=3), 0.0),
@@ -118,8 +118,6 @@ def read_back(tmp, name, text):
         lambda tmp: component_reflection("1x1", make_system(n=3), 0.0),
         lambda tmp: component_reflection((1, 0), make_system(), 0.0),
         lambda tmp: component_reflection(b"10", make_system(), 0.0),
-        lambda tmp: find_features(SPECTRUM, math.nan),
-        lambda tmp: find_features(SPECTRUM, -1e-3),
         lambda tmp: fmt(1.5, 0),
         lambda tmp: fmt(1.5, -1),
         lambda tmp: fmt(1.5, 2.5),
@@ -142,7 +140,7 @@ def read_back(tmp, name, text):
         lambda tmp: reflectivity_batch(make_system(), [[0.1], [0.2, 0.3]]),
         lambda tmp: reflectivity_batch(make_system(), np.zeros(3), gamma_L=np.full(2, 0.5)),
         lambda tmp: reflectivity_batch(make_system(), np.zeros(3), xi=np.zeros((2, 2))),
-        lambda tmp: reflectivity_batch(make_system(), 0.0, positions=[0.0, 1j]),
+        lambda tmp: build_linear_system(make_system(), DriveParams(), positions=[0.0, 1j]),
         lambda tmp: sweep_2d(make_system(), [0.1j], [0.5]),
         lambda tmp: sweep_2d(make_system(), [0.1], ["a"]),
         lambda tmp: sweep_2d(make_system(), None, [0.5]),
@@ -159,11 +157,6 @@ def read_back(tmp, name, text):
         lambda tmp: sweep_delta(make_system(), [0.0], [2.0], 10),
         lambda tmp: global_rotation(QubitRegister.ground(2), "a"),
         lambda tmp: global_rotation(QubitRegister.ground(2), 1.0, phi=None),
-        lambda tmp: find_features(SPECTRUM, "a"),
-        lambda tmp: find_features(SPECTRUM, None),
-        lambda tmp: relax_time_domain(make_system(), DriveParams(), t_max="x"),
-        lambda tmp: relax_time_domain(make_system(), DriveParams(), t_max=math.nan),
-        lambda tmp: relax_time_domain(make_system(), DriveParams(), t_max=math.inf),
         lambda tmp: reference_values(math.nan, 100.0, 400.0),
         lambda tmp: reference_values("a", 100.0, 400.0),
         lambda tmp: reference_values(4.0, 100.0, 0.0),
@@ -215,6 +208,21 @@ def read_back(tmp, name, text):
         lambda tmp: write_table("x", tmp / "demo.csv"),
         lambda tmp: figure_data([]),
         lambda tmp: Spectrum("x", np.array([0.0, 1.0]), np.zeros(2)),
+        # a JSON table holds a list of column names, rows and features of numbers, and a meta object
+        lambda tmp: read_back(tmp, "demo.json", '{"columns": ["a", "b"], "rows": ["12"]}'),
+        lambda tmp: read_back(tmp, "demo.json", '{"columns": "ab", "rows": [[1.0, 2.0]]}'),
+        lambda tmp: read_back(tmp, "demo.json", JSON_FEATURE.replace('"delta": 0.5', '"delta": "x"')),
+        lambda tmp: read_back(tmp, "demo.json", '{"columns": ["a"], "rows": [[1.0]], "meta": ["a"]}'),
+        # the closed forms hold for two atoms in a passive cavity: a negative rate is gain
+        lambda tmp: r_two_atoms(0.0, make_system(n=3)),
+        lambda tmp: r_two_atoms(0.0, make_system(kappa_sc=-50.0)),
+        lambda tmp: r_no_atoms(0.0, -100.0, 50.0),
+        lambda tmp: r_no_atoms(0.0, 100.0, -50.0),
+        # a row width other than the column count would not read back: nothing is written
+        lambda tmp: render_csv(WIDE),
+        lambda tmp: render_json(WIDE),
+        lambda tmp: write_table(WIDE, tmp / "wide.csv"),
+        lambda tmp: write_table(DataTable("y", ("a", "b"), np.zeros((2, 1))), tmp / "narrow.json", "json"),
     ],
     ids=[
         "spectrum-grid",
@@ -237,10 +245,8 @@ def read_back(tmp, name, text):
         "register-zero-norm",
         "rotation-nan-theta",
         "rotation-inf-phi",
-        "batch-positions-inf",
         "build-positions-nan",
-        "amplitude-positions-2d",
-        "reflectivity-positions-nan",
+        "build-positions-2d",
         "relax-positions-inf",
         "positions-not-numbers",
         "cooperativity-overflow-valid",
@@ -259,8 +265,6 @@ def read_back(tmp, name, text):
         "spectrum-length",
         "spectrum-values-2d",
         "spectrum-deltas-2d",
-        "reflectivity-positions-repeated",
-        "batch-positions-repeated",
         "build-positions-repeated",
         "relax-positions-repeated",
         "component-sites-repeated",
@@ -276,8 +280,6 @@ def read_back(tmp, name, text):
         "component-bits-letter",
         "component-bits-tuple",
         "component-bits-bytes",
-        "features-prominence-nan",
-        "features-prominence-negative",
         "fmt-digits-0",
         "fmt-digits-negative",
         "fmt-digits-float",
@@ -299,7 +301,7 @@ def read_back(tmp, name, text):
         "batch-delta-ragged",
         "batch-gamma-l-shape",
         "batch-xi-shape",
-        "batch-positions-complex",
+        "build-positions-complex",
         "map-xi-complex",
         "map-gamma-l-string",
         "map-xi-none",
@@ -316,11 +318,6 @@ def read_back(tmp, name, text):
         "sweep-delta-bounds-arrays",
         "rotation-theta-string",
         "rotation-phi-none",
-        "features-prominence-string",
-        "features-prominence-none",
-        "relax-t-max-string",
-        "relax-t-max-nan",
-        "relax-t-max-inf",
         "reference-values-nan",
         "reference-values-string",
         "reference-values-kappa-zero",
@@ -370,6 +367,18 @@ def read_back(tmp, name, text):
         "write-table-string",
         "figure-id-list",
         "spectrum-not-params",
+        "json-row-string",
+        "json-columns-string",
+        "json-feature-delta-string",
+        "json-meta-list",
+        "r-two-atoms-three-atoms",
+        "r-two-atoms-kappa-sc-negative",
+        "r-no-atoms-kappa-wg-negative",
+        "r-no-atoms-kappa-sc-negative",
+        "csv-rows-wider-than-columns",
+        "json-rows-wider-than-columns",
+        "write-rows-wider-than-columns",
+        "write-json-rows-narrower-than-columns",
     ],
 )
 def test_invalid_input_raises_package_error(call, tmp_path):
@@ -387,6 +396,11 @@ def test_invalid_input_raises_package_error(call, tmp_path):
         (dip_detunings, "span"),
         (dip_detunings, "prominence_min"),
         (dip_detunings, "n_points"),
+        (find_features, "prominence_min"),
+        (relax_time_domain, "t_max"),
+        (reflectivity, "positions"),
+        (reflection_amplitude, "positions"),
+        (reflectivity_batch, "positions"),
         (build_linear_system, "independent_atoms"),
         (reflection_amplitude, "independent_atoms"),
         (reflectivity, "independent_atoms"),
@@ -395,9 +409,17 @@ def test_invalid_input_raises_package_error(call, tmp_path):
     ],
 )
 def test_no_tuning_knob(func, name):
-    # the step, tolerances and dip window are module rules, not arguments; mutually
-    # uncoupled atoms are one atom with coupling g sqrt(N), not an option
+    # the step, tolerances, horizon, prominence and dip window are module rules, not
+    # arguments; mutually uncoupled atoms are one atom with coupling g sqrt(N), not an
+    # option; the fold entry points take the whole system (only the dense oracles and
+    # component_reflection place atoms)
     assert name not in inspect.signature(func).parameters
+
+
+def test_relax_positions_is_keyword_only():
+    # a stale positional t_max raises instead of being read as positions
+    with pytest.raises(TypeError):
+        relax_time_domain(make_system(), DriveParams(), 1e8)
 
 
 @pytest.mark.parametrize(
@@ -410,11 +432,12 @@ def test_no_tuning_knob(func, name):
         (Spectrum, "features"),
         (ValidationReport, "ok"),
         (SteadyState, "R"),
+        (SystemParams, "gamma_mhz"),
     ],
 )
 def test_no_field_the_library_determines(cls, name):
     # the unit drive, the cavity lock, the register size, find_features, the
-    # violations and r fix these values
+    # violations and r fix these values; gamma = 1 is the one unit of rates
     assert name not in [field.name for field in dataclasses.fields(cls)]
 
 
@@ -455,12 +478,6 @@ def test_validate_reports_a_non_real_field(name, value):
 )
 def test_validate_reports_a_non_params_argument(value):
     assert validate(value).violations == ("params must be a SystemParams",)
-
-
-@pytest.mark.parametrize("value", ["x", 0.1j, [1.0], math.nan, math.inf, -3.0, 0.0])
-def test_validate_reports_a_bad_gamma_mhz(value):
-    params = make_system(gamma_mhz=value)
-    assert validate(params).violations == ("gamma_mhz must be a finite positive number",)
 
 
 def test_real_inputs_keep_their_values():

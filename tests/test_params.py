@@ -67,11 +67,6 @@ class TestSystemParams:
     def test_kappa_total(self, base_params):
         assert base_params.kappa == 400.0
 
-    def test_gamma_mhz_display_only(self):
-        params = make_system(gamma_mhz=2 * math.pi * 6.0)
-        assert validate(params).ok
-        assert cooperativity(params) == cooperativity(make_system())
-
 
 class TestDriveParams:
     @pytest.mark.parametrize("kw", [dict(delta=math.nan), dict(delta=math.inf), dict(delta=-math.inf)])

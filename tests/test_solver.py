@@ -347,10 +347,11 @@ class TestRelaxation:
         assert abs(dense.R - unit.R) < 1e-10
         assert abs(dense.a / a_in - unit.a) < 1e-10 * abs(unit.a)
 
-    def test_nonconvergence_reports_residual(self):
+    def test_nonconvergence_reports_residual(self, monkeypatch):
         params = make_system(g=50.0)  # narrow dip, slow relaxation
+        monkeypatch.setattr(solver, "RELAX_T_MAX", 1.0)
         with pytest.raises(SolverError, match="residual"):
-            relax_time_domain(params, DriveParams(), t_max=1.0)
+            relax_time_domain(params, DriveParams())
 
     def test_agreement_on_random_sample(self, rng):
         for _ in range(30):

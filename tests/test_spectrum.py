@@ -32,8 +32,8 @@ from helpers import golden_section_minimize, golden_section_scalar, half_level_w
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def dips_of(spec, prominence=1e-3):
-    return [f for f in find_features(spec, prominence) if f.kind == "dip"]
+def dips_of(spec):
+    return [f for f in find_features(spec) if f.kind == "dip"]
 
 
 class TestGridErrors:
