@@ -86,6 +86,9 @@ def read_back(tmp, name, text):
         lambda tmp: build_linear_system(make_system(), DriveParams(), positions=[0, np.nan]),
         lambda tmp: build_linear_system(make_system(), DriveParams(), positions=[[0, 1]]),
         lambda tmp: relax_time_domain(make_system(), DriveParams(), positions=[0, np.inf]),
+        lambda tmp: build_linear_system(make_system(), DriveParams(), positions=[0, np.inf]),
+        lambda tmp: relax_time_domain(make_system(), DriveParams(), positions=[0, np.nan]),
+        lambda tmp: relax_time_domain(make_system(), DriveParams(), positions=[[0, 1]]),
         lambda tmp: build_linear_system(make_system(), DriveParams(), positions=["a", "b"]),
         lambda tmp: require_valid(make_system(g=1e155)),
         lambda tmp: reflectivity_batch(make_system(g=1e155), 0.0),
@@ -141,6 +144,7 @@ def read_back(tmp, name, text):
         lambda tmp: reflectivity_batch(make_system(), np.zeros(3), gamma_L=np.full(2, 0.5)),
         lambda tmp: reflectivity_batch(make_system(), np.zeros(3), xi=np.zeros((2, 2))),
         lambda tmp: build_linear_system(make_system(), DriveParams(), positions=[0.0, 1j]),
+        lambda tmp: relax_time_domain(make_system(), DriveParams(), positions=[0.0, 1j]),
         lambda tmp: sweep_2d(make_system(), [0.1j], [0.5]),
         lambda tmp: sweep_2d(make_system(), [0.1], ["a"]),
         lambda tmp: sweep_2d(make_system(), None, [0.5]),
@@ -248,6 +252,9 @@ def read_back(tmp, name, text):
         "build-positions-nan",
         "build-positions-2d",
         "relax-positions-inf",
+        "build-positions-inf",
+        "relax-positions-nan",
+        "relax-positions-2d",
         "positions-not-numbers",
         "cooperativity-overflow-valid",
         "cooperativity-overflow-batch",
@@ -302,6 +309,7 @@ def read_back(tmp, name, text):
         "batch-gamma-l-shape",
         "batch-xi-shape",
         "build-positions-complex",
+        "relax-positions-complex",
         "map-xi-complex",
         "map-gamma-l-string",
         "map-xi-none",
