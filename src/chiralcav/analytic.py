@@ -39,7 +39,7 @@ def r_no_atoms(delta: float, kappa_wg: float, kappa_sc: float) -> complex:
 
 def r_two_atoms(delta: float, params: SystemParams) -> complex:
     """Two-atom chiral reflection amplitude in closed form, for
-    ``params.n_atoms`` = 2 and kappa_wg, kappa_sc >= 0.
+    ``params.n_atoms`` = 2, kappa_wg, kappa_sc >= 0 and gamma_L in [0, 1].
 
     Solves  kappa_wg / (r + 1) = (kappa/2 - i delta)
               - g^2 [2 (i delta - 1/2) + (e^{2 i xi} gamma_L + gamma_R)]
@@ -57,6 +57,8 @@ def r_two_atoms(delta: float, params: SystemParams) -> complex:
     if require_params(params).n_atoms != 2:
         raise ValidationError(f"r_two_atoms takes n_atoms = 2, not {params.n_atoms!r}")
     _require_passive(params.kappa_wg, params.kappa_sc)
+    if not 0.0 <= params.gamma_L <= 1.0:  # gamma_R = 1 - gamma_L < 0 is gain
+        raise ValidationError(f"gamma_L must lie in [0, 1], not {params.gamma_L!r}")
     d_at = 1j * delta - 0.5
     e2 = cmath.exp(2j * params.xi)
     bracket = d_at * d_at - e2 * params.gamma_L * params.gamma_R

@@ -34,10 +34,13 @@ fills, or every subset of its sites (carving).  At gamma_R = 0
 the segment's reflection and offset stay exactly 0 and every D is 1.  A fold
 that is not split and has gamma_R = 0 at every point updates only the lines
 of O; the terms it skips are exact zeros, so the bits stay, and
-|w D| = |w| >= 1/2 never meets the dark-point rule.  Points with a
-non-finite fold or |D| <= 1/COND_MAX (D = 0: a dark state) take the dark-point
-rule ``_contour_mean``: the mean of the fold on a small circle around the
-point.  The dense one-point ``build_linear_system``, ``solve_steady_state``,
+|w D| = |w| >= 1/2 never meets the dark-point rule.  Where, besides, every
+site's src and obs phases are bitwise equal (xi = 0), the cascade's site
+lines that read only w and those phases are formed once per call, at the
+first site.  Points
+with a non-finite fold or |D| <= 1/COND_MAX (D = 0: a dark state) take the
+dark-point rule ``_contour_mean``: the mean of the fold on a small circle
+around the point.  The dense one-point ``build_linear_system``, ``solve_steady_state``,
 ``relax_time_domain`` are oracles.
 
 A fold call allocates one block of 15 complex lines for all of its order-0
@@ -53,7 +56,10 @@ numpy may then take another inner loop (on size-1 arrays
 some CPUs), while a sum or a minimum is exact in any loop.  Each output
 line has the shape of the expression it replaces (the full batch at the
 first site, whose zero state makes those values exact): the bits stay.
-The block is local to the call: no state is kept between calls.
+A fold that is not split reads and writes the same rows at every site, so
+it builds its views of the block's lines once per call; a split fold builds
+them per site.  The block is local to the call: no state is kept between
+calls.
 """
 
 from __future__ import annotations
@@ -215,8 +221,13 @@ def _fold(params, delta, pos, gl, xi, jet=False, prefix=None, split=False):
     o' = o + c sig_0.  In the jet jrho = js = 0 and jwd = jw, so jl and step
     do not change along the chain.  sig_l, its gain 1 + gl sig_l (in the u
     line), |w| and jl are formed once per call, by the general update's own
-    expressions.  Every term left out is an exact zero, added or multiplied,
-    so the cascade has the general update's bits.
+    expressions, and the running minimum of |w D| is |w| from the first site
+    on.  Where every site's src and obs are also bitwise equal, as at xi = 0,
+    sig_0 = src/w, the b line obs sig_l and the jet's jz are the same
+    expressions on the same operands at every site: the first site forms them
+    for all.  Every term left out is an exact zero, added or multiplied,
+    so the cascade has the general update's bits.  Not split, the views of
+    the lines are built once per call.
     """
     n = pos.size
     gr = 1.0 - gl
@@ -243,6 +254,8 @@ def _fold(params, delta, pos, gl, xi, jet=False, prefix=None, split=False):
         cuts, end = np.unique(prefix).tolist(), np.broadcast_shapes(batch, np.shape(prefix))
         o_end, wd_end = np.zeros(end, dtype=complex), np.full(end, np.inf)
         jo_end = np.zeros((2, *end), dtype=complex) if jet else None
+    # src and obs bitwise equal at every site (xi = 0): sig_0, obs sig_l and jz are per call too
+    same = cascade and all(np.array_equal(v[..., 1:].view(np.int64), v[..., :-1].view(np.int64)) for v in sites[1:])
     with np.errstate(all="ignore"):  # D = 0 gives inf or nan: the dark-point rule takes it
         if cascade:  # wd = w at every site: sig_l, its gain 1 + gl sig_l, |w D| = |w| and jl are per call
             sig_l, gain, mag = site[9], site[0], real[1]  # gain takes the unused u line
@@ -255,15 +268,21 @@ def _fold(params, delta, pos, gl, xi, jet=False, prefix=None, split=False):
                 jl[1] -= jl[0] * step
         for k in range(n):
             live = k + 1 < n  # past the last site only o, wd_min and jo are read
-            on = slice(rows.stop, 2 * rows.stop) if split else rows  # the rows that take the site
+            if split or not k:  # not split, every site reads and writes the same rows: one set of views
+                on = slice(rows.stop, 2 * rows.stop) if split else rows  # the rows that take the site
+                (rho, s, q, o), (rho_on, s_on, q_on, o_on) = state[:, rows], state[:, on]
+                u, ps, t, a, b, ugl, wd, c, sig_0, sig_l = site[:, rows]
+                wd_min, wd_on, mag = real[0][rows], real[0][on], real[1][rows]
             phi, src, obs = (v[..., k] for v in sites)
-            (rho, s, q, o), (rho_on, s_on, q_on, o_on) = state[:, rows], state[:, on]
-            u, ps, t, a, b, ugl, wd, c, sig_0, sig_l = site[:, rows]
-            wd_min, wd_on, mag = real[0][rows], real[0][on], real[1][rows]
             np.multiply(q, phi, out=t)
             np.add(np.multiply(t, gl, out=a), obs, out=c)
             if cascade:  # u = ugl = s phi = out = 0 and wd = w
-                np.divide(src, w, out=sig_0)  # sigma = sig_l L + sig_0
+                if not (same and k):  # past the first site, equal phases keep its lines
+                    np.divide(src, w, out=sig_0)  # sigma = sig_l L + sig_0
+                    np.multiply(obs, sig_l, out=b)
+                    if jet:
+                        jz = (0.0 - sig_0 * jw) / w  # phi js - sig_0 jwd at js = 0, jwd = jw
+                        jz[1] -= jz[0] * step
             else:
                 np.multiply(phi * phi, rho, out=u)  # the segment's reflection seen from this site
                 np.multiply(u, gl, out=ugl)
@@ -278,15 +297,13 @@ def _fold(params, delta, pos, gl, xi, jet=False, prefix=None, split=False):
             if jet:  # jet(out) = jet(ugl); q' = t + c sig_l and o' = o + c sig_0
                 jt = jq * phi
                 jc = jt * gl
-                if cascade:
-                    jz = (0.0 - sig_0 * jw) / w  # phi js - sig_0 jwd at js = 0, jwd = jw
-                else:
+                if not cascade:
                     ju = phi * phi * jrho
                     jugl = ju * gl
                     jwd = jw - jugl
                     step = jwd[0] / wd
                     jz = (phi * js - sig_0 * jwd) / wd
-                jz[1] -= jz[0] * step
+                    jz[1] -= jz[0] * step
                 jo = jo + c * jz + sig_0 * jc
                 jo[1] += jc[0] * jz[0]
                 if live:
@@ -298,13 +315,16 @@ def _fold(params, delta, pos, gl, xi, jet=False, prefix=None, split=False):
                         js[1] += jugl[0] * jz[0]
                     jq = jt + c * jl + sig_l * jc
                     jq[1] += jc[0] * jl[0]
-            np.minimum(wd_min, mag, out=wd_on)
+            if not (cascade and k):  # a cascade's minimum is |w| from its first site on
+                np.minimum(wd_min, mag, out=wd_on)
             if live:
                 if not cascade:
                     np.add(u, np.multiply(out, sig_l, out=a), out=rho_on)
                     np.add(ps, np.multiply(out, sig_0, out=a), out=s_on)
                 np.multiply(t, gain, out=a)
-                np.add(a, np.multiply(obs, sig_l, out=b), out=q_on)
+                if not cascade:  # b held the gain; a cascade's site formed obs sig_l in it
+                    np.multiply(obs, sig_l, out=b)
+                np.add(a, b, out=q_on)
             np.add(o, np.multiply(c, sig_0, out=a), out=o_on)
             if split:  # row i with site k off stays row i, with it on became row i + 2^k
                 if live:
@@ -390,7 +410,7 @@ def _reflection(
     d, gl, x = (np.asarray(v, dtype=float)[(None,) * (len(shape) - np.ndim(v))] for v in axes)
     fold = (d, pos, gl, x)
     folded = _fold(params, *fold, derivatives, prefix, subsets)
-    r, d_min, *jet = (np.broadcast_to(v, shape).flatten() for v in folded)
+    r, d_min, *jet = (v.reshape(-1) for v in folded)
     index = np.flatnonzero(~np.isfinite(r) | (d_min <= 1.0 / COND_MAX))
     if index.size:
         for v, mean in zip((r, *jet), _contour_mean(params, index, *fold, prefix, subsets)):

@@ -50,8 +50,11 @@ def fmt(value: float, digits: int = DEFAULT_DIGITS) -> str:
 
 def _rows(table: DataTable) -> np.ndarray:
     """``table.rows`` as a 2-D float array; ValidationError unless each row has
-    one cell per column, so that the rendered text reads back."""
-    rows = np.atleast_2d(np.asarray(table.rows, dtype=float))
+    one cell per column, so that the rendered text reads back, and each cell is a float."""
+    try:
+        rows = np.atleast_2d(np.asarray(table.rows, dtype=float))
+    except (TypeError, ValueError) as exc:  # text or ragged rows
+        raise ValidationError(f"table {table.name!r}: rows are not floats ({exc})") from None
     if rows.ndim != 2 or rows.shape[1] != len(table.columns):
         raise ValidationError(f"table {table.name!r}: rows of shape {rows.shape} under {len(table.columns)} columns")
     return rows

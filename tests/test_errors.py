@@ -227,6 +227,14 @@ def read_back(tmp, name, text):
         lambda tmp: render_json(WIDE),
         lambda tmp: write_table(WIDE, tmp / "wide.csv"),
         lambda tmp: write_table(DataTable("y", ("a", "b"), np.zeros((2, 1))), tmp / "narrow.json", "json"),
+        # gamma_R = 1 - gamma_L < 0 is gain, so is gamma_L < 0
+        lambda tmp: r_two_atoms(0.0, SystemParams(2, 2.0, 20.0, 100.0, 0.0, 0.3)),
+        lambda tmp: r_two_atoms(0.0, make_system(gamma_L=-0.1)),
+        # a cell that is not a float is named by the table, and nothing is written
+        lambda tmp: render_csv(DataTable("x", ("a",), [["a"]])),
+        lambda tmp: render_json(DataTable("x", ("a",), [["a"]])),
+        lambda tmp: write_table(DataTable("x", ("a",), [["a"]]), tmp / "text.csv"),
+        lambda tmp: write_table(DataTable("x", ("a", "b"), [[1.0], [1.0, 2.0]]), tmp / "ragged.json", "json"),
     ],
     ids=[
         "spectrum-grid",
@@ -387,6 +395,12 @@ def read_back(tmp, name, text):
         "json-rows-wider-than-columns",
         "write-rows-wider-than-columns",
         "write-json-rows-narrower-than-columns",
+        "r-two-atoms-gamma-l-gain",
+        "r-two-atoms-gamma-l-negative",
+        "csv-rows-text",
+        "json-rows-text",
+        "write-rows-text",
+        "write-json-rows-ragged",
     ],
 )
 def test_invalid_input_raises_package_error(call, tmp_path):

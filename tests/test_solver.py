@@ -638,15 +638,19 @@ class TestCascade:
     """gamma_R = 0 at every point of a fold that is not split: the cascaded update,
     against the general update that a batch mixing gamma_L = 1 and 0.9 takes."""
 
-    @pytest.mark.parametrize("xi", [0.0, 0.3, math.pi])
+    # (0.0, 0.3): a per-point xi, the deltas once at each, whose sites differ in src and obs,
+    # so that its cascade forms sig_0, obs sig_l and jz at every site, as xi = 0.3 alone does
+    @pytest.mark.parametrize("xi", [0.0, 0.3, math.pi, pytest.param((0.0, 0.3), id="0.0,0.3")])
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 11])
     def test_cascade_has_the_bits_of_the_general_update(self, n, xi, dark_point_calls):
-        params = make_system(n=n, gamma_L=1.0, xi=xi)
+        params = make_system(n=n, gamma_L=1.0, xi=np.ravel(xi)[0])
         deltas = np.append(np.linspace(-3.0, 3.0, 40), 0.0)  # delta = 0 at xi = 0 holds exact zeros
+        axes = {"xi": np.repeat(xi, deltas.size)} if np.ndim(xi) else {}
+        deltas = np.tile(deltas, np.size(xi))
         cuts = np.arange(n + 1)[:, None, None]  # 0..n
         for kw in ({}, {"prefix": cuts}, {"derivatives": True}, {"prefix": cuts, "derivatives": True}):
-            cascade = np.array(solver._reflection(params, deltas, gamma_L=np.array([[1.0]]), **kw))
-            mixed = np.array(solver._reflection(params, deltas, gamma_L=np.array([[1.0], [0.9]]), **kw))
+            cascade = np.array(solver._reflection(params, deltas, gamma_L=np.array([[1.0]]), **axes, **kw))
+            mixed = np.array(solver._reflection(params, deltas, gamma_L=np.array([[1.0], [0.9]]), **axes, **kw))
             assert bits(cascade) == bits(mixed[..., :1, :].copy())
         assert dark_point_calls == []  # |w D| = |w| >= 1/2 at gamma_L = 1, and no point here is dark
 

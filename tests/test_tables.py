@@ -177,6 +177,20 @@ def test_fig3_spectra_bytes_are_pinned(fmt_name, tmp_path, capsys):
     assert digest.hexdigest() == FIG3_SHA256[fmt_name]
 
 
+#: sha256 of the ``repro fig4`` CSV files, each name and its bytes in name order, before
+#: the xi = 0 cascade formed its site invariants once per call: N = 3..6 at gamma_L = 1
+FIG4_CSV_SHA256 = "cd885a707209d220ca1cd4f5324a57b6d85663c7bcd42a0c37b2faaf00674cc1"
+
+
+def test_fig4_spectra_bytes_are_pinned(tmp_path, capsys):
+    assert main(["repro", "fig4", "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == FIG4_CSV_SHA256
+
+
 #: sha256 of ``carve`` CSV output before a protocol folded all of its steps
 #: together; both plans cross fold boundaries (2 + 2 + 2 and 4 + 2 steps)
 CARVE_SHA256 = {
