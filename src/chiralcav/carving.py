@@ -9,11 +9,12 @@ pre-normalization norm squared is the heralding probability.  All 2^M
 components come from one fold that doubles the batch at every site: an
 uncoupled atom keeps its site but loses every coupling, which makes it
 exactly the removed atom.  A protocol folds all of its planned detunings
-together, at most ``ROWS`` rows per fold, and planning folds the longest
-odd chain once.  At xi = 0 every phase in the fold is 1, so a component's
-amplitude depends only on how many atoms it couples: a protocol there
-folds the plan once over the coupled counts 0 .. M and gives each
-component its count's amplitude.
+in one kernel call, which the kernel's points-per-fold rule splits into
+folds of at most 2^13 rows, and planning folds the longest odd chain
+once.  At xi = 0 every phase in the fold is 1, so a component's amplitude
+depends only on how many atoms it couples: a protocol there folds the
+plan once over the coupled counts 0 .. M and gives each component its
+count's amplitude.
 
 The planners prepare the equal-weight single-coupled-manifold target
 (|10...0> + |01...0> + ... + |00...1>)/sqrt(M): an on-resonance
@@ -43,9 +44,6 @@ MAX_QUBITS = 12
 
 #: heralding probability below which a measurement counts as extinguished
 EXTINCTION_THRESHOLD = 1e-12
-
-#: rows of one subset fold in :func:`run_protocol`: 2^M per planned detuning
-ROWS = 2**13
 
 
 def _register_size(m) -> int:
@@ -269,16 +267,6 @@ def plan_protocol(
     return ProtocolPlan(steps=tuple(steps), m=m)
 
 
-def _subset_columns(params_template: SystemParams, m: int, steps: np.ndarray):
-    """Each step's (2^m,) component amplitudes, in order, from subset folds of
-    at most ``ROWS`` rows: the columns of one fold over several detunings are
-    bit for bit the batches of one."""
-    per_fold = max(ROWS >> m, 1)
-    for i in range(0, len(steps), per_fold):
-        r = _reflection(params_template, steps[i : i + per_fold], positions=np.arange(m), subsets=True)
-        yield from r.T.copy()
-
-
 def _popcounts(m: int) -> np.ndarray:
     """Coupled count of each basis index 0 .. 2^m - 1: the top bit adds 1 to the lower half's."""
     counts = np.zeros(1, dtype=int)
@@ -304,8 +292,9 @@ def run_protocol(
     repetitions.  At xi = 0 every fold phase is 1, so a component's amplitude
     depends only on its coupled count: one prefix fold over the counts 0 .. M
     gives every step, and each component takes its count's row, bit for bit
-    the subset batch.  Otherwise one subset fold carries at most ``ROWS`` >> M
-    detunings (at least one), which makes one fold per protocol up to M = 10.
+    the subset batch.  Otherwise one subset batch over the plan gives every step;
+    the kernel folds it in slices of at most ``solver.FOLD_POINTS`` rows, one
+    fold per protocol up to M = 10.
     """
     m = _register_size(require_count("m", m, 1))  # before the 2^m popcounts
     repetitions_per_step = require_count("repetitions_per_step", repetitions_per_step, 1)
@@ -321,7 +310,7 @@ def run_protocol(
         r = _reflection(params_template, steps, positions=np.arange(m), prefix=np.arange(m + 1)[:, None])
         columns = r.T[:, _popcounts(m)]
     else:
-        columns = _subset_columns(params_template, m, steps)
+        columns = _reflection(params_template, steps, positions=np.arange(m), subsets=True).T.copy()
     target = QubitRegister.w_state(m).amplitudes
     amps = global_rotation(QubitRegister.ground(m), math.pi / 2.0).amplitudes
     cumulative = 1.0

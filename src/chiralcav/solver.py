@@ -60,6 +60,17 @@ A fold that is not split reads and writes the same rows at every site, so
 it builds its views of the block's lines once per call; a split fold builds
 them per site.  The block is local to the call: no state is kept between
 calls.
+
+One rule bounds every fold: ``_reflection``, the one kernel entry, hands
+``_fold`` at most ``FOLD_POINTS`` points per call, a split fold counting its
+2^n rows per point, and folds a larger batch in slices of its longest axis.
+The dark-point rule then runs once over the joined results, under the whole
+batch's flat indices.  So a batch's memory is one slice's block (15 complex
+lines of 2^13 points, about 2 MB) and its outputs twice, the slices' and the
+joined ones (24 bytes per point, 56 with the jet).  A slice holds at least
+one index of the axis: a subset fold over more than 13 sites still holds its
+2^n rows, and a batch whose other axes hold more than ``FOLD_POINTS`` points
+folds that many at once.
 """
 
 from __future__ import annotations
@@ -74,6 +85,10 @@ from .params import DriveParams, SystemParams, require_params, require_real, req
 #: a fold point whose smallest Fabry-Perot denominator |D| is at most
 #: 1/COND_MAX takes the dark-point rule
 COND_MAX = 1e12
+
+#: the most points one fold holds, counting a split fold's 2^n rows per point:
+#: ``_reflection`` folds a larger batch in slices of its longest axis
+FOLD_POINTS = 2**13
 
 #: the dark-point rule's K points on a circle of radius eps, and its bound
 #: on |residue| / (eps max |r_k|), far above rounding and far below a pole
@@ -400,6 +415,15 @@ def _reflection(
     |D| <= 1/COND_MAX go to ``_contour_mean`` under their flat indices.
     ``derivatives=True`` (not with ``subsets``) adds dr/d(delta) and
     d2r/d(delta)^2.  No validation: callers check once.
+
+    Each ``_fold`` call holds at most ``FOLD_POINTS`` points of the broadcast
+    (delta, gamma_L, xi), 2^n rows each with ``subsets``, or one index of the
+    longest axis where that alone holds more; a prefix's counts are not in
+    the fold's block.  A larger batch is folded in slices of its longest
+    axis, each with the bits of the whole-batch fold, and the slices' results
+    are joined: its peak memory is one slice's block and the outputs twice.
+    A batch within the rule, an empty one too, is one slice and is returned
+    without a copy.  The dark-point rule runs once, over the whole batch.
     """
     pos = np.sort(np.arange(params.n_atoms) if positions is None else positions).astype(float)
     axes = [delta, params.gamma_L if gamma_L is None else gamma_L, params.xi if xi is None else xi]
@@ -408,12 +432,22 @@ def _reflection(
     # every operand gets the batch's ndim: numpy multiplies a size-1 pair of
     # unequal ndims without FMA, and a batch of one would change its bits
     d, gl, x = (np.asarray(v, dtype=float)[(None,) * (len(shape) - np.ndim(v))] for v in axes)
-    fold = (d, pos, gl, x)
-    folded = _fold(params, *fold, derivatives, prefix, subsets)
+    prefix = None if prefix is None else np.asarray(prefix)[(None,) * (len(shape) - np.ndim(prefix))]
+    grid = np.broadcast(d, gl, x).shape  # the block's points; a split fold has 2^n rows each
+    axis = grid.index(max(grid))  # the longest, sliced so that no fold holds more than FOLD_POINTS points
+    step = max(FOLD_POINTS * grid[axis] // max(np.prod(grid, dtype=int) << pos.size * subsets, 1), 1)
+
+    def part(v, i):  # slice i of an operand; one that is shorter on the axis goes whole to every slice
+        return v if v is None or v.shape[axis] != grid[axis] else v[(slice(None),) * axis + (slice(i, i + step),)]
+
+    parts = []
+    for i in range(0, max(grid[axis], 1), step):  # an empty batch is one slice
+        parts.append(_fold(params, part(d, i), pos, part(gl, i), part(x, i), derivatives, part(prefix, i), subsets))
+    folded = parts[0] if len(parts) == 1 else [np.concatenate(v, axis=axis) for v in zip(*parts)]
     r, d_min, *jet = (v.reshape(-1) for v in folded)
     index = np.flatnonzero(~np.isfinite(r) | (d_min <= 1.0 / COND_MAX))
     if index.size:
-        for v, mean in zip((r, *jet), _contour_mean(params, index, *fold, prefix, subsets)):
+        for v, mean in zip((r, *jet), _contour_mean(params, index, d, pos, gl, x, prefix, subsets)):
             v[index] = mean
     return tuple(v.reshape(lead) for v in (r, *jet)) if derivatives else r.reshape(lead)
 

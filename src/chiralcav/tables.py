@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .params import _number, require_count, require_params
+from .params import _number, _real, require_count, require_params
 
 DEFAULT_DIGITS = 12
 
@@ -50,11 +50,11 @@ def fmt(value: float, digits: int = DEFAULT_DIGITS) -> str:
 
 def _rows(table: DataTable) -> np.ndarray:
     """``table.rows`` as a 2-D float array; ValidationError unless each row has
-    one cell per column, so that the rendered text reads back, and each cell is a float."""
-    try:
-        rows = np.atleast_2d(np.asarray(table.rows, dtype=float))
-    except (TypeError, ValueError) as exc:  # text or ragged rows
-        raise ValidationError(f"table {table.name!r}: rows are not floats ({exc})") from None
+    one cell per column, so that the rendered text reads back, and each cell is
+    a real number (a complex cell would lose its imaginary part)."""
+    if not _real(table.rows):  # text, complex or ragged rows
+        raise ValidationError(f"table {table.name!r}: rows are not real numbers")
+    rows = np.atleast_2d(np.asarray(table.rows, dtype=float))
     if rows.ndim != 2 or rows.shape[1] != len(table.columns):
         raise ValidationError(f"table {table.name!r}: rows of shape {rows.shape} under {len(table.columns)} columns")
     return rows

@@ -96,6 +96,30 @@ def exact_reflection(params, delta=0.0):
     return -kappa_wg * rows[0][-1] / rows[0][0] - 1, -kappa_wg * rows[n][-1] / rows[n][n]
 
 
+def cascade_reflection(params, delta, n=None):
+    """(r, dr/d(delta), d2r/d(delta)^2) (a_in = 1, delta_c = delta) of the cascaded chain
+    gamma_L = 1 at xi = 0 of ``n`` atoms (default: ``params.n_atoms``), in closed form.
+
+    Every site has the same coefficients: with w = i delta - 1/2 and
+    G = (w + 1)/w the fold's recurrence q' = G q + g/w, o' = o + (q + g) i g/w
+    from q = o = 0 sums to O_n = i g^2 (G^n - 1), so
+    r_n = -1 - kappa_wg / (i delta - kappa/2 + g^2 (G^n - 1)).  |G| = 1: each
+    cascaded atom is an all-pass element.  The jet follows from
+    dG/d(delta) = -i/w^2 and d2G/d(delta)^2 = -2/w^3.  ``n`` may be an array
+    of counts that broadcasts with ``delta``.
+    """
+    n = np.asarray(params.n_atoms if n is None else n)
+    w = 1j * np.asarray(delta, dtype=float) - 0.5
+    G = (w + 1.0) / w
+    dG, d2G = -1j / w**2, -2.0 / w**3
+    g2 = params.g**2
+    den = 1j * np.asarray(delta, dtype=float) - params.kappa / 2.0 + g2 * (G**n - 1.0)
+    den1 = 1j + g2 * n * G ** (n - 1) * dG
+    den2 = g2 * (n * (n - 1) * G ** (n - 2) * dG**2 + n * G ** (n - 1) * d2G)
+    r = -1.0 - params.kappa_wg / den
+    return r, params.kappa_wg * den1 / den**2, params.kappa_wg * (den2 - 2.0 * den1**2 / den) / den**2
+
+
 def half_level_width(params, span, n_points=6001, baseline=None):
     """Full width of the reflection structure at half level above baseline.
 

@@ -526,15 +526,14 @@ class TestOneSolvePerPlannedDetuning:
 
     @pytest.mark.parametrize("m, folds", [(5, [(1, 3)]), (11, [(1, 4), (1, 2)]), (12, [(1, 2)] * 3)])
     def test_row_budget_bounds_each_subset_fold(self, m, folds, fold_shapes):
-        # off xi = 0 the phases are not 1, so the register is carved on all 2^M subsets
-        from chiralcav import carving
-
+        # off xi = 0 the phases are not 1, so the register is carved on all 2^M subsets, and the
+        # kernel's rule splits the plan: a fold holds at most FOLD_POINTS rows, 2^M per detuning
         params = template(m, gamma_L=0.95, xi=0.3)
         plan = plan_protocol(m, params)
         fold_shapes.clear()
         run_protocol(m, params, plan=plan)
         assert fold_shapes == folds
-        assert all(shape[1] <= max(carving.ROWS >> m, 1) for shape in fold_shapes)
+        assert all(shape[1] <= max(solver.FOLD_POINTS >> m, 1) for shape in fold_shapes)
 
     @pytest.mark.parametrize("m, xi", [(2, 0.0), (5, 0.0), (11, 0.0), (12, 0.0), (4, math.pi)])
     def test_unit_phases_take_one_prefix_fold(self, m, xi, monkeypatch):

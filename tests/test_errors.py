@@ -235,6 +235,10 @@ def read_back(tmp, name, text):
         lambda tmp: render_json(DataTable("x", ("a",), [["a"]])),
         lambda tmp: write_table(DataTable("x", ("a",), [["a"]]), tmp / "text.csv"),
         lambda tmp: write_table(DataTable("x", ("a", "b"), [[1.0], [1.0, 2.0]]), tmp / "ragged.json", "json"),
+        # a complex cell would lose its imaginary part in the float text
+        lambda tmp: render_csv(DataTable("x", ("a",), np.array([[1 + 2j]]))),
+        lambda tmp: render_json(DataTable("x", ("a",), np.array([[1 + 2j]]))),
+        lambda tmp: write_table(DataTable("x", ("a",), np.array([[1 + 2j]])), tmp / "complex.csv"),
     ],
     ids=[
         "spectrum-grid",
@@ -401,6 +405,9 @@ def read_back(tmp, name, text):
         "json-rows-text",
         "write-rows-text",
         "write-json-rows-ragged",
+        "csv-rows-complex",
+        "json-rows-complex",
+        "write-rows-complex",
     ],
 )
 def test_invalid_input_raises_package_error(call, tmp_path):

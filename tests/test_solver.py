@@ -26,7 +26,7 @@ from chiralcav import (
     solver,
     sweep_2d,
 )
-from helpers import dense_jet, exact_reflection, make_system, single_atom_r
+from helpers import cascade_reflection, dense_jet, exact_reflection, make_system, single_atom_r
 
 
 def steady(params, delta=0.0, **kw):
@@ -499,6 +499,13 @@ class TestDarkPoints:
         with pytest.raises(SolverError, match=r"driven null mode \(flat index 1\)"):
             reflectivity_batch(make_system(n=n), 0.0, gamma_L=gamma_L, xi=0.0)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_sliced_batch_names_the_whole_batch_index(self, n):
+        # 20001 points fold in slices of the kernel's rule; the error names the index in the whole batch
+        gamma_L = np.where(np.arange(20001) == 15000, 0.5 + 1e-7, 0.8)
+        with pytest.raises(SolverError, match=r"driven null mode \(flat index 15000\)"):
+            reflectivity_batch(make_system(n=n), 0.0, gamma_L=gamma_L, xi=0.0)
+
 
 class TestExceptionalPoints:
     """The fully directional chains gamma_L = 0 and 1: the atom block is
@@ -655,6 +662,28 @@ class TestCascade:
         assert dark_point_calls == []  # |w D| = |w| >= 1/2 at gamma_L = 1, and no point here is dark
 
 
+class TestClosedFormCascade:
+    """The cascade gamma_L = 1 at xi = 0 against ``helpers.cascade_reflection``, a closed
+    form for any n: plain, prefix and jet folds on random systems (ROADMAP item 13)."""
+
+    @staticmethod
+    def assert_close(folded, exact):
+        # within 1e-11 of each order's scale (measured: 5e-13 over 60 systems, n <= 61, g <= 60)
+        for got, want in zip(folded, exact):
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-11 * max(1.0, np.max(np.abs(want)))
+
+    def test_folds_match_the_closed_form(self, rng):
+        for _ in range(20):
+            n, g, (kappa_wg, kappa_sc) = rng.integers(0, 62), rng.uniform(0.0, 60.0), rng.uniform(10.0, 300.0, 2)
+            params = make_system(n=int(n), g=g, kappa_wg=kappa_wg, kappa_sc=kappa_sc)
+            deltas, counts = rng.uniform(-4.0, 4.0, 101), np.arange(n + 1)[:, None]
+            chain, prefixes = cascade_reflection(params, deltas), cascade_reflection(params, deltas, counts)
+            self.assert_close([solver._reflection(params, deltas)], chain[:1])
+            self.assert_close([solver._reflection(params, deltas, prefix=counts)], prefixes[:1])
+            self.assert_close(solver._reflection(params, deltas, derivatives=True), chain)
+            self.assert_close(solver._reflection(params, deltas, prefix=counts, derivatives=True), prefixes)
+
+
 def read_only(value):
     frozen = np.array(value)
     frozen.flags.writeable = False
@@ -712,6 +741,20 @@ class TestCallerArrays:
         )
         assert bits(first) == bits(second) == bits(expected)
         assert not np.shares_memory(first, second)
+
+    @pytest.mark.parametrize(
+        "call, shape",
+        [
+            (lambda params: reflectivity_batch(params, np.zeros(0)), (0,)),
+            (lambda params: reflectivity_batch(params, 0.0, gamma_L=np.zeros((3, 0))), (3, 0)),
+            (lambda params: solver._reflection(params, np.zeros(0), positions=np.arange(3), subsets=True), (8, 0)),
+        ],
+        ids=["sweep", "gamma-l-grid", "subsets"],
+    )
+    def test_empty_batches_keep_their_shapes(self, call, shape, fold_shapes):
+        # an empty batch is one slice of the kernel's points-per-fold rule, folded once
+        assert call(make_system(n=3)).shape == shape
+        assert len(fold_shapes) == 1
 
 
 class TestBlock:
@@ -777,21 +820,105 @@ class TestBlock:
 
     def test_block_holds_each_line_once(self, monkeypatch):
         # 4 state lines, 10 site lines and the real lines (wd_min, |w D|) two to a complex
-        # line; a prefix fold's end state has the prefix's shape and sits outside the block
+        # line; a prefix fold's end state has the prefix's shape and sits outside the block.
+        # A batch past the kernel's rule is folded in slices, each block within FOLD_POINTS
         blocks, empty = [], np.empty
 
         def recording(shape, dtype=float, *args, **kw):
             if np.dtype(dtype) == complex:
-                blocks.append(shape[0])
+                blocks.append(shape)
             return empty(shape, dtype, *args, **kw)
 
         monkeypatch.setattr(np, "empty", recording)
         params, deltas = make_system(n=5, gamma_L=0.95, xi=0.3), np.linspace(-1.0, 1.0, 9)
-        solver._reflection(params, deltas)
-        assert blocks == [15]
-        blocks.clear()
-        solver._reflection(params, deltas, prefix=np.arange(9) % 6, derivatives=True)  # a Newton step
-        assert blocks == [15]
+        sweep = np.linspace(-3.0, 3.0, 20001)
+        # the map grid's three dark points take one more fold, the dark-point rule's
+        grid = dict(gamma_L=np.linspace(0.0, 1.0, 101)[None, :], xi=np.linspace(0.0, 2 * math.pi, 401)[:, None])
+        for call, folds in (
+            (lambda: solver._reflection(params, deltas), 1),
+            # a Newton step
+            (lambda: solver._reflection(params, deltas, prefix=np.arange(9) % 6, derivatives=True), 1),
+            (lambda: solver._reflection(params, sweep), 3),
+            (lambda: solver._reflection(params, 0.0, **grid), 5 + 1),
+            (lambda: solver._reflection(params, sweep, prefix=np.arange(20001) % 6, derivatives=True), 3),
+        ):
+            blocks.clear()
+            call()
+            assert [shape[0] for shape in blocks] == [15] * folds
+            assert all(math.prod(shape[1:]) <= solver.FOLD_POINTS for shape in blocks)
         blocks.clear()
         plan_protocol(12, make_system(n=12))  # one sweep over the chains 3, 5, .., 11, then Newton steps
-        assert blocks and set(blocks) == {15}
+        assert blocks and {shape[0] for shape in blocks} == {15}
+
+    # dark (gamma_L, xi) = (1/2, 0) at delta = 0 in a later slice, flat index 15000 of a mixed batch
+    DARK = dict(
+        delta=np.linspace(-1.0, 1.0, 20001) * (np.arange(20001) != 15000),
+        gamma_L=np.where(np.arange(20001) == 15000, 0.5, 0.8),
+        xi=np.where(np.arange(20001) == 15000, 0.0, 0.7),
+    )
+    # the map grid's axes, dark at gamma_L = 1/2 and xi = 0, pi and 2 pi
+    GAMMA_L, XI = np.linspace(0.0, 1.0, 401), np.linspace(0.0, 2 * math.pi, 401)
+    # batches past the kernel's rule, each folded in slices: (params, batch keywords, holds dark points)
+    SLICED = {
+        "sweep": (make_system(n=5, gamma_L=0.8, xi=0.9), dict(delta=np.linspace(-3.0, 3.0, 20001)), False),
+        "cascade-prefix-jet": (
+            make_system(n=6),
+            dict(delta=np.linspace(-3.0, 3.0, 20001), prefix=np.arange(7)[:, None], derivatives=True),
+            False,
+        ),
+        "per-point-prefix-jet": (
+            make_system(n=5, gamma_L=0.8, xi=0.9),
+            dict(delta=np.linspace(-3.0, 3.0, 20001), prefix=np.arange(20001) % 6, derivatives=True),
+            False,
+        ),
+        # a prefix of fewer dimensions than the batch
+        "scalar-prefix": (
+            make_system(n=5, gamma_L=0.8, xi=0.9), dict(delta=np.linspace(-3.0, 3.0, 20001), prefix=3), False
+        ),
+        # slices of 81 rows or columns: xi = pi and 2 pi, or gamma_L = 1/2, lie in later slices
+        "grid-401x101": (make_system(n=3), dict(delta=0.0, gamma_L=GAMMA_L[None, ::4], xi=XI[:, None]), True),
+        "grid-101x401": (make_system(n=3), dict(delta=0.0, gamma_L=GAMMA_L[None, :], xi=XI[::4, None]), True),
+        # 8192 points and a last slice of one, the dark point delta = 0
+        "last-slice-of-one": (make_system(n=4, gamma_L=0.5), dict(delta=np.linspace(-3.0, 0.0, 8193)), True),
+        "dark-in-a-later-slice": (make_system(n=4), DARK, True),
+        "dark-jet-in-a-later-slice": (make_system(n=4), dict(DARK, derivatives=True), True),
+        # 2^12 rows per detuning: folds of 2 + 2 + 2 + 1 detunings, the dark delta = 0 in the second
+        "subsets": (
+            make_system(n=12, gamma_L=0.5),
+            dict(delta=np.linspace(-0.3, 0.3, 7), positions=np.arange(12), subsets=True),
+            True,
+        ),
+    }
+
+    @staticmethod
+    def whole_fold(params, delta, gamma_L=None, xi=None, prefix=None, derivatives=False, positions=None, subsets=0):
+        """``solver._fold`` on the whole batch, on operands of the batch's ndim as ``_reflection`` pads them."""
+        pos = np.sort(np.arange(params.n_atoms) if positions is None else positions).astype(float)
+        axes = [delta, params.gamma_L if gamma_L is None else gamma_L, params.xi if xi is None else xi]
+        ndim = max(subsets + len(np.broadcast_shapes(*map(np.shape, (*axes, prefix)))), 1)
+        d, gl, x = (np.asarray(v, dtype=float)[(None,) * (ndim - np.ndim(v))] for v in axes)
+        return solver._fold(params, d, pos, gl, x, derivatives, prefix, subsets)
+
+    @pytest.mark.parametrize("name", list(SLICED))
+    def test_slices_have_the_bits_of_the_whole_batch(self, name):
+        # away from flagged points the sliced result is the whole batch's fold bit for bit; a
+        # flagged point (the dark-point rule's) is its batch of one, or its column of subsets
+        params, kw, dark = self.SLICED[name]
+        r, d_min, *jet = self.whole_fold(params, **kw)
+        assert r.size > solver.FOLD_POINTS  # past the rule: sliced
+        whole = np.array([r, *jet])
+        sliced = np.array(solver._reflection(params, **kw)).reshape(whole.shape)
+        flagged = ~np.isfinite(r) | (d_min <= 1.0 / solver.COND_MAX)
+        assert bits(sliced[:, ~flagged].copy()) == bits(whole[:, ~flagged].copy())
+        assert flagged.any() == dark
+        if kw.get("subsets"):
+            for col in np.unique(np.nonzero(flagged)[1]):
+                one = solver._reflection(params, kw["delta"][col : col + 1], positions=kw["positions"], subsets=True)
+                assert bits(sliced[0, :, col].copy()) == bits(one[:, 0].copy())
+            return
+        operands = {k: np.broadcast_to(kw[k], r.shape).reshape(-1) for k in ("delta", "gamma_L", "xi") if k in kw}
+        for index in np.flatnonzero(flagged):
+            one = solver._reflection(
+                params, **{k: v[index] for k, v in operands.items()}, derivatives=kw.get("derivatives", False)
+            )
+            assert bits(sliced.reshape(len(whole), -1)[:, index].copy()) == bits(np.array(one))
