@@ -36,7 +36,7 @@ from .errors import ProtocolExtinguishedError, ValidationError
 from .params import (
     DriveParams, SystemParams, _number, _real, require_count, require_params, require_real, require_valid,
 )
-from .solver import _reflection
+from .solver import _popcounts, _reflection
 from .spectrum import _dips
 
 #: dense 2^M state vectors only; the protocol targets small registers
@@ -265,14 +265,6 @@ def plan_protocol(
         side = [k for k, d in enumerate(dips) if d * dip_sign > 0] or range(len(dips))
         steps.append(dips[min(side, key=lambda k: depths[k])])
     return ProtocolPlan(steps=tuple(steps), m=m)
-
-
-def _popcounts(m: int) -> np.ndarray:
-    """Coupled count of each basis index 0 .. 2^m - 1: the top bit adds 1 to the lower half's."""
-    counts = np.zeros(1, dtype=int)
-    for _ in range(m):
-        counts = np.concatenate((counts, counts + 1))
-    return counts
 
 
 def run_protocol(

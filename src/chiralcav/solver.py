@@ -34,17 +34,17 @@ fills, or every subset of its sites (carving).  At gamma_R = 0
 the segment's reflection and offset stay exactly 0 and every D is 1.  A fold
 that is not split and has gamma_R = 0 at every point updates only the lines
 of O; the terms it skips are exact zeros, so the bits stay, and
-|w D| = |w| >= 1/2 never meets the dark-point rule.  Where, besides, every
-site's src and obs phases are bitwise equal (xi = 0), the cascade's site
-lines that read only w and those phases are formed once per call, at the
-first site.  Points
+|w D| = |w| >= 1/2 never meets the dark-point rule.  Where, besides, xi = 0
+at every point, every site has the same coefficients and the chain of n
+sites sums in closed form, O_n = i g^2 (G^n - 1) with G = (w + 1)/w: such a
+fold walks no site.  Points
 with a non-finite fold or |D| <= 1/COND_MAX (D = 0: a dark state) take the
 dark-point rule ``_contour_mean``: the mean of the fold on a small circle
 around the point.  The dense one-point ``build_linear_system``, ``solve_steady_state``,
 ``relax_time_domain`` are oracles.
 
-A fold call allocates one block of 15 complex lines for all of its order-0
-lines and writes every site update into it with ``out=``; a prefix fold's
+A fold that walks its sites allocates one block of 15 complex lines for all
+of its order-0 lines and writes every site update into it with ``out=``; a prefix fold's
 end state, which has the prefix's shape, sits outside it.  One allocation,
 because lines allocated one by one each fall below malloc's mmap
 threshold, so the heap grows on every call, is trimmed when it ends and
@@ -75,6 +75,7 @@ folds that many at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -206,18 +207,78 @@ def _fold(params, delta, pos, gl, xi, jet=False, prefix=None, split=False):
     with ``jet`` also dr/d(delta) and d2r/d(delta)^2.
 
     The rate ``gl`` is per point, and gr = 1 - gl.  ``prefix`` (not with ``split``)
-    closes each point's chain after its own first ``prefix`` sites, 0 to n:
-    its end state (o, wd_min and the jet jo), shaped as the batch broadcast
-    with ``prefix``, starts as the empty chain (0, inf, 0), the bare cavity,
-    and the points of count k + 1 copy their lines into it after site k.
-    ``split`` (not with ``jet``) doubles the rows, axis 0, at each site k:
-    row i passes the site off by pure propagation, (rho phi^2, s phi, q phi,
-    o), the zero-rate update bit for bit, and row i + 2^k takes the update;
-    the first site ends up the top bit.  The segment left of a site gives
-    R_out = rho L + s and O = q L + o for the field L entering it.  The jet of
-    x, (x', x''/2) on a leading axis, rides beside the order-0 lines:
-    jet(ab) = a jet(b) + b jet(a) + (0, a' b'), and c = a/b has jet
-    (jet(a) - c jet(b))/b less (0, c' b'/b).
+    closes each point's chain after its own first ``prefix`` sites, 0 to n, count 0
+    the bare cavity.  ``split`` (not with ``jet``) doubles the rows, axis 0, at each
+    site k: row i passes the site off and row i + 2^k takes it, so the first site
+    ends up the top bit.  The jet of x is (x', x''/2) on a leading axis.
+
+    With gl == 1 and xi == 0 at every point, the xi = 0 cascade, every site has the
+    same coefficients and the chain sums in closed form: with G = (w + 1)/w,
+    G' = -i/w^2 and G'' = -2/w^3, O_n = i g^2 (G^n - 1), O' = i g^2 n G^(n-1) G'
+    and O''/2 = i g^2 (n(n-1) G^(n-2) G'^2 + n G^(n-1) G'')/2.  n is the site
+    count, each point's ``prefix`` count or, split, each row's popcount: at xi = 0
+    a subset reflects as its coupled count, so counts 0..n are evaluated once and
+    gathered, and the bit reversal, which keeps the popcount, is left out.  Every
+    D is 1, so no point is dark.  Any other batch walks its sites (``_walk``).
+    Either way one closure takes O and its jet to r, a = -sqrt(kappa_wg) /
+    (i delta - kappa/2 - i O): every route to a point closes by the same
+    expressions, on operands of the batch's ndim.
+    """
+    n = pos.size
+    w = 1j * delta - 0.5
+    jw = np.array([1j, 0.0]).reshape((2,) + (1,) * np.ndim(delta))  # dw/d(delta) = i
+    closed = np.all(gl == 1.0) and not np.any(xi)  # the xi = 0 cascade
+    with np.errstate(all="ignore"):  # D = 0 gives inf or nan: the dark-point rule takes it
+        if closed:  # an int count per end point; powers of an int array take no square or sqrt shortcut
+            count = n if prefix is None else prefix
+            if split:  # counts 0..n on the row axis, gathered by popcount below
+                count = np.arange(n + 1).reshape((-1,) + (1,) * (np.ndim(delta) - 1))
+            count = np.broadcast_to(count, np.broadcast(delta, gl, xi, count).shape)
+            G, ig2 = (w + 1.0) / w, 1j * params.g**2
+            o_end, jo = ig2 * (G**count - 1.0), None
+            if jet:
+                dG, d2G = -1j / (w * w), -2.0 / (w * w * w)
+                gn = count * G ** (count - 1)  # d(G^n)/dG
+                jo = ig2 * np.stack((gn * dG, 0.5 * (count * (count - 1) * G ** (count - 2) * dG * dG + gn * d2G)))
+            if split:  # row i reflects as the chain of its popcount
+                o_end = o_end[_popcounts(n)]
+            d_min = np.ones(o_end.shape)  # every D is 1
+        else:
+            o_end, d_min, jo = _walk(params, w, jw, pos, gl, xi, jet, prefix, split)
+        den = 1j * delta - params.kappa / 2.0 - 1j * o_end
+        a = -np.sqrt(params.kappa_wg) / den
+        folded = [np.sqrt(params.kappa_wg) * a - 1.0, d_min]
+        if jet:
+            jden = jw - 1j * jo
+            ja = -a * jden / den
+            ja[1] -= ja[0] * jden[0] / den
+            folded += [np.sqrt(params.kappa_wg) * ja[0], 2.0 * np.sqrt(params.kappa_wg) * ja[1]]
+    if split and not closed:  # site k is bit k of the row: reverse the bits, the axes of (2,) * n
+        folded = [v[np.arange(v.shape[0]).reshape((2,) * n).T.reshape(-1)] for v in folded]
+    return folded
+
+
+def _popcounts(n: int) -> np.ndarray:
+    """Popcount of each index 0 .. 2^n - 1: the top bit adds 1 to the lower half's."""
+    counts = np.zeros(1, dtype=int)
+    for _ in range(n):
+        counts = np.concatenate((counts, counts + 1))
+    return counts
+
+
+def _walk(params, w, jw, pos, gl, xi, jet, prefix, split):
+    """(O, the smallest |D| and, with ``jet``, the jet of O) of ``_fold``'s batch,
+    from its sorted sites ``pos`` one by one.
+
+    With ``prefix``, each point's end state (o, wd_min and the jet jo), shaped as
+    the batch broadcast with ``prefix``, starts as the empty chain (0, inf, 0), the
+    bare cavity, and the points of count k + 1 copy their lines into it after site
+    k.  With ``split``, row i passes site k off by pure propagation, (rho phi^2,
+    s phi, q phi, o), the zero-rate update bit for bit, and row i + 2^k takes the
+    update.  The segment left of a site gives R_out = rho L + s and O = q L + o
+    for the field L entering it.  The jet of x, (x', x''/2) on a leading axis,
+    rides beside the order-0 lines: jet(ab) = a jet(b) + b jet(a) + (0, a' b'),
+    and c = a/b has jet (jet(a) - c jet(b))/b less (0, c' b'/b).
 
     The order-0 lines share one block of 15 complex lines, sized for the
     final 2^n split rows, one copy each: the state (rho, s, q, o); ten site
@@ -237,17 +298,14 @@ def _fold(params, delta, pos, gl, xi, jet=False, prefix=None, split=False):
     do not change along the chain.  sig_l, its gain 1 + gl sig_l (in the u
     line), |w| and jl are formed once per call, by the general update's own
     expressions, and the running minimum of |w D| is |w| from the first site
-    on.  Where every site's src and obs are also bitwise equal, as at xi = 0,
-    sig_0 = src/w, the b line obs sig_l and the jet's jz are the same
-    expressions on the same operands at every site: the first site forms them
-    for all.  Every term left out is an exact zero, added or multiplied,
-    so the cascade has the general update's bits.  Not split, the views of
+    on.  Every term left out is an exact zero, added or multiplied, so the
+    cascade has the general update's bits.  Not split, the views of
     the lines are built once per call.
     """
     n = pos.size
     gr = 1.0 - gl
     cascade = not split and np.all(gl == 1.0)  # gamma_R = 0 at every point: rho, s and their jets stay 0
-    batch = np.broadcast(delta, gl, xi).shape
+    batch = np.broadcast(w, gl, xi).shape
     shape = (2**n, *batch[1:]) if split else batch  # a split batch has one row
     block = np.empty((15, *shape), dtype=complex)
     state, site = block[:4], block[4:14]  # state: (rho, s, q, o), updated in place
@@ -257,8 +315,6 @@ def _fold(params, delta, pos, gl, xi, jet=False, prefix=None, split=False):
     cav = np.exp(1j * xi * pos)
     hop = np.exp(1j * xi * (pos - np.concatenate((pos[:1], pos[:-1]))))  # from the previous site
     sites = [hop, 1j * params.g * cav, params.g * np.conj(cav)]
-    w = 1j * delta - 0.5
-    jw = np.array([1j, 0.0]).reshape((2,) + (1,) * np.ndim(delta))  # dw/d(delta) = i
     jrho = js = jq = jo = 0.0 * jw
     rows = slice(0, 1) if split else ...  # the rows that hold the chain so far
     state[:, rows] = 0.0
@@ -269,100 +325,86 @@ def _fold(params, delta, pos, gl, xi, jet=False, prefix=None, split=False):
         cuts, end = np.unique(prefix).tolist(), np.broadcast_shapes(batch, np.shape(prefix))
         o_end, wd_end = np.zeros(end, dtype=complex), np.full(end, np.inf)
         jo_end = np.zeros((2, *end), dtype=complex) if jet else None
-    # src and obs bitwise equal at every site (xi = 0): sig_0, obs sig_l and jz are per call too
-    same = cascade and all(np.array_equal(v[..., 1:].view(np.int64), v[..., :-1].view(np.int64)) for v in sites[1:])
-    with np.errstate(all="ignore"):  # D = 0 gives inf or nan: the dark-point rule takes it
-        if cascade:  # wd = w at every site: sig_l, its gain 1 + gl sig_l, |w D| = |w| and jl are per call
-            sig_l, gain, mag = site[9], site[0], real[1]  # gain takes the unused u line
-            np.divide(1.0, w, out=sig_l)
-            np.add(1.0, np.multiply(gl, sig_l, out=site[3]), out=gain)
-            np.abs(w, out=mag)
+    if cascade:  # wd = w at every site: sig_l, its gain 1 + gl sig_l, |w D| = |w| and jl are per call
+        sig_l, gain, mag = site[9], site[0], real[1]  # gain takes the unused u line
+        np.divide(1.0, w, out=sig_l)
+        np.add(1.0, np.multiply(gl, sig_l, out=site[3]), out=gain)
+        np.abs(w, out=mag)
+        if jet:
+            step = jw[0] / w
+            jl = (0.0 - sig_l * jw) / w
+            jl[1] -= jl[0] * step
+    for k in range(n):
+        live = k + 1 < n  # past the last site only o, wd_min and jo are read
+        if split or not k:  # not split, every site reads and writes the same rows: one set of views
+            on = slice(rows.stop, 2 * rows.stop) if split else rows  # the rows that take the site
+            (rho, s, q, o), (rho_on, s_on, q_on, o_on) = state[:, rows], state[:, on]
+            u, ps, t, a, b, ugl, wd, c, sig_0, sig_l = site[:, rows]
+            wd_min, wd_on, mag = real[0][rows], real[0][on], real[1][rows]
+        phi, src, obs = (v[..., k] for v in sites)
+        np.multiply(q, phi, out=t)
+        np.add(np.multiply(t, gl, out=a), obs, out=c)
+        if cascade:  # u = ugl = s phi = out = 0 and wd = w
+            np.divide(src, w, out=sig_0)  # sigma = sig_l L + sig_0
+            np.multiply(obs, sig_l, out=b)
             if jet:
-                step = jw[0] / w
-                jl = (0.0 - sig_l * jw) / w
-                jl[1] -= jl[0] * step
-        for k in range(n):
-            live = k + 1 < n  # past the last site only o, wd_min and jo are read
-            if split or not k:  # not split, every site reads and writes the same rows: one set of views
-                on = slice(rows.stop, 2 * rows.stop) if split else rows  # the rows that take the site
-                (rho, s, q, o), (rho_on, s_on, q_on, o_on) = state[:, rows], state[:, on]
-                u, ps, t, a, b, ugl, wd, c, sig_0, sig_l = site[:, rows]
-                wd_min, wd_on, mag = real[0][rows], real[0][on], real[1][rows]
-            phi, src, obs = (v[..., k] for v in sites)
-            np.multiply(q, phi, out=t)
-            np.add(np.multiply(t, gl, out=a), obs, out=c)
-            if cascade:  # u = ugl = s phi = out = 0 and wd = w
-                if not (same and k):  # past the first site, equal phases keep its lines
-                    np.divide(src, w, out=sig_0)  # sigma = sig_l L + sig_0
-                    np.multiply(obs, sig_l, out=b)
-                    if jet:
-                        jz = (0.0 - sig_0 * jw) / w  # phi js - sig_0 jwd at js = 0, jwd = jw
-                        jz[1] -= jz[0] * step
-            else:
-                np.multiply(phi * phi, rho, out=u)  # the segment's reflection seen from this site
-                np.multiply(u, gl, out=ugl)
-                np.multiply(phi, s, out=ps)
-                np.subtract(w, ugl, out=wd)
-                np.divide(np.add(src, ps, out=a), wd, out=sig_0)
-                np.abs(wd, out=mag)
-                if live:
-                    np.divide(np.add(1.0, u, out=a), wd, out=sig_l)
-                    out = np.add(ugl, gr, out=ugl)  # nothing reads ugl after this
-                    gain = np.add(1.0, np.multiply(gl, sig_l, out=a), out=b)
-            if jet:  # jet(out) = jet(ugl); q' = t + c sig_l and o' = o + c sig_0
-                jt = jq * phi
-                jc = jt * gl
-                if not cascade:
-                    ju = phi * phi * jrho
-                    jugl = ju * gl
-                    jwd = jw - jugl
-                    step = jwd[0] / wd
-                    jz = (phi * js - sig_0 * jwd) / wd
-                    jz[1] -= jz[0] * step
-                jo = jo + c * jz + sig_0 * jc
-                jo[1] += jc[0] * jz[0]
-                if live:
-                    if not cascade:
-                        jl = (ju - sig_l * jwd) / wd
-                        jl[1] -= jl[0] * step
-                        jrho, js = ju + out * jl + sig_l * jugl, phi * js + out * jz + sig_0 * jugl
-                        jrho[1] += jugl[0] * jl[0]
-                        js[1] += jugl[0] * jz[0]
-                    jq = jt + c * jl + sig_l * jc
-                    jq[1] += jc[0] * jl[0]
-            if not (cascade and k):  # a cascade's minimum is |w| from its first site on
-                np.minimum(wd_min, mag, out=wd_on)
+                jz = (0.0 - sig_0 * jw) / w  # phi js - sig_0 jwd at js = 0, jwd = jw
+                jz[1] -= jz[0] * step
+        else:
+            np.multiply(phi * phi, rho, out=u)  # the segment's reflection seen from this site
+            np.multiply(u, gl, out=ugl)
+            np.multiply(phi, s, out=ps)
+            np.subtract(w, ugl, out=wd)
+            np.divide(np.add(src, ps, out=a), wd, out=sig_0)
+            np.abs(wd, out=mag)
+            if live:
+                np.divide(np.add(1.0, u, out=a), wd, out=sig_l)
+                out = np.add(ugl, gr, out=ugl)  # nothing reads ugl after this
+                gain = np.add(1.0, np.multiply(gl, sig_l, out=a), out=b)
+        if jet:  # jet(out) = jet(ugl); q' = t + c sig_l and o' = o + c sig_0
+            jt = jq * phi
+            jc = jt * gl
+            if not cascade:
+                ju = phi * phi * jrho
+                jugl = ju * gl
+                jwd = jw - jugl
+                step = jwd[0] / wd
+                jz = (phi * js - sig_0 * jwd) / wd
+                jz[1] -= jz[0] * step
+            jo = jo + c * jz + sig_0 * jc
+            jo[1] += jc[0] * jz[0]
             if live:
                 if not cascade:
-                    np.add(u, np.multiply(out, sig_l, out=a), out=rho_on)
-                    np.add(ps, np.multiply(out, sig_0, out=a), out=s_on)
-                np.multiply(t, gain, out=a)
-                if not cascade:  # b held the gain; a cascade's site formed obs sig_l in it
-                    np.multiply(obs, sig_l, out=b)
-                np.add(a, b, out=q_on)
-            np.add(o, np.multiply(c, sig_0, out=a), out=o_on)
-            if split:  # row i with site k off stays row i, with it on became row i + 2^k
-                if live:
-                    np.copyto(state[:3, rows], site[:3, rows])
-                np.minimum(wd_min, np.abs(w), out=wd_min)
-                rows = slice(0, on.stop)
-            if k + 1 in cuts:  # the chains of k + 1 sites end here
-                at = prefix == k + 1
-                np.copyto(o_end, o_on, where=at)
-                np.copyto(wd_end, wd_on, where=at)
-                if jet:
-                    np.copyto(jo_end, jo, where=at)
-        den = 1j * delta - params.kappa / 2.0 - 1j * o_end
-        a = -np.sqrt(params.kappa_wg) / den
-        folded = [np.sqrt(params.kappa_wg) * a - 1.0, wd_end / np.abs(w)]
-        if jet:
-            jden = jw - 1j * (jo if prefix is None else jo_end)
-            ja = -a * jden / den
-            ja[1] -= ja[0] * jden[0] / den
-            folded += [np.sqrt(params.kappa_wg) * ja[0], 2.0 * np.sqrt(params.kappa_wg) * ja[1]]
-    if split:  # site k is bit k of the row: reverse the bits, the axes of (2,) * n
-        folded = [v[np.arange(v.shape[0]).reshape((2,) * pos.size).T.reshape(-1)] for v in folded]
-    return folded
+                    jl = (ju - sig_l * jwd) / wd
+                    jl[1] -= jl[0] * step
+                    jrho, js = ju + out * jl + sig_l * jugl, phi * js + out * jz + sig_0 * jugl
+                    jrho[1] += jugl[0] * jl[0]
+                    js[1] += jugl[0] * jz[0]
+                jq = jt + c * jl + sig_l * jc
+                jq[1] += jc[0] * jl[0]
+        if not (cascade and k):  # a cascade's minimum is |w| from its first site on
+            np.minimum(wd_min, mag, out=wd_on)
+        if live:
+            if not cascade:
+                np.add(u, np.multiply(out, sig_l, out=a), out=rho_on)
+                np.add(ps, np.multiply(out, sig_0, out=a), out=s_on)
+            np.multiply(t, gain, out=a)
+            if not cascade:  # b held the gain; a cascade's site formed obs sig_l in it
+                np.multiply(obs, sig_l, out=b)
+            np.add(a, b, out=q_on)
+        np.add(o, np.multiply(c, sig_0, out=a), out=o_on)
+        if split:  # row i with site k off stays row i, with it on became row i + 2^k
+            if live:
+                np.copyto(state[:3, rows], site[:3, rows])
+            np.minimum(wd_min, np.abs(w), out=wd_min)
+            rows = slice(0, on.stop)
+        if k + 1 in cuts:  # the chains of k + 1 sites end here
+            at = prefix == k + 1
+            np.copyto(o_end, o_on, where=at)
+            np.copyto(wd_end, wd_on, where=at)
+            if jet:
+                np.copyto(jo_end, jo, where=at)
+    return o_end, wd_end / np.abs(w), jo if prefix is None else jo_end
 
 
 def _contour_mean(params, index, delta, pos, gl, xi, prefix, split) -> np.ndarray:
@@ -380,7 +422,7 @@ def _contour_mean(params, index, delta, pos, gl, xi, prefix, split) -> np.ndarra
     r'' = 2 mean r_k/(eps z_k)^2 follow.
     """
     grid = np.broadcast_shapes(*map(np.shape, (delta, gl, xi, prefix)))
-    size = np.prod(grid[split:], dtype=int)  # points per row
+    size = math.prod(grid[split:])  # points per row
     points, at = np.unique(index % size, return_inverse=True)
     d, gl, xi, cut = (  # a column per point, behind the split batch's row axis
         None if v is None else np.broadcast_to(v, grid).reshape(-1)[points][(None,) * split + (..., None)]
@@ -435,7 +477,7 @@ def _reflection(
     prefix = None if prefix is None else np.asarray(prefix)[(None,) * (len(shape) - np.ndim(prefix))]
     grid = np.broadcast(d, gl, x).shape  # the block's points; a split fold has 2^n rows each
     axis = grid.index(max(grid))  # the longest, sliced so that no fold holds more than FOLD_POINTS points
-    step = max(FOLD_POINTS * grid[axis] // max(np.prod(grid, dtype=int) << pos.size * subsets, 1), 1)
+    step = max(FOLD_POINTS * grid[axis] // max(math.prod(grid) << pos.size * subsets, 1), 1)
 
     def part(v, i):  # slice i of an operand; one that is shorter on the axis goes whole to every slice
         return v if v is None or v.shape[axis] != grid[axis] else v[(slice(None),) * axis + (slice(i, i + step),)]

@@ -48,3 +48,19 @@ def fold_shapes(monkeypatch):
 
     monkeypatch.setattr(solver, "_fold", counted)
     return calls
+
+
+@pytest.fixture
+def complex_blocks(monkeypatch):
+    """The shape of each complex ``np.empty`` call (the fold's block), in order."""
+    import numpy as np
+
+    blocks, empty = [], np.empty
+
+    def recording(shape, dtype=float, *args, **kw):
+        if np.dtype(dtype) == complex:
+            blocks.append(shape)
+        return empty(shape, dtype, *args, **kw)
+
+    monkeypatch.setattr(np, "empty", recording)
+    return blocks

@@ -642,12 +642,13 @@ class TestJet:
 
 
 class TestCascade:
-    """gamma_R = 0 at every point of a fold that is not split: the cascaded update,
-    against the general update that a batch mixing gamma_L = 1 and 0.9 takes."""
+    """gamma_R = 0 at every point of a fold that is not split and not all at xi = 0:
+    the cascaded update, against the general update that a batch mixing gamma_L = 1
+    and 0.9 takes.  The xi = 0 cascade sums in closed form (``TestClosedFormCascade``)."""
 
-    # (0.0, 0.3): a per-point xi, the deltas once at each, whose sites differ in src and obs,
-    # so that its cascade forms sig_0, obs sig_l and jz at every site, as xi = 0.3 alone does
-    @pytest.mark.parametrize("xi", [0.0, 0.3, math.pi, pytest.param((0.0, 0.3), id="0.0,0.3")])
+    # (0.0, 0.3): a per-point xi, the deltas once at each, so that the batch walks its sites
+    # with the xi = 0 points in it
+    @pytest.mark.parametrize("xi", [0.3, math.pi, pytest.param((0.0, 0.3), id="0.0,0.3")])
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 11])
     def test_cascade_has_the_bits_of_the_general_update(self, n, xi, dark_point_calls):
         params = make_system(n=n, gamma_L=1.0, xi=np.ravel(xi)[0])
@@ -682,6 +683,57 @@ class TestClosedFormCascade:
             self.assert_close([solver._reflection(params, deltas, prefix=counts)], prefixes[:1])
             self.assert_close(solver._reflection(params, deltas, derivatives=True), chain)
             self.assert_close(solver._reflection(params, deltas, prefix=counts, derivatives=True), prefixes)
+
+    # the kernel's closed form against the general update that a batch mixing gamma_L = 1
+    # and 0.9 takes, site by site; a subset fold only up to 11 sites (2^n rows)
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 11, 61])
+    def test_closed_form_is_the_general_update(self, n, dark_point_calls):
+        params = make_system(n=n)
+        deltas = np.append(np.linspace(-3.0, 3.0, 40), 0.0)
+        cuts = np.arange(n + 1)[:, None, None]  # 0..n
+        folds = [{}, {"prefix": cuts}, {"derivatives": True}, {"prefix": cuts, "derivatives": True}]
+        if n <= 11:
+            folds.append({"positions": np.arange(n), "subsets": True})
+        for kw in folds:
+            closed = solver._reflection(params, deltas, gamma_L=np.array([[1.0]]), **kw)
+            mixed = solver._reflection(params, deltas, gamma_L=np.array([[1.0], [0.9]]), **kw)
+            for got, want in zip(*(v if isinstance(v, tuple) else (v,) for v in (closed, mixed))):
+                want = want[..., :1, :]  # within 1e-12 of each order's scale (measured: 3.7e-14 at n = 61)
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert dark_point_calls == []  # every D of a cascade is 1: no point is dark
+
+    @pytest.mark.parametrize("derivatives", [False, True])
+    def test_count_zero_is_the_bare_cavity(self, derivatives):
+        # count 0 closes on O = 0 and its jet 0: the bits of the walk's empty chain
+        params = make_system(n=5)
+        deltas, prefix = np.linspace(-2.0, 2.0, 41), np.arange(41) % 6
+        walk = np.array(solver._reflection(params, deltas, gamma_L=np.array([[1.0], [0.9]]), prefix=prefix,
+                                           derivatives=derivatives))[..., 0, :]
+        at = prefix == 0
+        for kw in ({"prefix": prefix}, {"positions": np.arange(0)}):
+            closed = np.array(solver._reflection(params, deltas, derivatives=derivatives, **kw))
+            assert bits(closed[..., at].copy()) == bits(walk[..., at].copy())
+        row = solver._reflection(params, deltas, positions=np.arange(5), subsets=True)[0]  # no atom coupled
+        assert bits(row[at].copy()) == bits(walk.reshape(-1, 41)[0, at].copy())
+
+    @pytest.mark.parametrize(
+        "axes",
+        [{"xi": np.array([[0.0], [0.3]])}, {"gamma_L": np.array([[1.0], [0.9]])}],
+        ids=["xi-0-and-0.3", "gamma-l-1-and-0.9"],
+    )
+    def test_only_a_whole_xi_0_cascade_takes_the_closed_form(self, axes, complex_blocks):
+        # the closed form allocates no block; a batch that mixes in another xi or rate walks its
+        # sites in one, and its other row has the bits of that row alone
+        blocks = complex_blocks
+        params, deltas = make_system(n=5), np.linspace(-3.0, 3.0, 41)
+        for kw in ({}, {"derivatives": True}):
+            blocks.clear()
+            solver._reflection(params, deltas, **kw)
+            assert blocks == []
+            mixed = np.array(solver._reflection(params, deltas, **axes, **kw))
+            assert blocks == [(15, 2, 41)]
+            alone = np.array(solver._reflection(params, deltas, **{k: v[1:] for k, v in axes.items()}, **kw))
+            assert bits(mixed[..., 1:, :].copy()) == bits(alone)
 
 
 def read_only(value):
@@ -787,7 +839,8 @@ class TestBlock:
         np.minimum(wd_min, mag, out=wd_min)
         assert bits(wd_min) == bits(fresh)
 
-    SYSTEMS = [(1.0, 0.0), (0.95, 0.3), (0.5, 0.0), (0.5, math.pi), (0.8, 1.1)]
+    # (1.0, 0.3): the cascaded walk; the xi = 0 cascade sums in closed form, with no block
+    SYSTEMS = [(1.0, 0.3), (0.95, 0.3), (0.5, 0.0), (0.5, math.pi), (0.8, 1.1)]
 
     @pytest.mark.parametrize("gamma_L, xi", SYSTEMS)
     def test_no_line_is_read_before_it_is_written(self, gamma_L, xi, monkeypatch):
@@ -818,18 +871,11 @@ class TestBlock:
             assert bits(np.array(call())) == before
             assert len(filled) > count  # the fold's block came from the patched np.empty
 
-    def test_block_holds_each_line_once(self, monkeypatch):
+    def test_block_holds_each_line_once(self, complex_blocks):
         # 4 state lines, 10 site lines and the real lines (wd_min, |w D|) two to a complex
         # line; a prefix fold's end state has the prefix's shape and sits outside the block.
         # A batch past the kernel's rule is folded in slices, each block within FOLD_POINTS
-        blocks, empty = [], np.empty
-
-        def recording(shape, dtype=float, *args, **kw):
-            if np.dtype(dtype) == complex:
-                blocks.append(shape)
-            return empty(shape, dtype, *args, **kw)
-
-        monkeypatch.setattr(np, "empty", recording)
+        blocks = complex_blocks
         params, deltas = make_system(n=5, gamma_L=0.95, xi=0.3), np.linspace(-1.0, 1.0, 9)
         sweep = np.linspace(-3.0, 3.0, 20001)
         # the map grid's three dark points take one more fold, the dark-point rule's
@@ -847,8 +893,11 @@ class TestBlock:
             assert [shape[0] for shape in blocks] == [15] * folds
             assert all(math.prod(shape[1:]) <= solver.FOLD_POINTS for shape in blocks)
         blocks.clear()
-        plan_protocol(12, make_system(n=12))  # one sweep over the chains 3, 5, .., 11, then Newton steps
+        plan_protocol(12, make_system(n=12, xi=0.3))  # one sweep over the chains 3, 5, .., 11, then Newton steps
         assert blocks and {shape[0] for shape in blocks} == {15}
+        blocks.clear()
+        plan_protocol(12, make_system(n=12))  # the xi = 0 cascade sums in closed form: no block
+        assert blocks == []
 
     # dark (gamma_L, xi) = (1/2, 0) at delta = 0 in a later slice, flat index 15000 of a mixed batch
     DARK = dict(

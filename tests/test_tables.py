@@ -160,10 +160,12 @@ def test_fig2_map_bytes_are_pinned(fmt_name, tmp_path, capsys):
 
 
 #: sha256 of the ``repro fig3`` files, each name and its bytes in name order,
-#: before gamma_R became 1 - gamma_L: fig3_N2_C4_gL08 is the gamma_L = 0.8 curve
+#: since the xi = 0 cascade sums in closed form: of its 12-digit values, two of
+#: fig3_N1_C4's 4001 (delta = +-2.556) moved in the last digit; fig3_N2_C4_gL08,
+#: the gamma_L = 0.8 curve, keeps its bytes
 FIG3_SHA256 = {
-    "csv": "80097bdd512ad938f0f1be1e73f224c3742e59c479c0fb9c33980c682b5cef8d",
-    "json": "dd21bc523a5deb17d152861c5d74b024b5cabdaee5140996ad10e4eb9e696579",
+    "csv": "d0accdcd822cb3ca13b33341a097ecc10a781460c63f8376a2064f764a91ba40",
+    "json": "c9fba6b5396a32a9060029292697dff5722fcd2765f57176ccc252ee7d70c735",
 }
 
 
@@ -208,11 +210,13 @@ def test_carve_bytes_are_pinned(args, tmp_path, capsys):
 
 
 #: sha256 of CLI map and spectrum output before the JSON rows were spliced
-#: into the dumped payload; the N = 3 spectrum's 5 features precede its rows
+#: into the dumped payload; the N = 3 spectrum's 5 features precede its rows.
+#: The N = 3 spectrum is re-pinned since the xi = 0 cascade sums in closed form:
+#: its two dips' half-prominence widths, 12-digit unequal, traded values
 CLI_SHA256 = {
     "map --n 3": "f2eee5e3297493c8f5383493a55f1eb50dfcd50ef35807e4a00ad74f269a3179",
     "map --n 3 --format json": "67f4bf5776add08ffead9f3a88a4f6d1336439ab426e70085c6693de57e3d01e",
-    "spectrum --n 3 --format json": "dbf5ca9d24c735920f0b2d9cead9c63e815c8fddb6573dfeac06e62f5bbc2e0b",
+    "spectrum --n 3 --format json": "ce8a6ac857e45763fbbbb5d4e98c3c366f2af00f1c54024ab148072738fbbfcd",
 }
 
 
