@@ -179,6 +179,24 @@ def test_fig3_spectra_bytes_are_pinned(fmt_name, tmp_path, capsys):
     assert digest.hexdigest() == FIG3_SHA256[fmt_name]
 
 
+#: sha256 of the ``repro fig3_2`` files, each name and its bytes in name order, while
+#: gamma_L = 1 off xi = 0 still took a site update of its own: six xi, N = 2
+FIG3_2_SHA256 = {
+    "csv": "ea22d9302cf5a5df7e611c64a454726f930f2f2773233c0e4f80d537a4d617be",
+    "json": "d4b672ffa5c875d73976fde323e59e3a50c2cda6f29e22781d2d5a181955398b",
+}
+
+
+@pytest.mark.parametrize("fmt_name", sorted(FIG3_2_SHA256))
+def test_fig3_2_spectra_bytes_are_pinned(fmt_name, tmp_path, capsys):
+    assert main(["repro", "fig3_2", "--format", fmt_name, "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == FIG3_2_SHA256[fmt_name]
+
+
 #: sha256 of the ``repro fig4`` CSV files, each name and its bytes in name order, before
 #: the xi = 0 cascade formed its site invariants once per call: N = 3..6 at gamma_L = 1
 FIG4_CSV_SHA256 = "cd885a707209d220ca1cd4f5324a57b6d85663c7bcd42a0c37b2faaf00674cc1"
@@ -194,10 +212,13 @@ def test_fig4_spectra_bytes_are_pinned(tmp_path, capsys):
 
 
 #: sha256 of ``carve`` CSV output before a protocol folded all of its steps
-#: together; both plans cross fold boundaries (2 + 2 + 2 and 4 + 2 steps)
+#: together; both plans cross fold boundaries (2 + 2 + 2 and 4 + 2 steps).
+#: The M = 12 run at xi = 0.3 is gamma_L = 1 off xi = 0, pinned while that
+#: regime still took a site update of its own
 CARVE_SHA256 = {
     "--m 12": "71eb64f3565de17b047e84936183e47567f126aaf180ba56aa6aed1d0a53e3bb",
     "--m 11 --gamma-l 0.95 --xi 0.3 --reps 2": "6722d4add072e0383ce9cfcedd1e696e0e504e690babf3bfdd653309dd9d31b7",
+    "--m 12 --xi 0.3": "7f6f8eb400a0573f52f23ad92ff320867c449bf2aa28298f282cb780af278187",
 }
 
 
@@ -231,6 +252,23 @@ def test_map_and_spectrum_bytes_are_pinned(args, tmp_path, capsys):
         assert len(json.loads(data)["features"]) == 5
 
 
+#: sha256 of a spectrum at gamma_L = 1 off xi = 0, while that regime still took a
+#: site update of its own: its sweep and its 9 features' refinement walk the chain
+CASCADE_SPECTRUM_SHA256 = {
+    "spectrum --n 6 --xi 0.7 --format json": "8037d73d6edef7ea6c5a2b2a243fa47d31e4f5f8daf24d7f06f2ab01d936e753",
+}
+
+
+@pytest.mark.parametrize("args", sorted(CASCADE_SPECTRUM_SHA256))
+def test_cascade_spectrum_bytes_are_pinned(args, tmp_path, capsys):
+    path = tmp_path / "out"
+    assert main([*args.split(), "--output", str(path)]) == 0
+    capsys.readouterr()
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CASCADE_SPECTRUM_SHA256[args]
+    assert len(json.loads(data)["features"]) == 9
+
+
 def fold_points(fold):
     """``solver._fold`` one point at a time, each a batch of one of the batch's ndim
     (a split batch keeps its rows); scalar operands stay scalars."""
@@ -254,11 +292,14 @@ def fold_points(fold):
 
 
 #: the benchmark's median carve classes (M = 5, 6) and its largest map (N = 6) at
-#: 17 digits, where a last-bit flip that 12 digits round away shows in the bytes
+#: 17 digits, where a last-bit flip that 12 digits round away shows in the bytes;
+#: the M = 6 carve and N = 6 spectrum off xi = 0 put gamma_L = 1 on the walk
 FULL_PRECISION = (
     "carve --m 6 --reps 2 --precision 17",
     "carve --m 5 --gamma-l 0.95 --xi 0.3 --reps 3 --precision 17",
     "map --n 6 --precision 17",
+    "carve --m 6 --xi 0.3 --reps 2 --precision 17",
+    "spectrum --n 6 --xi 0.7 --precision 17",
 )
 
 
