@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import PoleError, ValidationError
-from .params import SystemParams, _number, require_params
+from .params import SystemParams, _number, require_params, require_valid
 
 
 def _require_passive(kappa_wg, kappa_sc) -> None:
@@ -39,7 +39,9 @@ def r_no_atoms(delta: float, kappa_wg: float, kappa_sc: float) -> complex:
 
 def r_two_atoms(delta: float, params: SystemParams) -> complex:
     """Two-atom chiral reflection amplitude in closed form, for
-    ``params.n_atoms`` = 2, kappa_wg, kappa_sc >= 0 and gamma_L in [0, 1].
+    ``params.n_atoms`` = 2 and parameters that pass :func:`require_valid`,
+    except that kappa_wg = 0 is taken too, so that the closed form reaches
+    its poles.
 
     Solves  kappa_wg / (r + 1) = (kappa/2 - i delta)
               - g^2 [2 (i delta - 1/2) + (e^{2 i xi} gamma_L + gamma_R)]
@@ -56,9 +58,7 @@ def r_two_atoms(delta: float, params: SystemParams) -> complex:
         raise ValidationError("delta must be a finite real number")
     if require_params(params).n_atoms != 2:
         raise ValidationError(f"r_two_atoms takes n_atoms = 2, not {params.n_atoms!r}")
-    _require_passive(params.kappa_wg, params.kappa_sc)
-    if not 0.0 <= params.gamma_L <= 1.0:  # gamma_R = 1 - gamma_L < 0 is gain
-        raise ValidationError(f"gamma_L must lie in [0, 1], not {params.gamma_L!r}")
+    require_valid(replace(params, kappa_wg=1.0) if params.kappa_wg == 0 else params)
     d_at = 1j * delta - 0.5
     e2 = cmath.exp(2j * params.xi)
     bracket = d_at * d_at - e2 * params.gamma_L * params.gamma_R

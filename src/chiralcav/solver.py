@@ -31,13 +31,11 @@ its size), each point closing from one end state that its count's site
 fills, or every subset of its sites (carving).  At gamma_R = 0
 (gamma_L = 1) the chain is a pure cascade (C. W. Gardiner, PRL 70, 2269
 (1993); H. J. Carmichael, PRL 70, 2273 (1993)): no atom emits backwards, so
-the segment's reflection and offset stay exactly 0 and every D is 1.  A fold
-that is not split and has gamma_R = 0 at every point updates only the lines
-of O; the terms it skips are exact zeros, so the bits stay, and
-|w D| = |w| >= 1/2 never meets the dark-point rule.  Where, besides, xi = 0
-at every point, every site has the same coefficients and the chain of n
-sites sums in closed form, O_n = i g^2 (G^n - 1) with G = (w + 1)/w: such a
-fold walks no site.  Points
+every D is 1.  Where, besides, xi = 0 at every point, every site has the
+same coefficients and the chain of n sites sums in closed form,
+O_n = i g^2 (G^n - 1) with G = (w + 1)/w: such a fold walks no site.  Every
+other fold, a cascade off xi = 0 included, walks its sites by one site
+update.  Points
 with a non-finite fold or |D| <= 1/COND_MAX (D = 0: a dark state) take the
 dark-point rule ``_contour_mean``: the mean of the fold on a small circle
 around the point.  The dense one-point ``build_linear_system``, ``solve_steady_state``,
@@ -288,23 +286,11 @@ def _walk(params, w, jw, pos, gl, xi, jet, prefix, split):
     rho', s' and q' go into lines it has already read into u, s phi and t,
     and o' = o + c sig_0, wd_min and out = ugl + gr (over ugl, which the jet
     does not read) are sums or minima, exact in any inner loop.  Split, the
-    off-rows then take (u, s phi, t) and keep o.
-
-    Not split and with gl == 1 at every point (gr = 0), the update is the
-    cascade: rho = s = 0 at every site, so u = ugl = s phi = out = 0, wd = w,
-    sig_l = 1/w and |w D| = |w|, and a site computes only t = q phi,
-    c = gl t + obs, sig_0 = src/w, q' = t (1 + gl sig_l) + obs sig_l and
-    o' = o + c sig_0.  In the jet jrho = js = 0 and jwd = jw, so jl and step
-    do not change along the chain.  sig_l, its gain 1 + gl sig_l (in the u
-    line), |w| and jl are formed once per call, by the general update's own
-    expressions, and the running minimum of |w D| is |w| from the first site
-    on.  Every term left out is an exact zero, added or multiplied, so the
-    cascade has the general update's bits.  Not split, the views of
+    off-rows then take (u, s phi, t) and keep o.  Not split, the views of
     the lines are built once per call.
     """
     n = pos.size
     gr = 1.0 - gl
-    cascade = not split and np.all(gl == 1.0)  # gamma_R = 0 at every point: rho, s and their jets stay 0
     batch = np.broadcast(w, gl, xi).shape
     shape = (2**n, *batch[1:]) if split else batch  # a split batch has one row
     block = np.empty((15, *shape), dtype=complex)
@@ -325,15 +311,6 @@ def _walk(params, w, jw, pos, gl, xi, jet, prefix, split):
         cuts, end = np.unique(prefix).tolist(), np.broadcast_shapes(batch, np.shape(prefix))
         o_end, wd_end = np.zeros(end, dtype=complex), np.full(end, np.inf)
         jo_end = np.zeros((2, *end), dtype=complex) if jet else None
-    if cascade:  # wd = w at every site: sig_l, its gain 1 + gl sig_l, |w D| = |w| and jl are per call
-        sig_l, gain, mag = site[9], site[0], real[1]  # gain takes the unused u line
-        np.divide(1.0, w, out=sig_l)
-        np.add(1.0, np.multiply(gl, sig_l, out=site[3]), out=gain)
-        np.abs(w, out=mag)
-        if jet:
-            step = jw[0] / w
-            jl = (0.0 - sig_l * jw) / w
-            jl[1] -= jl[0] * step
     for k in range(n):
         live = k + 1 < n  # past the last site only o, wd_min and jo are read
         if split or not k:  # not split, every site reads and writes the same rows: one set of views
@@ -344,53 +321,41 @@ def _walk(params, w, jw, pos, gl, xi, jet, prefix, split):
         phi, src, obs = (v[..., k] for v in sites)
         np.multiply(q, phi, out=t)
         np.add(np.multiply(t, gl, out=a), obs, out=c)
-        if cascade:  # u = ugl = s phi = out = 0 and wd = w
-            np.divide(src, w, out=sig_0)  # sigma = sig_l L + sig_0
-            np.multiply(obs, sig_l, out=b)
-            if jet:
-                jz = (0.0 - sig_0 * jw) / w  # phi js - sig_0 jwd at js = 0, jwd = jw
-                jz[1] -= jz[0] * step
-        else:
-            np.multiply(phi * phi, rho, out=u)  # the segment's reflection seen from this site
-            np.multiply(u, gl, out=ugl)
-            np.multiply(phi, s, out=ps)
-            np.subtract(w, ugl, out=wd)
-            np.divide(np.add(src, ps, out=a), wd, out=sig_0)
-            np.abs(wd, out=mag)
-            if live:
-                np.divide(np.add(1.0, u, out=a), wd, out=sig_l)
-                out = np.add(ugl, gr, out=ugl)  # nothing reads ugl after this
-                gain = np.add(1.0, np.multiply(gl, sig_l, out=a), out=b)
+        np.multiply(phi * phi, rho, out=u)  # the segment's reflection seen from this site
+        np.multiply(u, gl, out=ugl)
+        np.multiply(phi, s, out=ps)
+        np.subtract(w, ugl, out=wd)
+        np.divide(np.add(src, ps, out=a), wd, out=sig_0)  # sigma = sig_l L + sig_0
+        np.abs(wd, out=mag)
+        if live:
+            np.divide(np.add(1.0, u, out=a), wd, out=sig_l)
+            out = np.add(ugl, gr, out=ugl)  # nothing reads ugl after this
+            gain = np.add(1.0, np.multiply(gl, sig_l, out=a), out=b)
         if jet:  # jet(out) = jet(ugl); q' = t + c sig_l and o' = o + c sig_0
             jt = jq * phi
             jc = jt * gl
-            if not cascade:
-                ju = phi * phi * jrho
-                jugl = ju * gl
-                jwd = jw - jugl
-                step = jwd[0] / wd
-                jz = (phi * js - sig_0 * jwd) / wd
-                jz[1] -= jz[0] * step
+            ju = phi * phi * jrho
+            jugl = ju * gl
+            jwd = jw - jugl
+            step = jwd[0] / wd
+            jz = (phi * js - sig_0 * jwd) / wd
+            jz[1] -= jz[0] * step
             jo = jo + c * jz + sig_0 * jc
             jo[1] += jc[0] * jz[0]
             if live:
-                if not cascade:
-                    jl = (ju - sig_l * jwd) / wd
-                    jl[1] -= jl[0] * step
-                    jrho, js = ju + out * jl + sig_l * jugl, phi * js + out * jz + sig_0 * jugl
-                    jrho[1] += jugl[0] * jl[0]
-                    js[1] += jugl[0] * jz[0]
+                jl = (ju - sig_l * jwd) / wd
+                jl[1] -= jl[0] * step
+                jrho, js = ju + out * jl + sig_l * jugl, phi * js + out * jz + sig_0 * jugl
+                jrho[1] += jugl[0] * jl[0]
+                js[1] += jugl[0] * jz[0]
                 jq = jt + c * jl + sig_l * jc
                 jq[1] += jc[0] * jl[0]
-        if not (cascade and k):  # a cascade's minimum is |w| from its first site on
-            np.minimum(wd_min, mag, out=wd_on)
+        np.minimum(wd_min, mag, out=wd_on)
         if live:
-            if not cascade:
-                np.add(u, np.multiply(out, sig_l, out=a), out=rho_on)
-                np.add(ps, np.multiply(out, sig_0, out=a), out=s_on)
+            np.add(u, np.multiply(out, sig_l, out=a), out=rho_on)
+            np.add(ps, np.multiply(out, sig_0, out=a), out=s_on)
             np.multiply(t, gain, out=a)
-            if not cascade:  # b held the gain; a cascade's site formed obs sig_l in it
-                np.multiply(obs, sig_l, out=b)
+            np.multiply(obs, sig_l, out=b)  # b held the gain
             np.add(a, b, out=q_on)
         np.add(o, np.multiply(c, sig_0, out=a), out=o_on)
         if split:  # row i with site k off stays row i, with it on became row i + 2^k

@@ -87,6 +87,17 @@ class Map2D:
     gamma_L_grid: np.ndarray
     values: np.ndarray  # shape (len(xi_grid), len(gamma_L_grid))
 
+    def __post_init__(self) -> None:
+        xi, gamma_L = require_real("xi_grid", self.xi_grid), require_real("gamma_L_grid", self.gamma_L_grid)
+        if not _real(self.values):  # values may be non-finite, the grids may not
+            raise ValidationError("values must hold real numbers")
+        values = np.asarray(self.values, dtype=float)
+        if xi.ndim != 1 or gamma_L.ndim != 1 or values.shape != (xi.size, gamma_L.size):
+            raise ValidationError("grids must be 1-D arrays and values of shape (len(xi_grid), len(gamma_L_grid))")
+        object.__setattr__(self, "xi_grid", xi)
+        object.__setattr__(self, "gamma_L_grid", gamma_L)
+        object.__setattr__(self, "values", values)
+
     def rows(self) -> np.ndarray:
         """Table rows (xi, gamma_L, R), xi-major."""
         xi, gamma_L = np.meshgrid(self.xi_grid, self.gamma_L_grid, indexing="ij")

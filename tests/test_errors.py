@@ -39,6 +39,7 @@ from chiralcav import (
     validate,
 )
 from chiralcav.params import require_valid
+from chiralcav.spectrum import Map2D, map_table
 from chiralcav.tables import DataTable, fmt, parse_csv, read_table, render_csv, render_json, write_table
 from helpers import make_system
 
@@ -239,6 +240,16 @@ def read_back(tmp, name, text):
         lambda tmp: render_csv(DataTable("x", ("a",), np.array([[1 + 2j]]))),
         lambda tmp: render_json(DataTable("x", ("a",), np.array([[1 + 2j]]))),
         lambda tmp: write_table(DataTable("x", ("a",), np.array([[1 + 2j]])), tmp / "complex.csv"),
+        # the closed form takes what require_valid takes, and kappa_wg = 0 for its poles
+        lambda tmp: r_two_atoms(0.0, make_system(xi=math.inf)),
+        lambda tmp: r_two_atoms(0.0, make_system(g=math.nan)),
+        lambda tmp: r_two_atoms(0.0, make_system(g=math.inf)),
+        lambda tmp: r_two_atoms(0.0, make_system(kappa_wg=math.inf)),
+        lambda tmp: r_two_atoms(0.0, make_system(g="20")),
+        lambda tmp: r_two_atoms(0.0, make_system(g=1e200)),
+        # a map holds 1-D grids and one value per (xi, gamma_L) pair
+        lambda tmp: map_table(Map2D(np.zeros(2), np.zeros(3), np.zeros((3, 3))), make_system(), "map", "map"),
+        lambda tmp: map_table(Map2D(np.zeros(2), np.zeros(3), np.zeros(6)), make_system(), "map", "map"),
     ],
     ids=[
         "spectrum-grid",
@@ -408,6 +419,14 @@ def read_back(tmp, name, text):
         "csv-rows-complex",
         "json-rows-complex",
         "write-rows-complex",
+        "r-two-atoms-xi-inf",
+        "r-two-atoms-g-nan",
+        "r-two-atoms-g-inf",
+        "r-two-atoms-kappa-wg-inf",
+        "r-two-atoms-g-string",
+        "r-two-atoms-g-overflow",
+        "map-values-shape",
+        "map-values-flat",
     ],
 )
 def test_invalid_input_raises_package_error(call, tmp_path):

@@ -121,7 +121,7 @@ def test_uncoupled_atoms_are_one_atom_with_coupling_g_sqrt_n(system, delta):
 
 @settings(DERANDOMIZED, max_examples=200)
 @given(systems(n_max=8), detuning)
-# gamma_L = 1 at every point takes the cascaded update; xi = 0.7 keeps the phases off 1
+# gamma_L = 1 at every point, off xi = 0 so that the fold walks its sites; xi = 0.7 keeps the phases off 1
 @example(make_system(n=8, gamma_L=1.0, xi=0.7), 0.3)
 def test_jet_matches_dense_oracle(params, delta):
     # dr/d(delta) and d2r/d(delta)^2 against two more dense solves

@@ -642,9 +642,10 @@ class TestJet:
 
 
 class TestCascade:
-    """gamma_R = 0 at every point of a fold that is not split and not all at xi = 0:
-    the cascaded update, against the general update that a batch mixing gamma_L = 1
-    and 0.9 takes.  The xi = 0 cascade sums in closed form (``TestClosedFormCascade``)."""
+    """gamma_R = 0 at every point of a fold that is not split and not all at xi = 0
+    walks the one site update, where rho = s = 0 and every D = 1 are exact zeros and
+    ones: its bits against the gamma_L = 1 row of a batch mixing gamma_L = 1 and 0.9.
+    The xi = 0 cascade sums in closed form (``TestClosedFormCascade``)."""
 
     # (0.0, 0.3): a per-point xi, the deltas once at each, so that the batch walks its sites
     # with the xi = 0 points in it
@@ -839,7 +840,8 @@ class TestBlock:
         np.minimum(wd_min, mag, out=wd_min)
         assert bits(wd_min) == bits(fresh)
 
-    # (1.0, 0.3): the cascaded walk; the xi = 0 cascade sums in closed form, with no block
+    # (1.0, 0.3): gamma_L = 1 off xi = 0, on the walk; the xi = 0 cascade sums in closed
+    # form, with no block
     SYSTEMS = [(1.0, 0.3), (0.95, 0.3), (0.5, 0.0), (0.5, math.pi), (0.8, 1.1)]
 
     @pytest.mark.parametrize("gamma_L, xi", SYSTEMS)
