@@ -386,7 +386,7 @@ def _contour_mean(params, index, delta, pos, gl, xi, prefix, split) -> np.ndarra
     under its flat index.  The Cauchy means r' = mean r_k/(eps z_k),
     r'' = 2 mean r_k/(eps z_k)^2 follow.
     """
-    grid = np.broadcast_shapes(*map(np.shape, (delta, gl, xi, prefix)))
+    grid = np.broadcast(*(v for v in (delta, gl, xi, prefix) if v is not None)).shape
     size = math.prod(grid[split:])  # points per row
     points, at = np.unique(index % size, return_inverse=True)
     d, gl, xi, cut = (  # a column per point, behind the split batch's row axis
@@ -434,7 +434,7 @@ def _reflection(
     """
     pos = np.sort(np.arange(params.n_atoms) if positions is None else positions).astype(float)
     axes = [delta, params.gamma_L if gamma_L is None else gamma_L, params.xi if xi is None else xi]
-    lead = (2**pos.size,) * subsets + np.broadcast_shapes(*map(np.shape, (*axes, prefix)))
+    lead = (2**pos.size,) * subsets + np.broadcast(*(v for v in (*axes, prefix) if v is not None)).shape
     shape = lead or (1,)
     # every operand gets the batch's ndim: numpy multiplies a size-1 pair of
     # unequal ndims without FMA, and a batch of one would change its bits
@@ -507,7 +507,7 @@ def reflectivity_batch(params: SystemParams, delta, gamma_L=None, xi=None) -> np
     if gamma_L is not None and not np.all((gamma_L >= 0.0) & (gamma_L <= 1.0)):
         raise ValidationError("gamma_L must lie in [0, 1]")
     try:
-        np.broadcast_shapes(*map(np.shape, (delta, gamma_L, xi)))
+        np.broadcast(*(v for v in (delta, gamma_L, xi) if v is not None))
     except ValueError:
         raise ValidationError("delta, gamma_L and xi must broadcast together") from None
     return np.square(np.abs(_reflection(params, delta, gamma_L=gamma_L, xi=xi)))

@@ -6,7 +6,8 @@ extrema are refined on the continuous curve by safeguarded Newton on
 R' = 0 and characterized by their full width at half prominence, which
 stays well defined for dips sitting on a curved background.  All extrema,
 then all width edges, of a spectrum are refined together, one fold of r,
-dr/d(delta) and d2r/d(delta)^2 per Newton step.
+dr/d(delta) and d2r/d(delta)^2 per Newton step.  The grid extrema of all
+of a plan's curves (of both signs of a spectrum) come from one stacked pass.
 """
 
 from __future__ import annotations
@@ -128,30 +129,47 @@ def sweep_2d(params_template: SystemParams, xi_grid, gamma_L_grid) -> Map2D:
     return Map2D(xi_grid=xi_grid, gamma_L_grid=gamma_L_grid, values=values)
 
 
-def _peaks(x, prominence_min: float) -> tuple[np.ndarray, np.ndarray]:
-    """Local maxima of ``x`` with topographic prominence >= ``prominence_min``:
-    (indices, prominences), as ``scipy.signal.find_peaks(x, prominence=...)``.
+def _peaks(x, prominence_min: float):
+    """Local maxima of each row of ``x`` with topographic prominence >= ``prominence_min``:
+    (indices, prominences) of a 1-D ``x``, as ``scipy.signal.find_peaks(x, prominence=...)``,
+    and (rows, indices, prominences) of a stack of rows, row-major.
 
     A maximum is a strict rise into a run of equal samples and a strict
     fall out of it, reported at the run's middle sample (rounded down);
-    the first and last samples never qualify.  Each side of a maximum
-    reaches to the first strictly higher sample or the array end, and
-    the prominence is its height above the higher of the two side minima.
+    the first and last samples of a row never qualify.  Each side of a
+    maximum reaches to the first strictly higher sample or the row end,
+    and the prominence is its height above the higher of the two side
+    minima.  Rows must be finite: :func:`find_features` refuses a
+    non-finite value, and ``_dips`` reads the fold after the dark-point rule.
+
+    One pass serves every row: the rows lie end to end between +inf
+    separators, so one scan of the run starts finds every maximum and a
+    separator ends every side.  Between consecutive maxima (separators
+    included) the samples form a valley, so a side's minimum is the least
+    valley minimum up to the nearest strictly higher maximum.
     """
     x = np.asarray(x, dtype=float)
-    step = np.flatnonzero(x[1:] != x[:-1])  # x[step] != x[step + 1]
-    first, last = step[:-1] + 1, step[1:]  # every run but the first and the last
-    top = (x[first - 1] < x[first]) & (x[last + 1] < x[last])
-    peaks = (first[top] + last[top]) // 2
-    prominence = np.empty(peaks.size)
-    for k, i in enumerate(peaks):
-        higher = np.flatnonzero(x > x[i])
-        j = np.searchsorted(higher, i)
-        lo = higher[j - 1] + 1 if j else 0
-        hi = higher[j] if j < higher.size else x.size
-        prominence[k] = x[i] - max(x[lo : i + 1].min(), x[i:hi].min())
+    rows = np.atleast_2d(x)
+    width = rows.shape[1] + 1  # a row and the separator after it
+    y = np.full(rows.shape[0] * width + 1, np.inf)
+    y[1:].reshape(-1, width)[:, :-1] = rows
+    step = np.flatnonzero(y[:-1] != y[1:])  # the runs of equal samples end at step
+    rise = (y[:-1] < y[1:])[step]
+    top = rise[:-1] & ~rise[1:]  # a run, neither the first nor the last, entered rising and left falling
+    marks = np.concatenate(([0], (step[:-1][top] + 1 + step[1:][top]) // 2, [y.size - 1]))  # separators too
+    height = y[marks]
+    peak = np.flatnonzero(height < np.inf)  # the marks that are maxima of a row
+    higher = height > height[peak, None]  # (maxima, marks): the nearest on each side bounds the peak
+    col = np.arange(marks.size)
+    left = np.where(higher & (col < peak[:, None]), col, 0).max(axis=1)
+    right = np.where(higher & (col > peak[:, None]), col, marks.size - 1).min(axis=1)
+    valley = np.minimum.reduceat(y, marks)  # valley[k]: the least sample from mark k to mark k + 1
+    # the least valley over marks [left, peak), then over [peak, right): each side's minimum
+    side = np.minimum.reduceat(valley, np.stack([left, peak, right], axis=1).reshape(-1)).reshape(-1, 3)
+    prominence = height[peak] - np.maximum(side[:, 0], side[:, 1])
     keep = prominence >= prominence_min
-    return peaks[keep], prominence[keep]
+    row, index = np.divmod(marks[peak[keep]] - 1, width)
+    return (index, prominence[keep]) if x.ndim == 1 else (row, index, prominence[keep])
 
 
 def _newton(params, x, lo, hi, sign, level, order: int, tol: float, prefix=None):
@@ -186,11 +204,11 @@ def _newton(params, x, lo, hi, sign, level, order: int, tol: float, prefix=None)
 def _extrema(params, deltas, values, signs, prefix=None):
     """Dips (sign +1) and peaks (sign -1) of each sampled curve ``values[j]`` (of the
     ``prefix[j]``-site chain, if given), in the order of (j, ``signs``), refined together
-    on the continuous curves: (curve, index, sign, prominence, delta, value) arrays."""
-    found = [(j, s, *_peaks(-s * row, PROMINENCE_MIN)) for j, row in enumerate(values) for s in signs]
-    curve, sign, index, prominence = (
-        np.concatenate([np.broadcast_to(f[i], f[2].shape) for f in found]) for i in range(4)
-    )
+    on the continuous curves: (curve, index, sign, prominence, delta, value) arrays.
+    One stacked pass of ``_peaks`` finds the grid extrema of every (curve, sign) row."""
+    signs = np.asarray(signs, dtype=float)
+    row, index, prominence = _peaks((-signs[:, None] * values[:, None]).reshape(-1, deltas.size), PROMINENCE_MIN)
+    curve, sign = row // signs.size, signs[row % signs.size]
     # Newton starts at the vertex of the parabola through the three samples
     x0, x1, x2 = (deltas[index + j] for j in (-1, 0, 1))
     f0, f1, f2 = (values[curve, index + j] for j in (-1, 0, 1))

@@ -60,6 +60,19 @@ def _rows(table: DataTable) -> np.ndarray:
     return rows
 
 
+def _csv_labels(table: DataTable) -> None:
+    """ValidationError naming the table unless its labels read back from its CSV
+    text: a column name or feature kind holding ',', a meta key holding '=' or
+    starting with 'feature,', or any of them or a meta value holding a line
+    break would each split or move a line."""
+    keys = [str(key) for key in table.meta]
+    cells = [str(c) for c in table.columns] + [str(f[0]) for f in table.features]
+    bad = [t for t in (*cells, *keys, *map(str, table.meta.values())) if "".join(t.splitlines()) != t]
+    bad += [t for t in cells if "," in t] + [k for k in keys if "=" in k or k.lstrip().startswith("feature,")]
+    if bad:
+        raise ValidationError(f"table {table.name!r}: {bad[0]!r} would not read back from CSV")
+
+
 def _row_texts(rows: np.ndarray, token) -> list[str]:
     """The text of each row of ``rows``: ``token(value)`` of its cells, joined by ','.
 
@@ -79,6 +92,7 @@ def _row_texts(rows: np.ndarray, token) -> list[str]:
 
 def render_csv(table: DataTable, digits: int = DEFAULT_DIGITS) -> str:
     rows = _rows(require_params(table, DataTable, "table"))
+    _csv_labels(table)
     number = f"%.{require_count('digits', digits, 1)}g"  # fmt's format, checked once
     lines = [f"# {key} = {val}" for key, val in table.meta.items()]
     lines.append(",".join(table.columns))

@@ -23,6 +23,10 @@ from chiralcav.spectrum import REFINE_TOL
 from chiralcav.tables import fmt
 
 
+#: (gamma_L, g, xi) of the benchmark's carving templates, kappa_wg = 100, kappa_sc = 300
+BENCH_TEMPLATES = [(1.0, 20.0, 0.0), (1.0, 30.0, 0.0), (0.95, 20.0, 0.3)]
+
+
 def make_system(n=2, gamma_L=1.0, g=20.0, kappa_wg=100.0, kappa_sc=300.0, xi=0.0, **kw):
     return SystemParams(
         n_atoms=n,
@@ -146,6 +150,32 @@ def half_level_width(params, span, n_points=6001, baseline=None):
         lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
     upper, lower = 0.5 * (lo + hi)
     return upper - lower
+
+
+def peaks_of_row(x, prominence_min):
+    """(indices, prominences) of the local maxima of the 1-D ``x`` with topographic
+    prominence >= ``prominence_min``, one maximum at a time (per-row oracle for
+    ``spectrum._peaks``).
+
+    A maximum is a strict rise into a run of equal samples and a strict
+    fall out of it, reported at the run's middle sample (rounded down).
+    Each side of a maximum reaches to the first strictly higher sample or
+    the array end, found by a scan of the whole array.
+    """
+    x = np.asarray(x, dtype=float)
+    step = np.flatnonzero(x[1:] != x[:-1])  # x[step] != x[step + 1]
+    first, last = step[:-1] + 1, step[1:]  # every run but the first and the last
+    top = (x[first - 1] < x[first]) & (x[last + 1] < x[last])
+    peaks = (first[top] + last[top]) // 2
+    prominence = np.empty(peaks.size)
+    for k, i in enumerate(peaks):
+        higher = np.flatnonzero(x > x[i])
+        j = np.searchsorted(higher, i)
+        lo = higher[j - 1] + 1 if j else 0
+        hi = higher[j] if j < higher.size else x.size
+        prominence[k] = x[i] - max(x[lo : i + 1].min(), x[i:hi].min())
+    keep = prominence >= prominence_min
+    return peaks[keep], prominence[keep]
 
 
 def golden_section_minimize(f, lo, hi, tol: float = REFINE_TOL):

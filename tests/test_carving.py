@@ -25,7 +25,7 @@ from chiralcav import (
     solver,
     spectrum,
 )
-from helpers import brute_force_carve, make_system, single_atom_r
+from helpers import BENCH_TEMPLATES, brute_force_carve, make_system, single_atom_r
 
 # exact component amplitudes at delta = 0 for the C = 4, kappa_wg/kappa = 1/4
 # system in the directional regime (xi = 0): counts 0 and 2 share the bare
@@ -36,10 +36,6 @@ R1 = -0.9
 
 def template(m=2, **kw):
     return make_system(n=m, **kw)
-
-
-#: (gamma_L, g, xi) of the benchmark's carving templates, kappa_wg = 100, kappa_sc = 300
-BENCH_TEMPLATES = [(1.0, 20.0, 0.0), (1.0, 30.0, 0.0), (0.95, 20.0, 0.3)]
 
 
 class TestQubitRegister:

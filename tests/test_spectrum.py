@@ -27,7 +27,15 @@ from chiralcav import (
     sweep_delta,
 )
 from chiralcav.tables import render_csv
-from helpers import golden_section_minimize, golden_section_scalar, half_level_width, make_system, width_scalar
+from helpers import (
+    BENCH_TEMPLATES,
+    golden_section_minimize,
+    golden_section_scalar,
+    half_level_width,
+    make_system,
+    peaks_of_row,
+    width_scalar,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -326,6 +334,93 @@ class TestPeaks:
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+def peaks_row_by_row(x, prominence_min):
+    """``spectrum._peaks`` of a stack, one row at a time through the per-row oracle."""
+    found = [peaks_of_row(row, prominence_min) for row in np.asarray(x, dtype=float)]
+    row = np.concatenate([np.full(index.size, r, dtype=np.intp) for r, (index, _) in enumerate(found)])
+    return row, *(np.concatenate(v) for v in zip(*found))
+
+
+class TestStackedPeaks:
+    """One pass over a stack of rows gives each row's peaks, bit for bit."""
+
+    @staticmethod
+    def seeded_row(rng, size):
+        kind = rng.integers(0, 5)
+        if kind == 0:  # noise
+            return rng.normal(size=size)
+        if kind == 1:  # quantised plateaus
+            return np.round(2 * rng.normal(size=size)) / 2
+        if kind == 2:  # a constant row
+            return np.full(size, float(rng.integers(-2, 3)))
+        x = rng.integers(0, 3, size=size).astype(float)
+        run = int(rng.integers(1, max(size, 1) + 1))
+        if kind == 3:  # a plateau touching the row start
+            x[:run] = x[min(run, size - 1)] if size else 0.0
+        else:  # a plateau touching the row end
+            x[-run:] = x[max(size - run - 1, 0)] if size else 0.0
+        return x
+
+    def test_seeded_stacks_match_the_per_row_oracle(self, rng):
+        for _ in range(400):
+            size = int(rng.integers(0, 61))
+            x = np.array([self.seeded_row(rng, size) for _ in range(int(rng.integers(1, 9)))])
+            prominence_min = float(rng.choice([0.0, 0.5, 1.0]))
+            row, index, prominence = spectrum._peaks(x, prominence_min)
+            for r in range(x.shape[0]):
+                expected, expected_prominence = peaks_of_row(x[r], prominence_min)
+                assert index.dtype == expected.dtype
+                assert index[row == r].tolist() == expected.tolist()
+                assert prominence[row == r].tobytes() == expected_prominence.tobytes()
+            assert np.all(np.diff(row) >= 0)  # row-major
+
+    @pytest.mark.parametrize("gamma_L, g, xi", BENCH_TEMPLATES)
+    def test_plan_sweeps_match_scipy(self, gamma_L, g, xi, monkeypatch):
+        stacks, peaks = [], spectrum._peaks
+        monkeypatch.setattr(spectrum, "_peaks", lambda x, p: stacks.append(x) or peaks(x, p))
+        plan_protocol(12, make_system(n=12, gamma_L=gamma_L, g=g, xi=xi))
+        [stack] = stacks  # every count's sweep in one pass
+        assert stack.shape == (5, spectrum.DIP_POINTS)
+        row, index, prominence = peaks(stack, spectrum.PROMINENCE_MIN)
+        for r, x in enumerate(stack):
+            expected, props = find_peaks(x, prominence=spectrum.PROMINENCE_MIN)
+            assert expected.size and index[row == r].tolist() == expected.tolist()
+            assert np.array_equal(prominence[row == r], props["prominences"])
+
+    def test_plans_and_features_keep_the_bits_of_the_per_row_routine(self, rng, monkeypatch):
+        plans = [
+            (m, make_system(n=m, gamma_L=gamma_L, g=g, xi=xi), sign)
+            for gamma_L, g, xi in BENCH_TEMPLATES
+            for m in range(2, 13)
+            for sign in (1, -1)
+        ]
+        specs = [
+            sweep_delta(
+                make_system(
+                    n=int(rng.integers(1, 9)),
+                    gamma_L=float(rng.uniform(0.5, 1.0)),
+                    g=float(rng.uniform(1.0, 60.0)),
+                    xi=float(rng.uniform(0.0, math.pi)),
+                ),
+                -3,
+                3,
+                4001,
+            )
+            for _ in range(20)
+        ]
+
+        def bits():
+            steps = [np.array(plan_protocol(m, params, dip_sign=sign).steps).tobytes() for m, params, sign in plans]
+            found = [find_features(spec) for spec in specs]
+            rows = [np.array([[f.delta, f.value, f.width, f.prominence] for f in feats]).tobytes() for feats in found]
+            return steps, rows, [[f.kind for f in feats] for feats in found]
+
+        stacked = bits()
+        monkeypatch.setattr(spectrum, "_peaks", peaks_row_by_row)
+        assert bits() == stacked
+        assert sum(map(len, stacked[2])) > 40
 
 
 class TestDipWidths:

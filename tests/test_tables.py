@@ -1,10 +1,11 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from chiralcav import solver
+from chiralcav import ValidationError, solver
 from chiralcav.cli import main
 from chiralcav.tables import DataTable, fmt, parse_csv, read_table, render_csv, render_json, write_table
 from helpers import render_csv_by_row, render_json_by_row
@@ -77,6 +78,36 @@ def test_zero_row_table_round_trip(fmt_name, tmp_path):
     render = {"csv": render_csv, "json": render_json}[fmt_name]
     assert render(loaded) == render(table)
     assert render_csv(parse_csv(render_csv(table))) == "a,b,c\n"
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(columns=("a,b",), rows=np.zeros((2, 1))),
+        dict(features=(("d,ip", 0.0, 0.25, 0.1),)),
+        dict(meta={"n_atoms": "2\n3"}),
+        dict(meta={"a = b": "v"}),
+        dict(meta={"feature,dip,0,0.25": "0.1"}),
+        dict(columns=("a\rb",), rows=np.zeros((2, 1))),
+        dict(meta={"n\u2028atoms": "2"}),
+    ],
+    ids=[
+        "column-comma",
+        "kind-comma",
+        "meta-value-break",
+        "meta-key-equals",
+        "meta-key-feature",
+        "column-break",
+        "meta-key-break",
+    ],
+)
+def test_csv_text_that_would_not_read_back_is_refused(table, change, tmp_path):
+    # each of these renders text that parse_csv splits or reads as another line kind
+    bad = replace(table, **change)
+    with pytest.raises(ValidationError, match="'demo'"):
+        write_table(bad, tmp_path / "demo.csv")
+    assert list(tmp_path.iterdir()) == []
+    assert json.loads(render_json(bad))["name"] == "demo"  # JSON escapes every character
 
 
 def test_parse_requires_header():
